@@ -36,7 +36,10 @@ def _load_config(args) -> dict:
     cfg = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"config file is not valid JSON ({e})") from e
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
     overrides = {

@@ -5,6 +5,12 @@ is forced to enter at the first state and exit from the last one.
 Observation sequences are plain (T, dim) float arrays. All sequence
 arithmetic runs in the log domain.
 
+Viterbi alignment and hard-EM training run several models in lockstep:
+the sequences of every model are padded into one (time, sequence,
+state) array and advanced one time step at a time, so an acoustic
+model's phoneme HMMs train together. A single model is the one-model
+case of the same code.
+
 Defaults follow common phoneme-model practice: five emitting states and
 25-dimensional frames; one Gaussian per state (no mixtures) with a
 variance floor of 1e-4.
@@ -33,6 +39,51 @@ def as_sequence(seq) -> np.ndarray:
     return arr
 
 
+def _who(names, i: int) -> str:
+    """Error-message prefix naming model i of a lockstep batch."""
+    return "" if names is None else f"phoneme {names[i]!r}: "
+
+
+def check_params(trans, means, vars_, names=None) -> None:
+    """Validate left-to-right Gaussian HMM parameters.
+
+    trans is (..., n, n) and means/vars are (..., n, dim); leading axes
+    index independent models, named by ``names`` in error messages.
+    Raises ContractError for the first model that breaks a rule.
+    """
+    n = trans.shape[-1] if trans.ndim >= 2 else -1
+    if trans.ndim < 2 or trans.shape[-2] != n:
+        raise ContractError("transition matrix must be square")
+    if n < 1:
+        raise ContractError("an HMM needs at least one state")
+    if (means.shape != vars_.shape or means.ndim != trans.ndim
+            or means.shape[:-1] != trans.shape[:-1]):
+        raise ContractError("means/vars must be (n_states, dim) and match the transition matrix")
+
+    def first_bad(bad):
+        bad = np.reshape(bad, -1)
+        return int(np.argmax(bad)) if bad.any() else None
+
+    def check(bad, msg):
+        i = first_bad(bad)
+        if i is not None:
+            raise ContractError(_who(names, i) + msg)
+
+    cells = (-2, -1)
+    check(~np.isfinite(trans).all(axis=cells), "transition probabilities must be finite")
+    check(~np.isfinite(means).all(axis=cells), "means must be finite")
+    check(~np.isfinite(vars_).all(axis=cells), "variances must be finite")
+    check((trans < 0.0).any(axis=cells), "transition probabilities must be non-negative")
+    rows = trans.sum(axis=-1).reshape(-1, n)
+    i = first_bad((np.abs(rows - 1.0) > 1e-9).any(axis=1))
+    if i is not None:
+        raise ContractError(_who(names, i) + f"transition rows must sum to 1, got {rows[i]}")
+    band = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool)  # self-loop and advance only
+    check((trans[..., ~band] != 0.0).any(axis=-1),
+          "left-to-right topology allows only self-loop or advance transitions")
+    check((vars_ < VAR_FLOOR - 1e-15).any(axis=cells), f"variances must be >= {VAR_FLOOR}")
+
+
 @dataclass(eq=False)
 class GaussianHmm:
     """trans is (n, n) row-stochastic with zeros off the self/advance band;
@@ -46,19 +97,9 @@ class GaussianHmm:
         self.trans = np.asarray(self.trans, dtype=np.float64)
         self.means = np.asarray(self.means, dtype=np.float64)
         self.vars = np.asarray(self.vars, dtype=np.float64)
-        n = self.trans.shape[0]
-        if self.trans.shape != (n, n):
+        if self.trans.ndim != 2:
             raise ContractError("transition matrix must be square")
-        if self.means.shape != self.vars.shape or self.means.shape[0] != n:
-            raise ContractError("means/vars must be (n_states, dim) and match the transition matrix")
-        rows = self.trans.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-9):
-            raise ContractError(f"transition rows must sum to 1, got {rows}")
-        band = np.triu(np.tril(np.ones((n, n)), 1))  # self-loop and advance only
-        if np.any(self.trans[band == 0] != 0.0):
-            raise ContractError("left-to-right topology allows only self-loop or advance transitions")
-        if np.any(self.vars < VAR_FLOOR - 1e-15):
-            raise ContractError(f"variances must be >= {VAR_FLOOR}")
+        check_params(self.trans, self.means, self.vars)
 
     @property
     def n_states(self) -> int:
@@ -116,22 +157,132 @@ def flat_start(sequences, n_states: int) -> GaussianHmm:
     return GaussianHmm(trans, np.tile(mean, (n_states, 1)), np.tile(var, (n_states, 1)))
 
 
+def _emissions(means: np.ndarray, vars_: np.ndarray, seq: np.ndarray) -> np.ndarray:
+    const = -0.5 * (means.shape[1] * _LOG2PI + np.log(vars_).sum(axis=1))
+    diff = seq[:, None, :] - means[None, :, :]
+    quad = -0.5 * (diff * diff / vars_[None, :, :]).sum(axis=2)
+    return const[None, :] + quad
+
+
 def log_emissions(model: GaussianHmm, seq: np.ndarray) -> np.ndarray:
     """(T, n_states) log-density matrix under each state's diagonal Gaussian."""
     if seq.shape[1] != model.dim:
         raise ContractError(f"sequence dim {seq.shape[1]} != model dim {model.dim}")
-    const = -0.5 * (model.dim * _LOG2PI + np.log(model.vars).sum(axis=1))
-    diff = seq[:, None, :] - model.means[None, :, :]
-    quad = -0.5 * (diff * diff / model.vars[None, :, :]).sum(axis=2)
-    return const[None, :] + quad
+    return _emissions(model.means, model.vars, seq)
 
 
-def _log_trans(model: GaussianHmm):
+def _log_trans(trans: np.ndarray):
+    """Log self-loop (..., n) and advance (..., n - 1) probabilities."""
     with np.errstate(divide="ignore"):
-        lt = np.log(model.trans)
-    stay = np.diag(lt).copy()
-    adv = np.array([lt[s, s + 1] for s in range(model.n_states - 1)])
-    return stay, adv
+        lt = np.log(trans)
+    return np.diagonal(lt, axis1=-2, axis2=-1), np.diagonal(lt, 1, axis1=-2, axis2=-1)
+
+
+class _Batch:
+    """The sequences of several models, packed for lockstep alignment.
+
+    Sequences are numbered model by model; frames are numbered the same
+    way (model, then sequence, then time), and frame f of that order sits
+    at row (t_of[f], seq_of[f]) of a padded (time, sequence) array.
+    """
+
+    def __init__(self, groups: list, n_states: int, dim: int, names=None):
+        for p, seqs in enumerate(groups):
+            for seq in seqs:
+                if seq.shape[0] < n_states:
+                    raise InfeasiblePathError(
+                        _who(names, p)
+                        + f"sequence length {seq.shape[0]} < minimum path length {n_states}")
+                if seq.shape[1] != dim:
+                    raise ContractError(_who(names, p)
+                                        + f"sequence dim {seq.shape[1]} != model dim {dim}")
+        self.groups = groups
+        per_model = [len(seqs) for seqs in groups]
+        self.lengths = np.array([seq.shape[0] for seqs in groups for seq in seqs], dtype=np.intp)
+        self.owner = np.repeat(np.arange(len(groups)), per_model)
+        self.seq_bounds = np.concatenate([[0], np.cumsum(per_model)])
+        self.frame_bounds = np.concatenate([[0], np.cumsum(self.lengths)])[self.seq_bounds]
+        self.seq_of = np.repeat(np.arange(len(self.lengths)), self.lengths)
+        self.t_of = np.arange(len(self.seq_of)) - np.repeat(
+            np.cumsum(self.lengths) - self.lengths, self.lengths)
+
+    def frames(self, p: int) -> np.ndarray:
+        """All frames of model p, in frame order."""
+        return np.concatenate(self.groups[p], axis=0)
+
+
+def _align(trans, means, vars_, batch: _Batch, names=None, backtrack=True):
+    """Viterbi-align every sequence of the batch under its own model.
+
+    trans, means and vars_ stack the models' parameters along axis 0.
+    Returns each sequence's best-path log-probability and, with
+    ``backtrack``, the best path's state for every frame in frame order.
+    """
+    n = trans.shape[-1]
+    lengths = batch.lengths
+    B, T = len(lengths), int(lengths.max())
+    # delta[t] starts as the emissions at time t and becomes the best
+    # score of a path ending there; padding past a sequence's end is 0.
+    delta = np.zeros((T, B, n))
+    for p in range(len(batch.groups)):
+        lo, hi = batch.frame_bounds[p], batch.frame_bounds[p + 1]
+        delta[batch.t_of[lo:hi], batch.seq_of[lo:hi]] = _emissions(means[p], vars_[p],
+                                                                    batch.frames(p))
+    stay, adv = _log_trans(trans)
+    stay, adv = stay[batch.owner], adv[batch.owner]
+    delta[0, :, 1:] = -np.inf
+    from_adv = np.full((B, n), -np.inf)
+    choice = np.zeros((T, B, n), dtype=bool)  # True = arrived by advance
+    for t in range(1, T):
+        from_stay = delta[t - 1] + stay
+        np.add(delta[t - 1, :, :-1], adv, out=from_adv[:, 1:])
+        np.greater(from_adv, from_stay, out=choice[t])
+        delta[t] += np.maximum(from_stay, from_adv)
+    rows = np.arange(B)
+    scores = delta[lengths - 1, rows, n - 1]
+    infeasible = ~np.isfinite(scores)
+    if infeasible.any():
+        raise InfeasiblePathError(_who(names, batch.owner[np.argmax(infeasible)])
+                                  + "no feasible path reaches the final state")
+    if not backtrack:
+        return scores, None
+    state = np.full(B, n - 1, dtype=np.intp)
+    states = np.empty((T, B), dtype=np.intp)
+    for t in range(T - 1, 0, -1):
+        states[t] = state
+        state -= choice[t, rows, state] & (t < lengths)
+    states[0] = state
+    return scores, states[batch.t_of, batch.seq_of]
+
+
+def _stack(models: list):
+    if len({(m.n_states, m.dim) for m in models}) != 1:
+        raise ContractError("lockstep models must share n_states and dim")
+    return (np.stack([m.trans for m in models]), np.stack([m.means for m in models]),
+            np.stack([m.vars for m in models]))
+
+
+def viterbi_batch(models: list, sequence_groups: list) -> list:
+    """Viterbi-align ``sequence_groups[i]`` under ``models[i]`` for every i
+    at once; the models must share n_states and dim.
+
+    Returns, per model, one ``(path, logprob)`` pair per sequence, as
+    :func:`viterbi` would.
+    """
+    if len(models) != len(sequence_groups):
+        raise ContractError("need one sequence group per model")
+    if not models:
+        return []
+    params = _stack(models)
+    groups = [[as_sequence(s) for s in seqs] for seqs in sequence_groups]
+    batch = _Batch(groups, models[0].n_states, models[0].dim)
+    if not len(batch.lengths):
+        return [[] for _ in models]
+    scores, states = _align(*params, batch)
+    paths = np.split(states, np.cumsum(batch.lengths)[:-1])
+    return [[(paths[b].tolist(), float(scores[b]))
+             for b in range(batch.seq_bounds[p], batch.seq_bounds[p + 1])]
+            for p in range(len(models))]
 
 
 def viterbi(model: GaussianHmm, seq) -> tuple[list, float]:
@@ -140,33 +291,7 @@ def viterbi(model: GaussianHmm, seq) -> tuple[list, float]:
     Entry is forced at state 0 and the path must end in the final state;
     sequences shorter than n_states cannot reach it.
     """
-    seq = as_sequence(seq)
-    n = model.n_states
-    T = seq.shape[0]
-    if T < n:
-        raise InfeasiblePathError(f"sequence length {T} < minimum path length {n}")
-    logb = log_emissions(model, seq)
-    stay, adv = _log_trans(model)
-    delta = np.full((T, n), -np.inf)
-    choice = np.zeros((T, n), dtype=np.int8)  # 1 = arrived by advance
-    delta[0, 0] = logb[0, 0]
-    for t in range(1, T):
-        from_stay = delta[t - 1] + stay
-        from_adv = np.full(n, -np.inf)
-        from_adv[1:] = delta[t - 1, :-1] + adv
-        choice[t] = from_adv > from_stay
-        delta[t] = logb[t] + np.maximum(from_stay, from_adv)
-    score = delta[T - 1, n - 1]
-    if not np.isfinite(score):
-        raise InfeasiblePathError("no feasible path reaches the final state")
-    path = [n - 1]
-    s = n - 1
-    for t in range(T - 1, 0, -1):
-        if choice[t, s]:
-            s -= 1
-        path.append(s)
-    path.reverse()
-    return path, float(score)
+    return viterbi_batch([model], [[seq]])[0][0]
 
 
 def forward_loglik(model: GaussianHmm, seq) -> float:
@@ -177,7 +302,7 @@ def forward_loglik(model: GaussianHmm, seq) -> float:
     if T < n:
         raise InfeasiblePathError(f"sequence length {T} < minimum path length {n}")
     logb = log_emissions(model, seq)
-    stay, adv = _log_trans(model)
+    stay, adv = _log_trans(model.trans)
     alpha = np.full(n, -np.inf)
     alpha[0] = logb[0, 0]
     for t in range(1, T):
@@ -202,7 +327,7 @@ def posteriors(model: GaussianHmm, seq):
     if T < n:
         raise InfeasiblePathError(f"sequence length {T} < minimum path length {n}")
     logb = log_emissions(model, seq)
-    stay, adv = _log_trans(model)
+    stay, adv = _log_trans(model.trans)
     log_alpha = np.full((T, n), -np.inf)
     log_alpha[0, 0] = logb[0, 0]
     for t in range(1, T):
@@ -235,17 +360,77 @@ def _check_monotone(name: str, prev: float | None, new: float) -> None:
         raise ArithmeticError(f"{name} log-likelihood decreased: {prev} -> {new}")
 
 
-def _reestimate_trans(model, stay_counts, adv_counts):
-    n = model.n_states
-    trans = model.trans.copy()
-    for s in range(n):
-        out = stay_counts[s] + (adv_counts[s] if s < n - 1 else 0.0)
-        if out > 0:
-            trans[s, :] = 0.0
-            trans[s, s] = stay_counts[s] / out
-            if s < n - 1:
-                trans[s, s + 1] = adv_counts[s] / out
+def _reestimate_trans(trans, stays, advances):
+    """Stacked transition matrices (models, n, n) from self-loop and
+    advance counts (models, n), the final state's advance count being 0;
+    a state that is never left keeps its row."""
+    trans = trans.copy()
+    out = stays + advances
+    p, s = np.nonzero(out > 0)
+    trans[p, s] = 0.0
+    trans[p, s, s] = stays[p, s] / out[p, s]
+    a = s < trans.shape[-1] - 1
+    p, s = p[a], s[a]
+    trans[p, s, s + 1] = advances[p, s] / out[p, s]
     return trans
+
+
+def _train_lockstep(models: list, groups: list, iters: int, names=None) -> list:
+    """Hard-EM for several models at once; models[i] trains on groups[i].
+
+    Each iteration aligns every sequence of every model in one lockstep
+    Viterbi pass, then re-estimates all models from the alignments.
+    Each model's total Viterbi log-likelihood (its sequences' scores
+    added in order) must not decrease beyond 1e-8 relative slack, and
+    its parameters must stay valid; either failure names the model.
+    """
+    if not models:
+        return []
+    trans, means, vars_ = _stack(models)
+    P, n, d = means.shape
+    batch = _Batch(groups, n, d, names)
+    frame_cell = batch.owner[batch.seq_of] * n  # + state = flat (model, state) cell
+    continues = batch.t_of[1:] > 0  # frame f + 1 follows frame f in one sequence
+
+    def totals(scores):
+        return [float(np.cumsum(scores[lo:hi])[-1])
+                for lo, hi in zip(batch.seq_bounds[:-1], batch.seq_bounds[1:])]
+
+    def check(prev, new):
+        for p in range(P):
+            _check_monotone(_who(names, p) + "viterbi", None if prev is None else prev[p],
+                            new[p])
+
+    prev = None
+    for _ in range(iters):
+        scores, path = _align(trans, means, vars_, batch, names)
+        cur = totals(scores)
+        check(prev, cur)
+        prev = cur
+        cell = frame_cell + path
+        counts = np.bincount(cell, minlength=P * n).reshape(P, n).astype(np.float64)
+        moved = path[1:] != path[:-1]
+        steps = np.bincount((2 * cell[:-1] + moved)[continues], minlength=2 * P * n)
+        steps = steps.reshape(P, n, 2).astype(np.float64)
+        sums = np.empty((P, n, d))
+        sqs = np.empty((P, n, d))
+        for p in range(P):
+            # bincount adds to each (state, dim) cell frame by frame, in
+            # the order a sequence-by-sequence accumulation would.
+            frames = batch.frames(p)
+            at = path[batch.frame_bounds[p]:batch.frame_bounds[p + 1]]
+            cells = (at[:, None] * d + np.arange(d)).ravel()
+            sums[p] = np.bincount(cells, frames.ravel(), n * d).reshape(n, d)
+            sqs[p] = np.bincount(cells, (frames * frames).ravel(), n * d).reshape(n, d)
+        # States without frames keep their emission parameters.
+        hit = counts > 0
+        means[hit] = sums[hit] / counts[hit][:, None]
+        vars_[hit] = np.maximum(sqs[hit] / counts[hit][:, None] - means[hit] ** 2, VAR_FLOOR)
+        trans = _reestimate_trans(trans, steps[..., 0], steps[..., 1])
+        check_params(trans, means, vars_, names)
+    if iters > 0:
+        check(prev, totals(_align(trans, means, vars_, batch, names, backtrack=False)[0]))
+    return [GaussianHmm(trans[p], means[p], vars_[p]) for p in range(P)]
 
 
 def viterbi_train(model: GaussianHmm, sequences, iters: int) -> GaussianHmm:
@@ -259,38 +444,7 @@ def viterbi_train(model: GaussianHmm, sequences, iters: int) -> GaussianHmm:
     seqs = [as_sequence(s) for s in sequences]
     if not seqs:
         raise ContractError("viterbi_train needs at least one sequence")
-    model = model.copy()
-    n, d = model.n_states, model.dim
-    prev_total = None
-    for _ in range(iters):
-        total = 0.0
-        sums = np.zeros((n, d))
-        sqs = np.zeros((n, d))
-        counts = np.zeros(n)
-        stay_counts = np.zeros(n)
-        adv_counts = np.zeros(n - 1)
-        for seq in seqs:
-            path, score = viterbi(model, seq)
-            total += score
-            p = np.array(path)
-            np.add.at(sums, p, seq)
-            np.add.at(sqs, p, seq * seq)
-            np.add.at(counts, p, 1.0)
-            moved = p[1:] != p[:-1]
-            np.add.at(stay_counts, p[:-1][~moved], 1.0)
-            np.add.at(adv_counts, p[:-1][moved], 1.0)
-        _check_monotone("viterbi", prev_total, total)
-        prev_total = total
-        hit = counts > 0
-        means = model.means.copy()
-        vars_ = model.vars.copy()
-        means[hit] = sums[hit] / counts[hit, None]
-        vars_[hit] = np.maximum(sqs[hit] / counts[hit, None] - means[hit] ** 2, VAR_FLOOR)
-        model = GaussianHmm(_reestimate_trans(model, stay_counts, adv_counts), means, vars_)
-    if iters > 0:
-        final = sum(viterbi(model, s)[1] for s in seqs)
-        _check_monotone("viterbi", prev_total, final)
-    return model
+    return _train_lockstep([model], [seqs], iters)[0]
 
 
 def baum_welch(model: GaussianHmm, sequences, iters: int) -> GaussianHmm:
@@ -328,7 +482,9 @@ def baum_welch(model: GaussianHmm, sequences, iters: int) -> GaussianHmm:
         vars_ = model.vars.copy()
         means[hit] = o_sum[hit] / g_sum[hit, None]
         vars_[hit] = np.maximum(o_sq[hit] / g_sum[hit, None] - means[hit] ** 2, VAR_FLOOR)
-        model = GaussianHmm(_reestimate_trans(model, stay_counts, adv_counts), means, vars_)
+        trans = _reestimate_trans(model.trans[None], stay_counts[None],
+                                  np.append(adv_counts, 0.0)[None])[0]
+        model = GaussianHmm(trans, means, vars_)
     if iters > 0:
         final = sum(forward_loglik(model, s) for s in seqs)
         _check_monotone("forward", prev_total, final)
@@ -337,13 +493,12 @@ def baum_welch(model: GaussianHmm, sequences, iters: int) -> GaussianHmm:
 
 def train_acoustic_model(corpus: dict, n_states: int = DEFAULT_STATES,
                          iters: int = 5, tune_iters: int = 0) -> AcousticModel:
-    """Flat-start then Viterbi-train one HMM per phoneme; optional
-    Baum-Welch tuning passes afterwards."""
-    hmms = {}
-    for phoneme in sorted(corpus):
-        m = flat_start(corpus[phoneme], n_states)
-        m = viterbi_train(m, corpus[phoneme], iters)
-        if tune_iters:
-            m = baum_welch(m, corpus[phoneme], tune_iters)
-        hmms[phoneme] = m
-    return AcousticModel(hmms)
+    """Flat-start one HMM per phoneme, Viterbi-train all of them in
+    lockstep, then optionally tune each with Baum-Welch passes."""
+    phonemes = sorted(corpus)
+    groups = [[as_sequence(s) for s in corpus[ph]] for ph in phonemes]
+    models = _train_lockstep([flat_start(seqs, n_states) for seqs in groups], groups,
+                             iters, phonemes)
+    if tune_iters:
+        models = [baum_welch(m, seqs, tune_iters) for m, seqs in zip(models, groups)]
+    return AcousticModel(dict(zip(phonemes, models)))

@@ -10,9 +10,10 @@ config and seed.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +32,16 @@ CASES = ("speech", "netflow", "dp_bypass", "mlp_demo")
 
 class ConfigError(ContractError):
     """A pipeline config field failed validation."""
+
+
+# Field annotation -> (accepted types, description). bool is never an
+# accepted int, and floats must be finite.
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "float": ((int, float), "a finite number"),
+    "str": ((str,), "a string"),
+}
 
 
 @dataclass
@@ -81,13 +92,23 @@ class PipelineConfig:
     target_high: float = 0.98
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            types, what = _FIELD_TYPES[f.type]
+            if (not isinstance(value, types) or isinstance(value, bool)
+                    or (isinstance(value, float) and not math.isfinite(value))):
+                raise ConfigError(f"{f.name}: must be {what} (got {value!r})")
         validate = [
             ("case", self.case in CASES, f"must be one of {CASES}"),
-            ("seed", isinstance(self.seed, int) and self.seed >= 0, "must be a non-negative integer"),
+            ("seed", self.seed >= 0, "must be a non-negative integer"),
             ("jobs", self.jobs >= 1, "must be >= 1"),
             ("shadows", self.shadows >= 2, "must be >= 2"),
             ("n_phonemes", 1 <= self.n_phonemes <= 40, "must be in [1, 40]"),
+            ("n_states", self.n_states >= 1, "must be >= 1"),
+            ("dim", self.dim >= 1, "must be >= 1"),
             ("n_sequences", self.n_sequences >= 1, "must be >= 1"),
+            ("n_boosted", 0 <= self.n_boosted <= self.n_phonemes, "must be in [0, n_phonemes]"),
+            ("train_iters", self.train_iters >= 0, "must be >= 0"),
             ("top_k", 1 <= self.top_k <= self.n_phonemes, "must be in [1, n_phonemes]"),
             ("holdout_fraction", 0 < self.holdout_fraction < 1, "must be in (0, 1)"),
             ("flows_per_shadow", self.flows_per_shadow >= 2, "must be >= 2"),

@@ -120,12 +120,23 @@ def to_payload(model) -> dict:
 
 
 def from_payload(payload: dict):
+    """Rebuild a model; a payload missing a key or holding a value of the
+    wrong shape raises StructuralError."""
     if not isinstance(payload, dict):
         raise StructuralError("model payload must be an object")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {version!r}")
     kind = payload.get("kind")
+    try:
+        return _decode(kind, payload)
+    except KeyError as e:
+        raise StructuralError(f"{kind} payload is missing key {e.args[0]!r}") from e
+    except (TypeError, AttributeError, IndexError, ValueError) as e:
+        raise StructuralError(f"malformed {kind} payload: {e}") from e
+
+
+def _decode(kind, payload: dict):
     if kind == "svm":
         svs = payload["support_vectors"]
         label_map = payload["label_map"]

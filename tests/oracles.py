@@ -247,3 +247,90 @@ def mlp_numeric_gradients(net_forward_error, weights, h=1e-5):
             it.iternext()
         grads.append(g)
     return grads
+
+
+def _viterbi_reference(trans, means, vars_, seq):
+    """Per-sequence, per-frame Viterbi: (path, logprob), or None if infeasible."""
+    n, d = means.shape
+    T = seq.shape[0]
+    if T < n:
+        return None
+    const = -0.5 * (d * math.log(2.0 * math.pi) + np.log(vars_).sum(axis=1))
+    diff = seq[:, None, :] - means[None, :, :]
+    logb = const[None, :] + -0.5 * (diff * diff / vars_[None, :, :]).sum(axis=2)
+    with np.errstate(divide="ignore"):
+        lt = np.log(trans)
+    stay = np.diag(lt).copy()
+    adv = np.array([lt[s, s + 1] for s in range(n - 1)])
+    delta = np.full((T, n), -np.inf)
+    choice = np.zeros((T, n), dtype=np.int8)
+    delta[0, 0] = logb[0, 0]
+    for t in range(1, T):
+        from_stay = delta[t - 1] + stay
+        from_adv = np.full(n, -np.inf)
+        from_adv[1:] = delta[t - 1, :-1] + adv
+        choice[t] = from_adv > from_stay
+        delta[t] = logb[t] + np.maximum(from_stay, from_adv)
+    score = delta[T - 1, n - 1]
+    if not np.isfinite(score):
+        return None
+    path = [n - 1]
+    s = n - 1
+    for t in range(T - 1, 0, -1):
+        if choice[t, s]:
+            s -= 1
+        path.append(s)
+    path.reverse()
+    return path, float(score)
+
+
+def viterbi_train_reference(trans, means, vars_, seqs, iters, var_floor=1e-4):
+    """Hard-EM one model at a time, one sequence at a time, one frame at a
+    time: the straightforward loop the library's lockstep trainer must
+    reproduce bit for bit. Returns (trans, means, vars, totals) with the
+    total Viterbi log-likelihood before each iteration and after the last.
+    Raises ValueError for an infeasible sequence."""
+    trans, means, vars_ = (np.array(a, dtype=float) for a in (trans, means, vars_))
+    n, d = means.shape
+
+    def align(seq):
+        out = _viterbi_reference(trans, means, vars_, seq)
+        if out is None:
+            raise ValueError("infeasible sequence")
+        return out
+
+    totals = []
+    for _ in range(iters):
+        total = 0.0
+        sums = np.zeros((n, d))
+        sqs = np.zeros((n, d))
+        counts = np.zeros(n)
+        stay_counts = np.zeros(n)
+        adv_counts = np.zeros(n - 1)
+        for seq in seqs:
+            path, score = align(seq)
+            total += score
+            p = np.array(path)
+            np.add.at(sums, p, seq)
+            np.add.at(sqs, p, seq * seq)
+            np.add.at(counts, p, 1.0)
+            moved = p[1:] != p[:-1]
+            np.add.at(stay_counts, p[:-1][~moved], 1.0)
+            np.add.at(adv_counts, p[:-1][moved], 1.0)
+        totals.append(total)
+        hit = counts > 0
+        means = means.copy()
+        vars_ = vars_.copy()
+        means[hit] = sums[hit] / counts[hit, None]
+        vars_[hit] = np.maximum(sqs[hit] / counts[hit, None] - means[hit] ** 2, var_floor)
+        trans = trans.copy()
+        for s in range(n):
+            out = stay_counts[s] + (adv_counts[s] if s < n - 1 else 0.0)
+            if out > 0:
+                trans[s, :] = 0.0
+                trans[s, s] = stay_counts[s] / out
+                if s < n - 1:
+                    trans[s, s + 1] = adv_counts[s] / out
+    if iters > 0:
+        totals.append(sum(align(s)[1] for s in seqs))
+    return trans, means, vars_, totals

@@ -1,21 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shadowprobe import datagen, hmm
 from shadowprobe.core import ContractError, InfeasiblePathError, RandomSource
 from shadowprobe.hmm import (
     VAR_FLOOR,
     AcousticModel,
     GaussianHmm,
     baum_welch,
+    check_params,
     flat_start,
     forward_loglik,
     posteriors,
     train_acoustic_model,
     viterbi,
+    viterbi_batch,
     viterbi_train,
 )
 
-from oracles import hmm_enumerate, log_gauss_diag
+from oracles import hmm_enumerate, log_gauss_diag, viterbi_train_reference
 
 
 def lr_trans(n, advance=0.4):
@@ -288,3 +293,183 @@ class TestValidation:
     def test_var_floor_enforced(self):
         with pytest.raises(ContractError):
             GaussianHmm(lr_trans(2), np.zeros((2, 1)), np.full((2, 1), 1e-9))
+
+
+def speech_corpus(seed, n_phonemes=6, n_states=3, dim=4, n_sequences=5):
+    rng = RandomSource(seed)
+    spec = datagen.default_speech_spec(rng.child(0), n_phonemes=n_phonemes,
+                                       n_states=n_states, dim=dim)
+    return datagen.gen_speech_corpus(spec, seed % 2 == 0, n_sequences, rng.child(1))
+
+
+def random_lr_model(n, dim, rng):
+    trans = lr_trans(n)
+    for s in range(n - 1):
+        adv = rng.uniform(0.05, 0.95)
+        trans[s, s], trans[s, s + 1] = 1.0 - adv, adv
+    return GaussianHmm(trans, rng.normal(0, 1.5, size=(n, dim)),
+                       rng.uniform(0.3, 2.0, size=(n, dim)))
+
+
+class TestLockstep:
+    """The lockstep trainer must reproduce the per-sequence loop exactly."""
+
+    @pytest.mark.parametrize("seed,n_states,iters", [
+        (1, 3, 4), (2, 5, 4), (3, 1, 3), (4, 2, 6), (5, 4, 0),
+    ])
+    def test_acoustic_model_equals_reference_loop(self, seed, n_states, iters):
+        corpus = speech_corpus(seed, n_states=n_states)
+        am = train_acoustic_model(corpus, n_states=n_states, iters=iters)
+        for ph, seqs in corpus.items():
+            start = flat_start(seqs, n_states)
+            trans, means, vars_, _ = viterbi_train_reference(
+                start.trans, start.means, start.vars, seqs, iters)
+            got = am.hmms[ph]
+            assert np.array_equal(got.trans, trans), ph
+            assert np.array_equal(got.means, means), ph
+            assert np.array_equal(got.vars, vars_), ph
+
+    def test_viterbi_train_equals_reference_loop(self):
+        rng = RandomSource(20)
+        gen = small_model(n=3, dim=2, seed=21)
+        seqs = generate_from(gen, 12, (1, 5), rng)
+        start = flat_start(seqs, 3)
+        got = viterbi_train(start, seqs, 5)
+        trans, means, vars_, _ = viterbi_train_reference(
+            start.trans, start.means, start.vars, seqs, 5)
+        assert np.array_equal(got.trans, trans)
+        assert np.array_equal(got.means, means)
+        assert np.array_equal(got.vars, vars_)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), dim=st.integers(1, 2),
+           shape=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=3),
+                          min_size=1, max_size=3))
+    def test_batch_matches_enumeration(self, seed, n, dim, shape):
+        # Ragged sequences (length n + extra) under models with different
+        # parameters, all aligned in one lockstep pass.
+        rng = RandomSource(seed)
+        models = [random_lr_model(n, dim, rng) for _ in shape]
+        groups = [[rng.normal(0, 2, size=(n + extra, dim)) for extra in extras]
+                  for extras in shape]
+        out = viterbi_batch(models, groups)
+        for m, seqs, results in zip(models, groups, out):
+            assert len(results) == len(seqs)
+            for seq, (path, lp) in zip(seqs, results):
+                best_path, best_lp, _, _, _ = hmm_enumerate(m.trans, m.means, m.vars, seq)
+                assert path == best_path
+                assert abs(lp - best_lp) < 1e-9
+                assert (path, lp) == viterbi(m, seq)
+
+    def test_length_equal_to_states_has_one_path(self):
+        rng = RandomSource(22)
+        models = [random_lr_model(4, 2, rng) for _ in range(2)]
+        groups = [[rng.normal(size=(4, 2))], [rng.normal(size=(6, 2)), rng.normal(size=(4, 2))]]
+        out = viterbi_batch(models, groups)
+        assert out[0][0][0] == [0, 1, 2, 3]
+        assert out[1][1][0] == [0, 1, 2, 3]
+
+    def test_exact_ties_prefer_self_loop(self):
+        # States 0 and 1 are identical with a 0.5/0.5 split, and only the
+        # last frame fits state 2, so every split of the middle frames
+        # between states 0 and 1 scores the same bit for bit. On a tie a
+        # state counts as reached by its self-loop, so the backtrack
+        # stays in state 1 and the path advances as early as it can.
+        m = GaussianHmm(lr_trans(3, 0.5), np.array([[0.0], [0.0], [10.0]]), np.ones((3, 1)))
+        seqs = [np.array([[0.0]] * k + [[10.0]]) for k in (4, 3, 2)]
+        out = viterbi_batch([m, m], [seqs[:2], seqs[2:]])
+        assert [p for p, _ in out[0]] == [[0, 1, 1, 1, 2], [0, 1, 1, 2]]
+        assert out[1][0][0] == [0, 1, 2]
+        trans, means, vars_, _ = viterbi_train_reference(m.trans, m.means, m.vars, seqs, 1)
+        got = viterbi_train(m, seqs, 1)
+        assert np.array_equal(got.trans, trans) and np.array_equal(got.means, means)
+
+    def test_single_state_models(self):
+        rng = RandomSource(23)
+        models = [random_lr_model(1, 3, rng) for _ in range(2)]
+        groups = [[rng.normal(size=(5, 3))], [rng.normal(size=(1, 3)), rng.normal(size=(3, 3))]]
+        out = viterbi_batch(models, groups)
+        for m, seqs, results in zip(models, groups, out):
+            for seq, (path, lp) in zip(seqs, results):
+                assert path == [0] * len(seq)
+                want = sum(log_gauss_diag(f, m.means[0], m.vars[0]) for f in seq)
+                assert abs(lp - want) < 1e-9
+
+    def test_models_must_share_shape(self):
+        with pytest.raises(ContractError):
+            viterbi_batch([small_model(n=2), small_model(n=3)],
+                          [[np.zeros((4, 2))], [np.zeros((4, 2))]])
+
+    def test_infeasible_sequence_names_phoneme(self):
+        corpus = speech_corpus(6)
+        second = sorted(corpus)[1]
+        corpus[second] = corpus[second] + [np.zeros((2, 4))]  # shorter than 3 states
+        with pytest.raises(InfeasiblePathError, match=f"phoneme {second!r}"):
+            train_acoustic_model(corpus, n_states=3, iters=2)
+
+    def test_decreasing_loglik_names_phoneme(self, monkeypatch):
+        # From the second M-step on, phoneme index 1 gets near-zero
+        # self-loops: a valid model whose Viterbi likelihood drops sharply.
+        original = hmm._reestimate_trans
+        calls = []
+
+        def skewed(trans, stays, advances):
+            out = original(trans, stays, advances)
+            calls.append(1)
+            if len(calls) >= 2:
+                out[1] = lr_trans(out.shape[-1], advance=0.999)
+            return out
+
+        monkeypatch.setattr(hmm, "_reestimate_trans", skewed)
+        corpus = speech_corpus(7)
+        second = sorted(corpus)[1]
+        with pytest.raises(ArithmeticError, match=f"phoneme {second!r}"):
+            train_acoustic_model(corpus, n_states=3, iters=3)
+
+    def test_bad_reestimate_caught_each_iteration(self, monkeypatch):
+        original = hmm._reestimate_trans
+
+        def broken(trans, stays, advances):
+            out = original(trans, stays, advances)
+            out[2, 0, :] = np.nan
+            return out
+
+        monkeypatch.setattr(hmm, "_reestimate_trans", broken)
+        corpus = speech_corpus(8)
+        third = sorted(corpus)[2]
+        with pytest.raises(ContractError, match=f"phoneme {third!r}.*finite"):
+            train_acoustic_model(corpus, n_states=3, iters=1)
+
+
+class TestCheckParams:
+    @pytest.mark.parametrize("field,value", [
+        ("trans", [[np.nan, np.nan], [0.0, 1.0]]),
+        ("trans", [[np.inf, 0.0], [0.0, 1.0]]),
+        ("means", [[np.nan], [0.0]]),
+        ("means", [[0.0], [-np.inf]]),
+        ("vars", [[np.nan], [1.0]]),
+        ("vars", [[1.0], [np.inf]]),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        args = {"trans": lr_trans(2), "means": np.zeros((2, 1)), "vars": np.ones((2, 1))}
+        args[field] = np.array(value)
+        with pytest.raises(ContractError, match="finite"):
+            GaussianHmm(**args)
+
+    def test_negative_probability_rejected(self):
+        with pytest.raises(ContractError, match="non-negative"):
+            GaussianHmm(np.array([[1.5, -0.5], [0.0, 1.0]]), np.zeros((2, 1)), np.ones((2, 1)))
+
+    def test_stacked_names_first_bad_model(self):
+        trans = np.stack([lr_trans(2)] * 3)
+        trans[1, 0] = [0.7, 0.7]
+        means = np.zeros((3, 2, 1))
+        with pytest.raises(ContractError, match="phoneme 'bb': transition rows"):
+            check_params(trans, means, np.ones((3, 2, 1)), names=["aa", "bb", "cc"])
+
+    def test_stacked_valid_passes(self):
+        check_params(np.stack([lr_trans(3)] * 2), np.zeros((2, 3, 2)), np.ones((2, 3, 2)))
+
+    def test_stacked_model_rejected_by_gaussian_hmm(self):
+        with pytest.raises(ContractError):
+            GaussianHmm(np.stack([lr_trans(2)] * 2), np.zeros((2, 2, 1)), np.ones((2, 2, 1)))

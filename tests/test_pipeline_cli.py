@@ -26,6 +26,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="shadows"):
             PipelineConfig(case="speech", shadows=1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("jobs", "2"), ("jobs", True), ("jobs", 2.0), ("n_states", "5"), ("dim", None),
+        ("train_iters", 1.5), ("seed", False), ("sigma", "8"), ("sigma", float("nan")),
+        ("boost_shift", float("inf")), ("case", 3), ("max_depth", "4"),
+    ])
+    def test_wrong_type_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            PipelineConfig.from_dict({"case": "speech", field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_states", 0), ("dim", 0), ("train_iters", -1), ("n_boosted", 41), ("n_boosted", -1),
+    ])
+    def test_hmm_fields_bounded(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            PipelineConfig(case="speech", **{field: value})
+
+    def test_boosted_may_equal_phonemes(self):
+        cfg = PipelineConfig(case="speech", n_phonemes=6, n_boosted=6, train_iters=0,
+                             max_depth=3, sigma=8)
+        assert cfg.n_boosted == 6
+
     def test_valid_roundtrip(self):
         cfg = PipelineConfig.from_dict({"case": "netflow", "seed": 9, "shadows": 10})
         assert cfg.case == "netflow" and cfg.seed == 9
@@ -122,6 +143,24 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"case": "netflow", "bogus": True}))
+        assert main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("bad", [
+        {"case": "speech", "jobs": "2"},
+        {"case": "speech", "n_states": "5"},
+        {"case": "speech", "n_phonemes": 4, "n_boosted": 5},
+        {"case": "speech", "train_iters": -2},
+    ])
+    def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**bad, "out_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_json_exit_2(self, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"case": "speech",')
         assert main(["run", "--config", str(cfg)]) == 2
 
     def test_filter_command(self, tmp_path):

@@ -14,7 +14,7 @@ from shadowprobe.dtree import TreeParams, classify, train_tree
 from shadowprobe.hmm import AcousticModel, GaussianHmm
 from shadowprobe.kmeans import KMeansModel
 from shadowprobe.mlp import init_mlp
-from shadowprobe.serialize import from_payload, load_model, save_model
+from shadowprobe.serialize import from_payload, load_model, save_model, to_payload
 from shadowprobe.svm import KernelSpec, SvmModel
 
 
@@ -129,3 +129,56 @@ class TestErrors:
     def test_non_object_payload(self):
         with pytest.raises(StructuralError):
             from_payload([1, 2, 3])
+
+
+def sample_payloads():
+    """One valid payload per model kind."""
+    t = np.array([[0.6, 0.4], [0.0, 1.0]])
+    ds = make_dataset([("x", NUMERIC)], [(0.0,), (1.0,), (2.0,)], ["p", "q", "q"])
+    shadows = [(random_svm(i), P if i < 2 else NOT_P) for i in range(4)]
+    models = [
+        random_svm(),
+        AcousticModel({"aa": GaussianHmm(t, np.zeros((2, 3)), np.ones((2, 3)))}),
+        KMeansModel(np.zeros((2, 2)), True, 3, [2.0, 1.0]),
+        init_mlp((3, 2, 3), RandomSource(1)),
+        train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(2)),
+        train_meta(build_meta_training_set(shadows), TreeParams(), RandomSource(3)),
+    ]
+    return {to_payload(m)["kind"]: to_payload(m) for m in models}
+
+
+PAYLOADS = sample_payloads()
+REQUIRED = [(kind, key) for kind, body in PAYLOADS.items()
+            for key in sorted(body) if key not in ("format_version", "kind")]
+
+
+class TestMissingKeys:
+    def test_every_kind_covered(self):
+        assert set(PAYLOADS) == {"svm", "acoustic", "kmeans", "mlp", "dtree", "meta"}
+        for body in PAYLOADS.values():
+            from_payload(body)
+
+    @pytest.mark.parametrize("kind,key", REQUIRED)
+    def test_missing_top_level_key(self, kind, key):
+        body = {k: v for k, v in PAYLOADS[kind].items() if k != key}
+        with pytest.raises(StructuralError, match=key):
+            from_payload(body)
+
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    def test_header_only(self, kind):
+        with pytest.raises(StructuralError):
+            from_payload({"format_version": 1, "kind": kind})
+
+    def test_missing_nested_keys(self):
+        acoustic = PAYLOADS["acoustic"]
+        body = {**acoustic, "phonemes": {"aa": {"trans": [[1.0]], "means": [[0.0]]}}}
+        with pytest.raises(StructuralError, match="vars"):
+            from_payload(body)
+        meta = PAYLOADS["meta"]
+        body = {**meta, "tree": {k: v for k, v in meta["tree"].items() if k != "root"}}
+        with pytest.raises(StructuralError, match="root"):
+            from_payload(body)
+
+    def test_wrong_value_type(self):
+        with pytest.raises(StructuralError):
+            from_payload({**PAYLOADS["acoustic"], "phonemes": 5})
