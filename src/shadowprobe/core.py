@@ -76,8 +76,12 @@ class RandomSource:
         return RandomSource(_splitmix64(self.seed ^ _splitmix64((int(key) + 1) & _MASK64)))
 
     # Thin passthroughs so call sites stay short.
-    def integers(self, low: int, high: int) -> int:
-        return int(self.generator.integers(low, high))
+    def integers(self, low: int, high: int, size=None):
+        """One int in [low, high), or an array of ``size`` of them: the
+        same stream as that many scalar calls."""
+        if size is None:
+            return int(self.generator.integers(low, high))
+        return self.generator.integers(low, high, size)
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self.generator.uniform(low, high, size)
@@ -227,7 +231,8 @@ def load_dataset(path, has_header: bool = True, label_column: int | None = None,
     decimal real, categorical otherwise) unless an explicit ``schema``
     is supplied, which wins over inference. ``label_column`` names the
     0-based column (counted before removal) whose cells become row
-    labels rather than attribute values.
+    labels rather than attribute values. A numeric cell that parses as
+    a non-finite float (``nan``, ``inf``, ``1e999``) is a StructuralError.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         raw = list(csv.reader(fh))
@@ -278,6 +283,8 @@ def load_dataset(path, has_header: bool = True, label_column: int | None = None,
                 v = _parse_numeric(row[j])
                 if v is None:
                     raise StructuralError(f"{path}: row {i}, column {j}: {row[j]!r} is not numeric")
+                if not math.isfinite(v):
+                    raise StructuralError(f"{path}: row {i}, column {j}: {row[j]!r} is not finite")
                 vals.append(v)
             else:
                 vals.append(row[j])

@@ -69,9 +69,30 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _distances_sq(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centroids[None, :, :]
-    return (diff * diff).sum(axis=2)
+def _distances_sq(cols: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances from the points' (d, n) columns.
+
+    The terms are added in dimension order, which is how numpy's
+    ``sum(axis=-1)`` adds up to 7 of them; for d >= 8 it pairs them
+    instead, so results can differ from that formula in the last bit.
+    """
+    diff = cols[None, :, :] - centroids[:, :, None]   # (k, d, n)
+    diff *= diff
+    acc = diff[:, 0, :]
+    for t in range(1, diff.shape[1]):
+        acc += diff[:, t, :]
+    return acc.T
+
+
+def _cluster_sums(values: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
+    """(k, d) per-cluster column sums, adding points in row order.
+
+    A boolean-mask ``mean(axis=0)`` adds in the same order for d >= 2;
+    for d = 1 it pairs the terms, so those means can differ in the last bit.
+    """
+    d = values.shape[1]
+    cells = ((assignment * d)[:, None] + np.arange(d)).ravel()
+    return np.bincount(cells, weights=values.ravel(), minlength=k * d).reshape(k, d)
 
 
 def within_cluster_ss(points: np.ndarray, centroids: np.ndarray,
@@ -87,12 +108,12 @@ def _init_centroids(points: np.ndarray, k: int, rng: RandomSource) -> np.ndarray
     return pool[idx].copy()
 
 
-def _reseed_empty(points, centroids, assignment, counts):
+def _reseed_empty(cols, centroids, assignment, counts):
     for c in np.nonzero(counts == 0)[0]:
-        d = _distances_sq(points, centroids).min(axis=1)
+        d = _distances_sq(cols, centroids).min(axis=1)
         far = int(np.argmax(d))
-        centroids[c] = points[far]
-        assignment = np.argmin(_distances_sq(points, centroids), axis=1)
+        centroids[c] = cols[:, far]
+        assignment = np.argmin(_distances_sq(cols, centroids), axis=1)
         counts = np.bincount(assignment, minlength=len(centroids))
     return centroids, assignment, counts
 
@@ -104,14 +125,15 @@ def _lloyd(points, k, max_iters, rng, noise=None):
     if k > len(points):
         raise ContractError(f"k={k} exceeds number of points ({len(points)})")
     centroids = _init_centroids(points, k, rng)
+    cols = np.ascontiguousarray(points.T)
     trace = []
     assignment = None
     converged = False
     iterations = 0
     for _ in range(max_iters):
-        new_assignment = np.argmin(_distances_sq(points, centroids), axis=1)
+        new_assignment = np.argmin(_distances_sq(cols, centroids), axis=1)
         counts = np.bincount(new_assignment, minlength=k)
-        centroids, new_assignment, counts = _reseed_empty(points, centroids, new_assignment, counts)
+        centroids, new_assignment, counts = _reseed_empty(cols, centroids, new_assignment, counts)
         obj = within_cluster_ss(points, centroids, new_assignment)
         if noise is None and trace and obj > trace[-1] + 1e-8 * max(1.0, trace[-1]):
             raise ArithmeticError(f"within-cluster objective increased: {trace[-1]} -> {obj}")
@@ -122,8 +144,7 @@ def _lloyd(points, k, max_iters, rng, noise=None):
         assignment = new_assignment
         iterations += 1
         if noise is None:
-            for c in range(k):
-                centroids[c] = points[assignment == c].mean(axis=0)
+            centroids = _cluster_sums(points, assignment, k) / counts[:, None]
         else:
             centroids = noise(points, assignment, counts)
     return KMeansModel(centroids, converged, iterations, trace)
@@ -156,8 +177,7 @@ def sulq_kmeans_train(points, k: int, max_iters: int, params: SulqParams,
 
     def noisy_update(pts, assignment, counts):
         k_, d = len(counts), pts.shape[1]
-        sums = np.zeros((k_, d))
-        np.add.at(sums, assignment, clamped)
+        sums = _cluster_sums(clamped, assignment, k_)
         sums += rng.normal(0.0, sigma, size=(k_, d))
         noisy_counts = np.maximum(counts + rng.normal(0.0, sigma, size=k_), 1.0)
         return sums / noisy_counts[:, None]

@@ -110,13 +110,24 @@ class PipelineConfig:
             ("n_boosted", 0 <= self.n_boosted <= self.n_phonemes, "must be in [0, n_phonemes]"),
             ("train_iters", self.train_iters >= 0, "must be >= 0"),
             ("top_k", 1 <= self.top_k <= self.n_phonemes, "must be in [1, n_phonemes]"),
+            ("baseline_models", self.baseline_models >= 1, "must be >= 1"),
             ("holdout_fraction", 0 < self.holdout_fraction < 1, "must be in (0, 1)"),
             ("flows_per_shadow", self.flows_per_shadow >= 2, "must be >= 2"),
+            ("degree", self.degree >= 1, "must be >= 1"),
+            ("C", self.C > 0, "must be positive"),
+            ("tol", self.tol > 0, "must be positive"),
             ("folds", self.folds >= 2, "must be >= 2"),
-            ("k", self.k >= 1, "must be >= 1"),
+            ("n_targets", self.n_targets >= 1, "must be >= 1"),
+            ("sample_size", self.sample_size >= 1, "must be >= 1"),
+            ("k", 1 <= self.k <= self.sample_size, "must be in [1, sample_size]"),
             ("sigma", self.sigma > 0, "must be positive"),
             ("n_runs", self.n_runs >= 4, "must be >= 4"),
+            ("pool_size", self.pool_size >= 2, "must be >= 2"),
+            ("min_leaf_size", self.min_leaf_size >= 1, "must be >= 1"),
+            ("max_depth", self.max_depth is None or self.max_depth >= 0, "must be null or >= 0"),
             ("mlp_seeds", self.mlp_seeds >= 1, "must be >= 1"),
+            ("learning_rate", self.learning_rate > 0, "must be positive"),
+            ("epochs", self.epochs >= 0, "must be >= 0"),
         ]
         for name, ok, msg in validate:
             if not ok:

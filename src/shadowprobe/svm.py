@@ -18,6 +18,7 @@ import numpy as np
 from .core import ContractError, Dataset, RandomSource, numeric_matrix
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
+_DRAW_BLOCK = 1024  # second indices drawn per RandomSource call
 
 
 @dataclass(frozen=True)
@@ -34,21 +35,6 @@ class KernelSpec:
             raise ContractError("gamma must be >= 0 for polynomial and rbf kernels")
         if self.degree < 1 or int(self.degree) != self.degree:
             raise ContractError("degree must be a positive integer")
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ContractError(f"kernel arguments must be equal-length vectors, got {x.shape} and {y.shape}")
-    if spec.kind == "linear":
-        return float(x @ y)
-    if spec.kind == "polynomial":
-        return float((spec.gamma * (x @ y) + spec.r) ** spec.degree)
-    if spec.kind == "rbf":
-        d = x - y
-        return float(np.exp(-spec.gamma * (d @ d)))
-    return float(np.tanh(spec.gamma * (x @ y) + spec.r))
 
 
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
@@ -85,7 +71,6 @@ class SvmModel:
     C: float
     converged: bool
     label_map: dict | None = None     # {-1: label, +1: label} when trained on named labels
-    objective_trace: list | None = None
 
     @property
     def n_support(self) -> int:
@@ -108,15 +93,8 @@ def _map_labels(labels):
     return y, {-1: distinct[0], 1: distinct[1]}
 
 
-def dual_objective(alpha, y, K) -> float:
-    """W(alpha) = sum alpha_i - 1/2 sum_ij alpha_i alpha_j y_i y_j K_ij."""
-    v = alpha * y
-    return float(alpha.sum() - 0.5 * (v @ K @ v))
-
-
 def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3,
-              max_passes: int | None = None, rng: RandomSource | None = None,
-              record_objective: bool = False) -> SvmModel:
+              max_passes: int | None = None, rng: RandomSource | None = None) -> SvmModel:
     """Train by simplified SMO with random second-index selection.
 
     ``max_passes`` bounds the number of consecutive full sweeps that make
@@ -125,6 +103,11 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
     ``converged=True``; exhausting the quiet-sweep budget while
     violations remain returns the best model so far flagged
     ``converged=False``.
+
+    The trainer owns ``rng``: it draws the random second indices in
+    blocks of 1024 (the same stream as one draw per pair), so the
+    generator's state after it returns is unspecified. Give each
+    training its own source.
     """
     if rng is None:
         raise ContractError("smo_train requires a RandomSource")
@@ -134,6 +117,7 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
         raise ContractError("tol must be positive")
     if not ds.fully_labeled:
         raise ContractError("training requires a fully labeled dataset")
+    C, tol = float(C), float(tol)
     X = numeric_matrix(ds)
     y, label_map = _map_labels(ds.labels())
     n = len(y)
@@ -141,30 +125,46 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
         max_passes = 10 * n
 
     K = kernel_matrix(kernel, X, X)
-    alpha = np.zeros(n)
     b = 0.0
     f = np.zeros(n)  # f[i] = sum_j alpha_j y_j K[j, i] + b, kept incrementally
-    trace = [] if record_objective else None
+    # The pair updates run on Python floats. The sweep's vectorised KKT
+    # scan flags i when y_i (f_i - y_i) < lower[i] or > upper[i]: the
+    # bound is -tol (tol) while alpha_i < C (alpha_i > 0), else infinite.
+    alpha = [0.0] * n
+    lower = np.full(n, -tol)
+    upper = np.full(n, np.inf)
+    yl = y.tolist()
+    kdiag = K.diagonal().tolist()
+    snap = 1e-10 * C
+    min_step = 1e-14 * max(1.0, C)
+    draws, drawn = [], 0
 
     quiet = 0
     converged = False
     while quiet < max_passes:
-        viol = ((y * (f - y) < -tol) & (alpha < C)) | ((y * (f - y) > tol) & (alpha > 0))
-        if not viol.any():
+        resid = y * (f - y)
+        candidates = np.flatnonzero((resid < lower) | (resid > upper)).tolist()
+        if not candidates:
             converged = True
             break
         changed = 0
-        for i in np.nonzero(viol)[0]:
-            e_i = f[i] - y[i]
+        for i in candidates:
+            y_i = yl[i]
+            e_i = f.item(i) - y_i
+            a_i_old = alpha[i]
             # Re-check: earlier updates in this sweep may have fixed i.
-            if not ((y[i] * e_i < -tol and alpha[i] < C) or (y[i] * e_i > tol and alpha[i] > 0)):
+            if not ((y_i * e_i < -tol and a_i_old < C) or (y_i * e_i > tol and a_i_old > 0)):
                 continue
-            j = rng.integers(0, n - 1)
+            if drawn == len(draws):
+                draws, drawn = rng.integers(0, n - 1, size=_DRAW_BLOCK).tolist(), 0
+            j = draws[drawn]
+            drawn += 1
             if j >= i:
                 j += 1
-            e_j = f[j] - y[j]
-            a_i_old, a_j_old = alpha[i], alpha[j]
-            if y[i] != y[j]:
+            y_j = yl[j]
+            e_j = f.item(j) - y_j
+            a_j_old = alpha[j]
+            if y_i != y_j:
                 lo = max(0.0, a_j_old - a_i_old)
                 hi = min(C, C + a_j_old - a_i_old)
             else:
@@ -172,17 +172,17 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
                 hi = min(C, a_i_old + a_j_old)
             if lo >= hi:
                 continue
-            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
+            k_ij = K.item(i, j)
+            eta = 2.0 * k_ij - kdiag[i] - kdiag[j]
             if eta >= 0:
                 continue
-            a_j = a_j_old - y[j] * (e_i - e_j) / eta
+            a_j = a_j_old - y_j * (e_i - e_j) / eta
             a_j = min(max(a_j, lo), hi)
-            if abs(a_j - a_j_old) < 1e-14 * max(1.0, C):
+            if abs(a_j - a_j_old) < min_step:
                 continue
-            a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
+            a_i = a_i_old + y_i * y_j * (a_j_old - a_j)
             # Snap float dust onto the exact box bounds; otherwise
             # near-zero residue keeps registering as a free vector.
-            snap = 1e-10 * C
             if a_i < snap:
                 a_i = 0.0
             elif a_i > C - snap:
@@ -192,8 +192,8 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
             elif a_j > C - snap:
                 a_j = C
             d_i, d_j = a_i - a_i_old, a_j - a_j_old
-            b1 = b - e_i - y[i] * d_i * K[i, i] - y[j] * d_j * K[i, j]
-            b2 = b - e_j - y[i] * d_i * K[i, j] - y[j] * d_j * K[j, j]
+            b1 = b - e_i - y_i * d_i * kdiag[i] - y_j * d_j * k_ij
+            b2 = b - e_j - y_i * d_i * k_ij - y_j * d_j * kdiag[j]
             if 0 < a_i < C:
                 b_new = b1
             elif 0 < a_j < C:
@@ -201,13 +201,16 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
             else:
                 b_new = (b1 + b2) / 2.0
             alpha[i], alpha[j] = a_i, a_j
-            f += y[i] * d_i * K[i] + y[j] * d_j * K[j] + (b_new - b)
+            lower[i] = -tol if a_i < C else -np.inf
+            upper[i] = tol if a_i > 0 else np.inf
+            lower[j] = -tol if a_j < C else -np.inf
+            upper[j] = tol if a_j > 0 else np.inf
+            f += y_i * d_i * K[i] + y_j * d_j * K[j] + (b_new - b)
             b = b_new
             changed += 1
-            if trace is not None:
-                trace.append(dual_objective(alpha, y, K))
         quiet = quiet + 1 if changed == 0 else 0
 
+    alpha = np.array(alpha)
     sv = np.nonzero(alpha > 0)[0]
     return SvmModel(
         sv_indices=sv,
@@ -216,10 +219,9 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
         sv_alpha=alpha[sv],
         bias=float(b),
         kernel=kernel,
-        C=float(C),
+        C=C,
         converged=converged,
         label_map=label_map,
-        objective_trace=trace,
     )
 
 

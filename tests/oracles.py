@@ -2,8 +2,10 @@
 
 Everything here deliberately recomputes results through a different
 route than the library (exact rationals, exhaustive enumeration,
-numerical quadrature, finite differences) and must stay free of
-library internals beyond plain data types.
+numerical quadrature, finite differences, or the plain scalar loops,
+named ``*_reference``, that the library's batched code must match bit
+for bit) and must stay free of library internals beyond plain data
+types.
 """
 
 from fractions import Fraction
@@ -334,3 +336,138 @@ def viterbi_train_reference(trans, means, vars_, seqs, iters, var_floor=1e-4):
     if iters > 0:
         totals.append(sum(align(s)[1] for s in seqs))
     return trans, means, vars_, totals
+
+
+def kernel_eval(kind, x, y, gamma=1.0, r=0.0, degree=3):
+    """One kernel value K(x, y) from its formula, vector by vector."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if kind == "linear":
+        return float(x @ y)
+    if kind == "polynomial":
+        return float((gamma * (x @ y) + r) ** degree)
+    if kind == "rbf":
+        d = x - y
+        return float(np.exp(-gamma * (d @ d)))
+    return float(np.tanh(gamma * (x @ y) + r))
+
+
+def smo_train_reference(y, K, C, tol, max_passes, rng, record_objective=False):
+    """Simplified SMO on numpy scalars with one ``rng.integers(0, n - 1)``
+    draw per attempted pair: the straightforward loop the library's
+    trainer must reproduce bit for bit. Returns (alpha, b, converged,
+    trace), where trace holds the dual objective after every accepted
+    pair update when ``record_objective`` is set."""
+    n = len(y)
+    alpha = np.zeros(n)
+    b = 0.0
+    f = np.zeros(n)
+    trace = [] if record_objective else None
+    quiet = 0
+    converged = False
+    while quiet < max_passes:
+        viol = ((y * (f - y) < -tol) & (alpha < C)) | ((y * (f - y) > tol) & (alpha > 0))
+        if not viol.any():
+            converged = True
+            break
+        changed = 0
+        for i in np.nonzero(viol)[0]:
+            e_i = f[i] - y[i]
+            if not ((y[i] * e_i < -tol and alpha[i] < C) or (y[i] * e_i > tol and alpha[i] > 0)):
+                continue
+            j = rng.integers(0, n - 1)
+            if j >= i:
+                j += 1
+            e_j = f[j] - y[j]
+            a_i_old, a_j_old = alpha[i], alpha[j]
+            if y[i] != y[j]:
+                lo = max(0.0, a_j_old - a_i_old)
+                hi = min(C, C + a_j_old - a_i_old)
+            else:
+                lo = max(0.0, a_i_old + a_j_old - C)
+                hi = min(C, a_i_old + a_j_old)
+            if lo >= hi:
+                continue
+            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
+            if eta >= 0:
+                continue
+            a_j = a_j_old - y[j] * (e_i - e_j) / eta
+            a_j = min(max(a_j, lo), hi)
+            if abs(a_j - a_j_old) < 1e-14 * max(1.0, C):
+                continue
+            a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
+            snap = 1e-10 * C
+            if a_i < snap:
+                a_i = 0.0
+            elif a_i > C - snap:
+                a_i = C
+            if a_j < snap:
+                a_j = 0.0
+            elif a_j > C - snap:
+                a_j = C
+            d_i, d_j = a_i - a_i_old, a_j - a_j_old
+            b1 = b - e_i - y[i] * d_i * K[i, i] - y[j] * d_j * K[i, j]
+            b2 = b - e_j - y[i] * d_i * K[i, j] - y[j] * d_j * K[j, j]
+            if 0 < a_i < C:
+                b_new = b1
+            elif 0 < a_j < C:
+                b_new = b2
+            else:
+                b_new = (b1 + b2) / 2.0
+            alpha[i], alpha[j] = a_i, a_j
+            f += y[i] * d_i * K[i] + y[j] * d_j * K[j] + (b_new - b)
+            b = b_new
+            changed += 1
+            if trace is not None:
+                trace.append(svm_dual_objective(alpha, y, K))
+        quiet = quiet + 1 if changed == 0 else 0
+    return alpha, float(b), converged, trace
+
+
+def _kmeans_distances_sq(points, centroids):
+    diff = points[:, None, :] - centroids[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
+def kmeans_reference(points, k, max_iters, rng, sigma=None):
+    """Lloyd iterations with boolean-mask means (or, when ``sigma`` is
+    given, SuLQ sums of the points clamped to their own min/max by
+    ``np.add.at`` plus Gaussian noise) and farthest-point reseeding of
+    emptied clusters: the loop the library's k-means must reproduce bit
+    for bit. Returns (centroids, converged, iterations, trace)."""
+    points = np.asarray(points, dtype=np.float64)
+    distinct = np.unique(points, axis=0)
+    pool = distinct if len(distinct) >= k else points
+    centroids = pool[rng.choice(len(pool), size=k, replace=False)].copy()
+    if sigma is not None:
+        low, high = points.min(axis=0), points.max(axis=0)
+        clamped = np.clip(points, low, np.where(high > low, high, low + 1.0))
+    trace = []
+    assignment = None
+    converged = False
+    iterations = 0
+    for _ in range(max_iters):
+        new = np.argmin(_kmeans_distances_sq(points, centroids), axis=1)
+        counts = np.bincount(new, minlength=k)
+        for c in np.nonzero(counts == 0)[0]:
+            far = int(np.argmax(_kmeans_distances_sq(points, centroids).min(axis=1)))
+            centroids[c] = points[far]
+            new = np.argmin(_kmeans_distances_sq(points, centroids), axis=1)
+            counts = np.bincount(new, minlength=k)
+        diff = points - centroids[new]
+        trace.append(float((diff * diff).sum()))
+        if assignment is not None and np.array_equal(new, assignment):
+            converged = True
+            break
+        assignment = new
+        iterations += 1
+        if sigma is None:
+            for c in range(k):
+                centroids[c] = points[assignment == c].mean(axis=0)
+        else:
+            sums = np.zeros((k, points.shape[1]))
+            np.add.at(sums, assignment, clamped)
+            sums += rng.normal(0.0, sigma, size=(k, points.shape[1]))
+            noisy_counts = np.maximum(counts + rng.normal(0.0, sigma, size=k), 1.0)
+            centroids = sums / noisy_counts[:, None]
+    return centroids, converged, iterations, trace

@@ -54,6 +54,20 @@ class TestLoadDataset:
         assert ds.schema == (("x", NUMERIC), ("c", CATEGORICAL))
         assert ds.rows[1].values == (2.5, "blue")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"])
+    def test_non_finite_cell_named(self, tmp_path, cell):
+        p = write(tmp_path, f"x,y,label\n1,2,a\n3,{cell},b\n")
+        with pytest.raises(StructuralError, match="row 2, column 1"):
+            load_dataset(p, label_column=2)
+        with pytest.raises(StructuralError, match="row 2, column 1"):
+            load_dataset(p, label_column=2, schema=[("x", NUMERIC), ("y", NUMERIC)])
+
+    def test_non_finite_text_in_categorical_column(self, tmp_path):
+        p = write(tmp_path, "c\nnan\nred\n")
+        assert load_dataset(p).rows[0].values == ("nan",)
+        p = write(tmp_path, "c\ninf\n2\n", name="explicit.csv")
+        assert load_dataset(p, schema=[("c", CATEGORICAL)]).rows[0].values == ("inf",)
+
     def test_explicit_schema_wins(self, tmp_path):
         p = write(tmp_path, "x\n1\n2\n")
         ds = load_dataset(p, schema=[("x", CATEGORICAL)])
@@ -157,6 +171,18 @@ class TestRandomSource:
         c2 = r.child(1)
         assert c1.seed != c2.seed
         assert RandomSource(42).child(0).seed == c1.seed
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), low=st.integers(-5, 5),
+           span=st.sampled_from([1, 2, 3, 999, 1999, 2**31, 2**40]), m=st.integers(0, 300))
+    def test_block_draw_is_scalar_stream(self, seed, low, span, m):
+        scalar, block = RandomSource(seed), RandomSource(seed)
+        want = [scalar.integers(low, low + span) for _ in range(m)]
+        got = block.integers(low, low + span, size=m)
+        assert got.tolist() == want
+        # Both sources are left at the same point of the stream.
+        assert block.integers(0, 1 << 20) == scalar.integers(0, 1 << 20)
+        assert block.uniform() == scalar.uniform()
 
     def test_seed_bounds(self):
         with pytest.raises(ContractError):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from shadowprobe import kmeans
 from shadowprobe.core import ContractError, RandomSource
 from shadowprobe.kmeans import (
     KMeansModel,
@@ -12,7 +14,7 @@ from shadowprobe.kmeans import (
     within_cluster_ss,
 )
 
-from oracles import kmeans_best_partition
+from oracles import kmeans_best_partition, kmeans_reference
 
 
 def two_blobs(n_per=50, seed=1, centers=((0.0, 0.0), (5.0, 5.0)), spread=0.3):
@@ -156,3 +158,48 @@ class TestEmptyClusterHandling:
         pts = np.array([[0.0], [2.0]])
         cents = np.array([[1.0]])
         assert within_cluster_ss(pts, cents, np.array([0, 0])) == 2.0
+
+
+def assert_matches_reference(model, points, k, max_iters, seed, sigma=None):
+    c, converged, iterations, trace = kmeans_reference(points, k, max_iters,
+                                                       RandomSource(seed), sigma=sigma)
+    assert model.centroids.tobytes() == c.tobytes()
+    assert model.objective_trace == trace
+    assert model.iterations_run == iterations
+    assert model.converged == converged
+
+
+class TestMatchesReference:
+    """Plain and SuLQ Lloyd against the boolean-mask / np.add.at loop, bit
+    for bit. Dimensions 2..7 only: at d = 1 the reference's mask mean adds
+    pairwise and can differ in the last bit (see ``kmeans._cluster_sums``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), d=st.integers(2, 7),
+           k=st.integers(1, 6), grid=st.booleans())
+    def test_random_points(self, seed, n, d, k, grid):
+        k = min(k, n)
+        points = np.random.default_rng(seed).normal(0, 3, size=(n, d))
+        if grid:
+            points = np.round(points)  # repeated points and exact distance ties
+        m = kmeans_train(points, k, 50, RandomSource(seed))
+        assert_matches_reference(m, points, k, 50, seed)
+        m = sulq_kmeans_train(points, k, 20, SulqParams(2.0), RandomSource(seed))
+        assert_matches_reference(m, points, k, 20, seed, sigma=2.0)
+
+    def test_empty_cluster_reseed(self, monkeypatch):
+        emptied = []
+        reseed = kmeans._reseed_empty
+
+        def spy(cols, centroids, assignment, counts):
+            emptied.append(int((counts == 0).sum()))
+            return reseed(cols, centroids, assignment, counts)
+
+        monkeypatch.setattr(kmeans, "_reseed_empty", spy)
+        pts = two_blobs(n_per=30, seed=18, spread=0.1)
+        pts = np.hstack([pts, pts[:, :1] * 0.5, pts[:, 1:] - 2.0, pts[:, :1] ** 2,
+                         pts[:, :1] * pts[:, 1:], np.abs(pts[:, 1:] - 1.0)])
+        for d in range(2, 8):
+            m = sulq_kmeans_train(pts[:, :d], 4, 40, SulqParams(50.0), rng=RandomSource(19))
+            assert_matches_reference(m, pts[:, :d], 4, 40, 19, sigma=50.0)
+        assert sum(emptied) > 0

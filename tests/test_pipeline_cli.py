@@ -42,6 +42,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             PipelineConfig(case="speech", **{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("sample_size", 0), ("k", 0), ("k", 2001), ("pool_size", 1), ("n_targets", 0),
+        ("baseline_models", 0), ("epochs", -1), ("learning_rate", 0.0), ("C", 0.0),
+        ("C", -1.0), ("tol", 0.0), ("degree", 0), ("min_leaf_size", 0), ("max_depth", -1),
+    ])
+    def test_count_and_rate_fields_bounded(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            PipelineConfig(case="netflow", **{field: value})
+
+    def test_boundary_values_accepted(self):
+        cfg = PipelineConfig(case="dp_bypass", k=5, sample_size=5, pool_size=2, n_targets=1,
+                             baseline_models=1, epochs=0, degree=1, min_leaf_size=1,
+                             max_depth=0)
+        assert cfg.k == cfg.sample_size == 5
+
     def test_boosted_may_equal_phonemes(self):
         cfg = PipelineConfig(case="speech", n_phonemes=6, n_boosted=6, train_iters=0,
                              max_depth=3, sigma=8)
@@ -150,12 +165,16 @@ class TestCli:
         {"case": "speech", "n_states": "5"},
         {"case": "speech", "n_phonemes": 4, "n_boosted": 5},
         {"case": "speech", "train_iters": -2},
+        # Both used to pass validation and fail inside the pipeline (exit 1).
+        {"case": "dp_bypass", "sample_size": 0, "n_runs": 4, "pool_size": 500},
+        {"case": "netflow", "n_targets": 0},
     ])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({**bad, "out_dir": str(tmp_path / "out")}))
         assert main(["run", "--config", str(cfg)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert any(f"config error: {f}:" in err for f in bad if f != "case"), err
         assert not (tmp_path / "out").exists()
 
     def test_config_not_json_exit_2(self, tmp_path):
@@ -184,3 +203,12 @@ class TestCli:
         assert main(["generate", "--case", "netflow", "--seed", "3", "--out", out]) == 0
         assert main(["evaluate", "--data", os.path.join(out, "flows_with_property.csv"),
                      "--label-column", "7", "--folds", "3", "--seed", "1"]) == 0
+
+    def test_evaluate_rejects_non_finite_cells(self, tmp_path, capsys):
+        data = tmp_path / "flows.csv"
+        rows = [f"{i}.0,{i % 3}.5,{'a' if i % 2 else 'b'}" for i in range(12)]
+        rows[7] = "7.0,nan,a"
+        data.write_text("x,y,label\n" + "\n".join(rows) + "\n")
+        assert main(["evaluate", "--data", str(data), "--label-column", "2",
+                     "--folds", "3", "--seed", "1"]) == 1
+        assert "row 8, column 1" in capsys.readouterr().err

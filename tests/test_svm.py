@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shadowprobe.core import ContractError, NUMERIC, RandomSource, make_dataset
 from shadowprobe.svm import (
     KernelSpec,
     SvmModel,
-    dual_objective,
-    kernel_eval,
     kernel_matrix,
     kkt_audit,
     smo_train,
@@ -15,7 +14,7 @@ from shadowprobe.svm import (
     _map_labels,
 )
 
-from oracles import svm_dual_pga
+from oracles import kernel_eval, smo_train_reference, svm_dual_objective, svm_dual_pga
 
 
 def xy_dataset(X, y):
@@ -24,22 +23,31 @@ def xy_dataset(X, y):
                         X.tolist(), [float(v) for v in y])
 
 
+def k1(spec, x, y):
+    """The library's kernel value for one pair of vectors."""
+    return kernel_matrix(spec, [x], [y])[0, 0]
+
+
+def oracle_k(spec, x, y):
+    return kernel_eval(spec.kind, x, y, spec.gamma, spec.r, spec.degree)
+
+
 class TestKernels:
     def test_linear_dot(self):
-        assert kernel_eval(KernelSpec("linear"), [1, 2], [1, 2]) == 5.0
+        assert k1(KernelSpec("linear"), [1, 2], [1, 2]) == 5.0
 
     def test_rbf_zero_distance(self):
         for gamma in (0.1, 1.0, 10.0):
-            assert kernel_eval(KernelSpec("rbf", gamma=gamma), [3, -1], [3, -1]) == 1.0
+            assert k1(KernelSpec("rbf", gamma=gamma), [3, -1], [3, -1]) == 1.0
 
     def test_polynomial_hand_value(self):
         # (1*(1*1 + 0*1) + 1)^3 = 8, cross-checked by hand.
         spec = KernelSpec("polynomial", gamma=1.0, r=1.0, degree=3)
-        assert kernel_eval(spec, [1, 0], [1, 1]) == 8.0
+        assert k1(spec, [1, 0], [1, 1]) == 8.0
 
     def test_sigmoid(self):
         spec = KernelSpec("sigmoid", gamma=0.5, r=-1.0)
-        assert abs(kernel_eval(spec, [2.0], [2.0]) - np.tanh(0.5 * 4 - 1)) < 1e-15
+        assert abs(k1(spec, [2.0], [2.0]) - np.tanh(0.5 * 4 - 1)) < 1e-15
 
     def test_matrix_matches_scalar(self):
         rng = RandomSource(5)
@@ -50,11 +58,11 @@ class TestKernels:
             K = kernel_matrix(spec, X, Y)
             for i in range(4):
                 for j in range(2):
-                    assert abs(K[i, j] - kernel_eval(spec, X[i], Y[j])) < 1e-12
+                    assert abs(K[i, j] - oracle_k(spec, X[i], Y[j])) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractError):
-            kernel_eval(KernelSpec("linear"), [1, 2], [1, 2, 3])
+            kernel_matrix(KernelSpec("linear"), [[1, 2]], [[1, 2, 3]])
 
     def test_invalid_specs(self):
         with pytest.raises(ContractError):
@@ -89,9 +97,9 @@ class TestSmoTrain:
         K = kernel_matrix(kernel, X, X)
         alpha = np.zeros(20)
         alpha[m.sv_indices] = m.sv_alpha
-        got = dual_objective(alpha, y, K)
+        got = svm_dual_objective(alpha, y, K)
         oracle_alpha = svm_dual_pga(y, K, C=1.0)
-        want = dual_objective(oracle_alpha, y, K)
+        want = svm_dual_objective(oracle_alpha, y, K)
         assert abs(got - want) < 1e-4
         assert kkt_audit(m, ds, 1e-3)["passed"]
 
@@ -99,10 +107,9 @@ class TestSmoTrain:
         rng = RandomSource(12)
         X = np.vstack([rng.normal(0, 1, size=(8, 2)), rng.normal(3, 1, size=(8, 2))])
         y = [-1.0] * 8 + [1.0] * 8
-        ds = xy_dataset(X, y)
-        m = smo_train(ds, KernelSpec("linear"), C=1.0, tol=1e-3,
-                      rng=RandomSource(6), record_objective=True)
-        trace = m.objective_trace
+        K = kernel_matrix(KernelSpec("linear"), X, X)
+        *_, trace = smo_train_reference(np.array(y), K, 1.0, 1e-3, 10 * len(y), RandomSource(6),
+                                        record_objective=True)
         assert len(trace) > 0
         for a, b in zip(trace, trace[1:]):
             assert b >= a - 1e-9
@@ -138,6 +145,59 @@ class TestSmoTrain:
         assert not m.converged
 
 
+def assert_matches_reference(ds, kernel, C, tol, max_passes, seed):
+    """smo_train against the numpy-scalar reference loop, bit for bit."""
+    m = smo_train(ds, kernel, C=C, tol=tol, max_passes=max_passes, rng=RandomSource(seed))
+    X = np.array([r.values for r in ds.rows])
+    y, _ = _map_labels(ds.labels())
+    passes = 10 * len(y) if max_passes is None else max_passes
+    alpha, b, converged, _ = smo_train_reference(
+        y, kernel_matrix(kernel, X, X), C, tol, passes, RandomSource(seed))
+    sv = np.nonzero(alpha > 0)[0]
+    assert np.array_equal(m.sv_indices, sv)
+    assert m.sv_alpha.tobytes() == alpha[sv].tobytes()
+    assert m.bias == b and type(m.bias) is float
+    assert m.converged == converged
+    return m
+
+
+KERNELS = st.sampled_from([
+    KernelSpec("linear"), KernelSpec("polynomial", 0.5, 1.0, 2),
+    KernelSpec("polynomial", 1.0, 0.0, 3), KernelSpec("rbf", 0.7),
+    KernelSpec("sigmoid", 0.1, -0.5),
+])
+
+
+class TestSmoMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24), d=st.integers(1, 4),
+           kernel=KERNELS, C=st.sampled_from([0.05, 1.0, 7.5]),
+           max_passes=st.sampled_from([0, 1, None]))
+    def test_random_datasets(self, seed, n, d, kernel, C, max_passes):
+        gen = np.random.default_rng(seed)
+        y = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+        gen.shuffle(y)
+        X = gen.normal(size=(n, d)) + 0.8 * y[:, None]
+        if seed % 3 == 0:
+            X = np.round(X)  # repeated points and exact kernel ties
+        assert_matches_reference(xy_dataset(X, y), kernel, C, 1e-3, max_passes, seed)
+
+    def test_unconverged(self):
+        rng = RandomSource(41)
+        X = rng.normal(0, 1, size=(40, 2))
+        y = np.where(rng.uniform(size=40) < 0.5, -1.0, 1.0)
+        m = assert_matches_reference(xy_dataset(X, y), KernelSpec("rbf", 2.0), 5.0, 1e-4, 1, 3)
+        assert not m.converged and m.n_support > 0
+
+    def test_netflow_shadow(self):
+        from shadowprobe import datagen
+        spec = datagen.default_flow_spec(1.0)
+        ds = datagen.gen_flow_dataset(spec, True, 300, RandomSource(5))
+        m = assert_matches_reference(ds, KernelSpec("polynomial", 1.0, 0.0, 3), 1.0, 1e-3,
+                                     None, 6)
+        assert m.converged
+
+
 class TestDecision:
     def trained(self):
         rng = RandomSource(21)
@@ -164,7 +224,7 @@ class TestDecision:
             # scalar kernel evaluations.
             acc = m.bias
             for i in reversed(range(m.n_support)):
-                acc += m.sv_alpha[i] * m.sv_y[i] * kernel_eval(m.kernel, m.sv_x[i], x)
+                acc += m.sv_alpha[i] * m.sv_y[i] * oracle_k(m.kernel, m.sv_x[i], x)
             assert abs(got - acc) < 1e-9
 
     def test_sign_zero_is_positive(self):
