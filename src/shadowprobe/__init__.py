@@ -14,7 +14,6 @@ from .core import (
     DomainError,
     FormatError,
     InfeasiblePathError,
-    Instance,
     RandomSource,
     ShadowprobeError,
     StructuralError,

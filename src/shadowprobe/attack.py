@@ -30,7 +30,6 @@ from .core import (
     ContractError,
     Dataset,
     DomainError,
-    Instance,
     RandomSource,
     round_half_up,
 )
@@ -94,31 +93,24 @@ def extract_features(model) -> FeatureVectorSet:
     """Encode a trained model's internals as a fixed-schema row set."""
     if isinstance(model, SvmModel):
         schema = [("y", NUMERIC)] + [(f"x{i + 1}", NUMERIC) for i in range(model.dim)]
-        rows = [Instance((float(y),) + tuple(float(v) for v in x))
-                for y, x in zip(model.sv_y, model.sv_x)]
-        return FeatureVectorSet(Dataset(tuple(schema), tuple(rows)), "svm")
+        return FeatureVectorSet(Dataset(schema, [model.sv_y, *model.sv_x.T]), "svm")
     if isinstance(model, AcousticModel):
         dim = model.dim
         schema = [("phoneme", CATEGORICAL)]
         schema += [(f"mu{i + 1}", NUMERIC) for i in range(dim)]
         schema += [(f"var{i + 1}", NUMERIC) for i in range(dim)]
-        rows = []
-        for phoneme in model.phonemes:
-            h = model.hmms[phoneme]
-            for s in range(h.n_states):
-                vals = (phoneme,) + tuple(float(v) for v in h.means[s]) \
-                    + tuple(float(v) for v in h.vars[s])
-                rows.append(Instance(vals))
-        return FeatureVectorSet(Dataset(tuple(schema), tuple(rows)), "hmm")
+        hmms = [model.hmms[ph] for ph in model.phonemes]
+        phonemes = [ph for ph, h in zip(model.phonemes, hmms) for _ in range(h.n_states)]
+        means = np.concatenate([h.means for h in hmms])
+        variances = np.concatenate([h.vars for h in hmms])
+        return FeatureVectorSet(Dataset(schema, [phonemes, *means.T, *variances.T]), "hmm")
     if isinstance(model, KMeansModel):
         schema = [(f"x{i + 1}", NUMERIC) for i in range(model.dim)]
-        rows = [Instance(tuple(float(v) for v in c)) for c in model.centroids]
-        return FeatureVectorSet(Dataset(tuple(schema), tuple(rows)), "kmeans")
+        return FeatureVectorSet(Dataset(schema, model.centroids.T), "kmeans")
     if isinstance(model, Mlp):
         w = model.weights[0]  # first hidden layer, bias column included
         schema = [(f"w{i}", NUMERIC) for i in range(w.shape[1])]
-        rows = [Instance(tuple(float(v) for v in unit)) for unit in w]
-        return FeatureVectorSet(Dataset(tuple(schema), tuple(rows)), "mlp")
+        return FeatureVectorSet(Dataset(schema, w.T), "mlp")
     raise ContractError(f"cannot extract features from {type(model).__name__}")
 
 
@@ -130,7 +122,7 @@ def build_meta_training_set(shadows) -> MetaDataset:
     """
     if not shadows:
         raise ContractError("no shadow classifiers given")
-    rows = []
+    parts, labels = [], []
     kind = None
     schema = None
     seen = set()
@@ -141,11 +133,12 @@ def build_meta_training_set(shadows) -> MetaDataset:
         elif fv.source_kind != kind or fv.data.schema != schema:
             raise ContractError(f"mixed shadow model kinds: {kind} vs {fv.source_kind}")
         seen.add(label.value)
-        rows.extend(Instance(r.values, label.value) for r in fv.data.rows)
+        parts.append(fv.data.columns)
+        labels += [label.value] * fv.data.n_rows
     if seen != {PROPERTY, NOT_PROPERTY}:
         raise ContractError(f"meta-training needs both property labels, got {sorted(seen)}")
-    data = Dataset(schema, tuple(rows), frozenset((PROPERTY, NOT_PROPERTY)))
-    return MetaDataset(data, kind)
+    columns = [np.concatenate(col) for col in zip(*parts)]
+    return MetaDataset(Dataset(schema, columns, labels), kind)
 
 
 def train_meta(md: MetaDataset, params: TreeParams, rng: RandomSource) -> MetaClassifier:
@@ -164,8 +157,8 @@ def infer_property(mc: MetaClassifier, target, include_rows: bool = False) -> Pr
         raise ContractError(
             f"target kind {fv.source_kind!r} does not match meta-classifier kind {mc.source_kind!r}"
         )
-    votes = [dtree.classify(mc.tree, r) for r in fv.data.rows]
-    votes_p = sum(v == PROPERTY for v in votes)
+    votes = dtree.classify(mc.tree, fv.data)
+    votes_p = votes.count(PROPERTY)
     votes_notp = len(votes) - votes_p
     tie = votes_p == votes_notp
     label = P if votes_p > votes_notp else NOT_P
@@ -232,15 +225,19 @@ def kl_filter(reference: AcousticModel, baselines, top_k: int) -> list:
     return ranked[:top_k]
 
 
+def phoneme_rows(data: Dataset, phonemes) -> Dataset:
+    """The acoustic-model feature rows whose phoneme is in ``phonemes``."""
+    return data.subset(np.isin(data.columns[0], list(phonemes)))
+
+
 def restrict_to_phonemes(md: MetaDataset, phonemes) -> MetaDataset:
     """Meta-dataset filtered to rows whose phoneme is in the given set."""
     if md.source_kind != "hmm":
         raise ContractError("phoneme filtering applies to acoustic-model feature rows")
-    keep = set(phonemes)
-    rows = tuple(r for r in md.data.rows if r.values[0] in keep)
-    if not rows:
+    data = phoneme_rows(md.data, phonemes)
+    if data.n_rows == 0:
         raise ContractError("filter removed every row")
-    return MetaDataset(Dataset(md.data.schema, rows, md.data.label_domain), md.source_kind)
+    return MetaDataset(data, md.source_kind)
 
 
 def matched_displacement(a: np.ndarray, b: np.ndarray) -> float:

@@ -179,7 +179,7 @@ def cmd_evaluate(args) -> int:
 
     def tree_trainer(train_ds, fold_rng):
         tree = dtree.train_tree(train_ds, cfg.tree_params(), fold_rng)
-        return lambda inst: dtree.classify(tree, inst)
+        return lambda test_ds: dtree.classify(tree, test_ds)
 
     cv = metrics.k_fold_cross_validate(ds, args.folds, tree_trainer, rng)
     pra = metrics.precision_recall_accuracy(cv.pooled)

@@ -1,8 +1,10 @@
 """Shared dataset container, deterministic randomness, and CSV persistence.
 
-Datasets are immutable after construction and safe for concurrent
-read-only use. Every stochastic operation in the package takes an
-explicit :class:`RandomSource`; nothing touches numpy's global RNG.
+A Dataset is columnar: one read-only array per attribute (float64 or
+``str`` objects) plus an optional label array, validated whole at
+construction, so it is immutable and safe for concurrent read-only use.
+Every stochastic operation in the package takes an explicit
+:class:`RandomSource`; nothing touches numpy's global RNG.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -104,65 +105,71 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One feature vector with an optional label.
+def _column(name: str, kind: str, values) -> np.ndarray:
+    """One attribute's values as a read-only array, validated whole."""
+    if kind not in KINDS:
+        raise ContractError(f"unknown attribute kind {kind!r} for {name!r}")
+    col = np.array(values, dtype=object if kind == CATEGORICAL else None)
+    if col.ndim != 1:
+        raise ContractError(f"attribute {name!r}: values must form one column")
+    if kind == NUMERIC:
+        if col.dtype.kind not in "iuf":
+            raise ContractError(f"attribute {name!r}: expected numeric values, got {col.dtype}")
+        col = col.astype(np.float64, copy=False)
+        bad = np.flatnonzero(~np.isfinite(col))
+        what = "non-finite value"
+    else:
+        bad = [i for i, v in enumerate(col.tolist()) if not isinstance(v, str)]
+        what = "not a str:"
+    if len(bad):
+        raise ContractError(f"attribute {name!r}, row {bad[0]}: {what} {col.tolist()[bad[0]]!r}")
+    col.flags.writeable = False
+    return col
 
-    Numeric values are stored as Python floats, categorical values as
-    interned strings.
-    """
 
-    values: tuple
-    label: object = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) == 0:
-            raise ContractError("instance must have at least one value")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """An ordered collection of instances with a shared schema.
+    """Rows of attribute values under a shared schema, stored column-wise.
 
     ``schema`` is a tuple of ``(attribute name, kind)`` pairs where kind
-    is ``"numeric"`` or ``"categorical"``. If ``label_domain`` is given,
-    every non-None row label must be a member of it.
+    is ``"numeric"`` or ``"categorical"``. ``columns`` holds one
+    read-only array per attribute: finite float64 for a numeric
+    attribute, an object array of ``str`` for a categorical one.
+    ``labels`` is a read-only object array with one label per row, or
+    None for unlabeled data.
     """
 
     schema: tuple
-    rows: tuple
-    label_domain: frozenset | None = None
+    columns: tuple
+    labels: np.ndarray | None = None
 
     def __post_init__(self):
         schema = tuple((str(n), str(k)) for n, k in self.schema)
+        if not schema:
+            raise ContractError("a dataset needs at least one attribute")
+        if len(self.columns) != len(schema):
+            raise ContractError(f"{len(self.columns)} columns for {len(schema)} attributes")
+        columns = tuple(_column(n, k, c) for (n, k), c in zip(schema, self.columns))
+        n_rows = len(columns[0])
+        for (name, _), col in zip(schema, columns):
+            if len(col) != n_rows:
+                raise ContractError(f"attribute {name!r} has {len(col)} rows, "
+                                    f"{schema[0][0]!r} has {n_rows}")
+        labels = self.labels
+        if labels is not None:
+            labels = np.array(labels, dtype=object)
+            if labels.shape != (n_rows,):
+                raise ContractError(f"{labels.size} labels for {n_rows} rows")
+            if np.equal(labels, None).any():
+                raise ContractError("a label is None; give every row a label or pass labels=None")
+            labels.flags.writeable = False
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if self.label_domain is not None:
-            object.__setattr__(self, "label_domain", frozenset(self.label_domain))
-        for name, kind in schema:
-            if kind not in KINDS:
-                raise ContractError(f"unknown attribute kind {kind!r} for {name!r}")
-        width = len(schema)
-        for i, row in enumerate(self.rows):
-            if not isinstance(row, Instance):
-                raise ContractError(f"row {i} is not an Instance")
-            if len(row.values) != width:
-                raise ContractError(
-                    f"row {i} has {len(row.values)} values, schema has {width}"
-                )
-            for (name, kind), v in zip(schema, row.values):
-                if kind == NUMERIC and not isinstance(v, (int, float)):
-                    raise ContractError(f"row {i}, attribute {name!r}: expected numeric, got {type(v).__name__}")
-                if kind == CATEGORICAL and not isinstance(v, str):
-                    raise ContractError(f"row {i}, attribute {name!r}: expected categorical, got {type(v).__name__}")
-            if self.label_domain is not None and row.label is not None:
-                if row.label not in self.label_domain:
-                    raise ContractError(f"row {i} label {row.label!r} not in label domain")
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0])
 
     @property
     def n_attributes(self) -> int:
@@ -170,42 +177,35 @@ class Dataset:
 
     @property
     def fully_labeled(self) -> bool:
-        return len(self.rows) > 0 and all(r.label is not None for r in self.rows)
-
-    def labels(self) -> list:
-        return [r.label for r in self.rows]
-
-    def column(self, index: int) -> list:
-        if not 0 <= index < len(self.schema):
-            raise ContractError(f"attribute index {index} out of range")
-        return [r.values[index] for r in self.rows]
+        return self.labels is not None and self.n_rows > 0
 
     def attribute_kind(self, index: int) -> str:
         if not 0 <= index < len(self.schema):
             raise ContractError(f"attribute index {index} out of range")
         return self.schema[index][1]
 
-    def subset(self, indices: Iterable[int]) -> "Dataset":
-        rows = tuple(self.rows[i] for i in indices)
-        return Dataset(self.schema, rows, self.label_domain)
+    def subset(self, rows) -> "Dataset":
+        """The rows picked by an index sequence or a boolean mask, in order."""
+        rows = np.asarray(rows)
+        if rows.dtype != bool:
+            rows = rows.astype(np.intp)
+        labels = None if self.labels is None else self.labels[rows]
+        return Dataset(self.schema, [c[rows] for c in self.columns], labels)
 
 
-def make_dataset(schema, values_rows, labels=None, label_domain=None) -> Dataset:
-    """Build a Dataset from plain value sequences (convenience factory)."""
-    if labels is None:
-        labels = [None] * len(values_rows)
-    if len(labels) != len(values_rows):
-        raise ContractError("labels and rows must have equal length")
-    norm_rows = []
-    kinds = [k for _, k in schema]
-    for vals, lab in zip(values_rows, labels):
-        norm = tuple(
-            float(v) if k == NUMERIC else str(v) for v, k in zip(vals, kinds)
-        )
-        norm_rows.append(Instance(norm, lab))
-    if label_domain is None and any(l is not None for l in labels):
-        label_domain = frozenset(l for l in labels if l is not None)
-    return Dataset(tuple(schema), tuple(norm_rows), label_domain)
+def make_dataset(schema, values_rows, labels=None) -> Dataset:
+    """Build a Dataset from rows of values (convenience factory).
+
+    Numeric cells go through ``float`` and categorical cells through ``str``.
+    """
+    schema = tuple(schema)
+    rows = [tuple(r) for r in values_rows]
+    for i, r in enumerate(rows):
+        if len(r) != len(schema):
+            raise ContractError(f"row {i} has {len(r)} values, schema has {len(schema)}")
+    columns = [[float(r[j]) if kind == NUMERIC else str(r[j]) for r in rows]
+               for j, (_, kind) in enumerate(schema)]
+    return Dataset(schema, columns, labels)
 
 
 def numeric_matrix(ds: Dataset) -> np.ndarray:
@@ -213,7 +213,7 @@ def numeric_matrix(ds: Dataset) -> np.ndarray:
     for name, kind in ds.schema:
         if kind != NUMERIC:
             raise ContractError(f"attribute {name!r} is categorical; matrix view needs all-numeric data")
-    return np.array([r.values for r in ds.rows], dtype=np.float64).reshape(ds.n_rows, ds.n_attributes)
+    return np.stack(ds.columns, axis=1)
 
 
 def _parse_numeric(cell: str):
@@ -275,22 +275,20 @@ def load_dataset(path, has_header: bool = True, label_column: int | None = None,
             names = [f"col{j}" for j in keep]
         schema = tuple(zip(names, kinds))
 
-    rows = []
-    for i, row in enumerate(data, start=1):
-        vals = []
-        for j, kind in zip(keep, kinds):
-            if kind == NUMERIC:
-                v = _parse_numeric(row[j])
+    columns = []
+    for j, kind in zip(keep, kinds):
+        cells = [row[j] for row in data]
+        if kind == NUMERIC:
+            values = [_parse_numeric(c) for c in cells]
+            for i, v in enumerate(values, start=1):
                 if v is None:
-                    raise StructuralError(f"{path}: row {i}, column {j}: {row[j]!r} is not numeric")
+                    raise StructuralError(f"{path}: row {i}, column {j}: {cells[i - 1]!r} is not numeric")
                 if not math.isfinite(v):
-                    raise StructuralError(f"{path}: row {i}, column {j}: {row[j]!r} is not finite")
-                vals.append(v)
-            else:
-                vals.append(row[j])
-        rows.append(Instance(tuple(vals), labels[i - 1] if labels is not None else None))
-    label_domain = frozenset(labels) if labels is not None else None
-    return Dataset(schema, tuple(rows), label_domain)
+                    raise StructuralError(f"{path}: row {i}, column {j}: {cells[i - 1]!r} is not finite")
+            columns.append(values)
+        else:
+            columns.append(cells)
+    return Dataset(schema, columns, labels)
 
 
 def save_dataset(ds: Dataset, path, include_header: bool = True) -> None:
@@ -298,19 +296,18 @@ def save_dataset(ds: Dataset, path, include_header: bool = True) -> None:
 
     Row labels, when present, are appended as a final ``label`` column.
     """
-    has_labels = any(r.label is not None for r in ds.rows)
+    cells = [[repr(v) for v in col.tolist()] if kind == NUMERIC else col.tolist()
+             for (_, kind), col in zip(ds.schema, ds.columns)]
+    if ds.labels is not None:
+        cells.append([str(l) for l in ds.labels.tolist()])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if include_header:
             names = [n for n, _ in ds.schema]
-            if has_labels:
+            if ds.labels is not None:
                 names.append("label")
             writer.writerow(names)
-        for row in ds.rows:
-            cells = [repr(v) if isinstance(v, float) else str(v) for v in row.values]
-            if has_labels:
-                cells.append("" if row.label is None else str(row.label))
-            writer.writerow(cells)
+        writer.writerows(zip(*cells))
 
 
 def split_dataset(ds: Dataset, fraction: float, rng: RandomSource) -> tuple[Dataset, Dataset]:

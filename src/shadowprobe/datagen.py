@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import NOT_P, P
-from .core import ContractError, Dataset, NUMERIC, RandomSource, make_dataset, round_half_up
+from .core import ContractError, Dataset, NUMERIC, RandomSource, round_half_up
 
 WEB = "WEB"
 DNS = "DNS"
@@ -192,7 +192,7 @@ def gen_flow_dataset(spec: FlowSpec, with_property: bool, n: int,
     values = values[perm]
     labels = [labels[i] for i in perm]
     schema = [(c, NUMERIC) for c in FLOW_COLUMNS]
-    return make_dataset(schema, values.tolist(), labels, frozenset((WEB, DNS)))
+    return Dataset(schema, values.T, labels)
 
 
 # 39 ARPAbet-style phones plus silence.

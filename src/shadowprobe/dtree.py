@@ -11,6 +11,10 @@ path (numeric attributes may recur with different thresholds).
 Gain ties are broken deterministically: lowest attribute index first,
 then lowest threshold. Leaf-label ties are broken by the caller-supplied
 RandomSource and recorded on the leaf.
+
+Training reads the Dataset's columns directly, and :func:`classify`
+labels a whole Dataset in one descent. :func:`info_gain` is the scalar
+reference that ``debug=True`` checks the vectorised gains against.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .core import (
     ContractError,
     Dataset,
     DomainError,
-    Instance,
     RandomSource,
 )
 
@@ -129,10 +132,10 @@ def entropy(label_counts) -> float:
     return h
 
 
-def _entropy_of_rows(rows) -> float:
+def _entropy_of_labels(labels) -> float:
     counts = {}
-    for r in rows:
-        counts[r.label] = counts.get(r.label, 0) + 1
+    for l in labels:
+        counts[l] = counts.get(l, 0) + 1
     return entropy(counts)
 
 
@@ -147,24 +150,26 @@ def info_gain(ds: Dataset, attribute: int, split) -> float:
     if not ds.fully_labeled:
         raise ContractError("information gain requires a fully labeled dataset")
     kind = ds.attribute_kind(attribute)
+    values = ds.columns[attribute].tolist()
+    labels = ds.labels.tolist()
     if isinstance(split, NumericSplit):
         if kind != NUMERIC:
             raise ContractError(f"numeric split on categorical attribute {attribute}")
-        low = [r for r in ds.rows if r.values[attribute] <= split.threshold]
-        high = [r for r in ds.rows if r.values[attribute] > split.threshold]
+        low = [l for v, l in zip(values, labels) if v <= split.threshold]
+        high = [l for v, l in zip(values, labels) if v > split.threshold]
         parts = [p for p in (low, high) if p]
     elif isinstance(split, CategoricalSplit):
         if kind != CATEGORICAL:
             raise ContractError(f"categorical split on numeric attribute {attribute}")
         groups = {}
-        for r in ds.rows:
-            groups.setdefault(r.values[attribute], []).append(r)
+        for v, l in zip(values, labels):
+            groups.setdefault(v, []).append(l)
         parts = list(groups.values())
     else:
         raise ContractError(f"unknown split spec {split!r}")
-    h_parent = _entropy_of_rows(ds.rows)
+    h_parent = _entropy_of_labels(labels)
     n = ds.n_rows
-    h_children = sum(len(p) / n * _entropy_of_rows(p) for p in parts)
+    h_children = sum(len(p) / n * _entropy_of_labels(p) for p in parts)
     return h_parent - h_children
 
 
@@ -183,7 +188,7 @@ class _Trainer:
         self.params = params
         self.rng = rng
         self.debug = debug
-        labels = ds.labels()
+        labels = ds.labels.tolist()
         # Label codes in first-occurrence order so relabeling by a
         # bijection leaves every decision (including tie-breaks) intact.
         self.label_order = []
@@ -194,14 +199,9 @@ class _Trainer:
                 self.label_order.append(l)
         self.codes = np.array([seen[l] for l in labels], dtype=np.int64)
         self.n_classes = len(self.label_order)
-        self.num_cols = {}
-        self.cat_cols = {}
-        for j, (_, kind) in enumerate(ds.schema):
-            col = [r.values[j] for r in ds.rows]
-            if kind == NUMERIC:
-                self.num_cols[j] = np.array(col, dtype=np.float64)
-            else:
-                self.cat_cols[j] = np.array(col, dtype=object)
+        kinds = [kind for _, kind in ds.schema]
+        self.num_cols = {j: c for j, c in enumerate(ds.columns) if kinds[j] == NUMERIC}
+        self.cat_cols = {j: c for j, c in enumerate(ds.columns) if kinds[j] == CATEGORICAL}
 
     def majority_leaf(self, idx: np.ndarray) -> Leaf:
         counts = np.bincount(self.codes[idx], minlength=self.n_classes)
@@ -244,12 +244,9 @@ class _Trainer:
         gains = h_parent - (nl / n) * _entropy_from_count_matrix(left) \
             - (nr / n) * _entropy_from_count_matrix(right)
         thresholds = (sv[change] + sv[change + 1]) / 2.0
-        # Ascending thresholds with a strict comparison: the lowest
+        # Thresholds ascend and argmax takes the first maximum: the lowest
         # threshold wins gain ties.
-        best_i = 0
-        for i in range(1, len(gains)):
-            if gains[i] > gains[best_i]:
-                best_i = i
+        best_i = int(np.argmax(gains))
         if self.debug:
             sub = self.ds.subset(idx)
             for g, t in zip(gains, thresholds):
@@ -336,30 +333,39 @@ def train_tree(ds: Dataset, params: TreeParams, rng: RandomSource,
     return DecisionTree(root, ds.schema, params)
 
 
-def classify(tree: DecisionTree, inst: Instance):
-    """Deterministic descent; unseen categorical values take the fallback leaf."""
-    if len(inst.values) != len(tree.schema):
-        raise ContractError(
-            f"instance has {len(inst.values)} values, tree expects {len(tree.schema)}"
-        )
-    for (name, kind), v in zip(tree.schema, inst.values):
-        if kind == NUMERIC and not isinstance(v, (int, float)):
-            raise ContractError(f"attribute {name!r}: expected numeric value")
-        if kind == CATEGORICAL and not isinstance(v, str):
-            raise ContractError(f"attribute {name!r}: expected categorical value")
-    node = tree.root
-    while not isinstance(node, Leaf):
+def classify(tree: DecisionTree, ds: Dataset) -> list:
+    """Labels of every row of ``ds``, in row order.
+
+    All rows descend together: each node splits its rows' index array by
+    its test. Unseen categorical values take the node's fallback leaf.
+    """
+    if ds.schema != tree.schema:
+        raise ContractError("dataset schema does not match the tree's schema")
+    out = np.empty(ds.n_rows, dtype=object)
+    pending = [(tree.root, np.arange(ds.n_rows))]
+    while pending:
+        node, idx = pending.pop()
+        if idx.size == 0:
+            continue
+        if isinstance(node, Leaf):
+            out[idx] = node.label
+            continue
+        col = ds.columns[node.attribute][idx]
         if isinstance(node, NumericNode):
-            node = node.low if inst.values[node.attribute] <= node.threshold else node.high
+            low = col <= node.threshold
+            pending += [(node.low, idx[low]), (node.high, idx[~low])]
         else:
-            node = node.branches.get(inst.values[node.attribute], node.fallback)
-    return node.label
-
-
-def predict(tree: DecisionTree, ds: Dataset) -> list:
-    return [classify(tree, r) for r in ds.rows]
+            unseen = np.ones(idx.size, dtype=bool)
+            for value, child in node.branches.items():
+                hit = col == value
+                unseen &= ~hit
+                pending.append((child, idx[hit]))
+            pending.append((node.fallback, idx[unseen]))
+    return out.tolist()
 
 
 def training_accuracy(tree: DecisionTree, ds: Dataset) -> float:
-    preds = predict(tree, ds)
-    return sum(p == r.label for p, r in zip(preds, ds.rows)) / ds.n_rows
+    if not ds.fully_labeled:
+        raise ContractError("accuracy requires a fully labeled dataset")
+    preds = classify(tree, ds)
+    return sum(p == l for p, l in zip(preds, ds.labels.tolist())) / ds.n_rows

@@ -104,26 +104,26 @@ def k_fold_cross_validate(ds: Dataset, k: int, trainer, rng: RandomSource) -> Cr
     """Stratified k-fold cross-validation.
 
     ``trainer(train_ds, rng) -> predict_fn`` must return a callable
-    mapping an Instance to a label. The reported accuracy is the mean of
-    the per-fold accuracies; the pooled confusion matrix aggregates all
-    test predictions.
+    mapping a test Dataset to the list of its rows' predicted labels. The
+    reported accuracy is the mean of the per-fold accuracies; the pooled
+    confusion matrix aggregates all test predictions.
     """
     if not ds.fully_labeled:
         raise ContractError("cross-validation requires a fully labeled dataset")
     if not 2 <= k <= ds.n_rows:
         raise ContractError(f"k must be in [2, {ds.n_rows}], got {k}")
-    folds = stratified_fold_indices(ds.labels(), k, rng)
+    labels = ds.labels.tolist()
+    folds = stratified_fold_indices(labels, k, rng)
     fold_accuracies = []
     truths, preds = [], []
     for fold_i, test_idx in enumerate(folds):
         train_idx = [i for f in folds if f is not test_idx for i in f]
         predict_fn = trainer(ds.subset(train_idx), rng.child(fold_i))
-        correct = 0
-        for i in test_idx:
-            p = predict_fn(ds.rows[i])
-            truths.append(ds.rows[i].label)
-            preds.append(p)
-            correct += p == ds.rows[i].label
+        fold_preds = list(predict_fn(ds.subset(test_idx)))
+        fold_truths = [labels[i] for i in test_idx]
+        correct = sum(p == t for p, t in zip(fold_preds, fold_truths))
+        truths += fold_truths
+        preds += fold_preds
         fold_accuracies.append(correct / len(test_idx))
     pooled = confusion_matrix(truths, preds)
     return CrossValResult(fold_accuracies, float(np.mean(fold_accuracies)), pooled)

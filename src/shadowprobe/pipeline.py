@@ -122,7 +122,8 @@ class PipelineConfig:
             ("k", 1 <= self.k <= self.sample_size, "must be in [1, sample_size]"),
             ("sigma", self.sigma > 0, "must be positive"),
             ("n_runs", self.n_runs >= 4, "must be >= 4"),
-            ("pool_size", self.pool_size >= 2, "must be >= 2"),
+            # Only the pool's pool_size // 2 WEB rows become k-means points.
+            ("pool_size", self.pool_size >= 2 * self.k, "must be >= 2 * k"),
             ("min_leaf_size", self.min_leaf_size >= 1, "must be >= 1"),
             ("max_depth", self.max_depth is None or self.max_depth >= 0, "must be null or >= 0"),
             ("mlp_seeds", self.mlp_seeds >= 1, "must be >= 1"),
@@ -144,6 +145,12 @@ class PipelineConfig:
 
     def tree_params(self) -> TreeParams:
         return TreeParams(self.min_leaf_size, self.max_depth)
+
+
+def _echo(cfg: PipelineConfig, names: str, **extras) -> dict:
+    """Report config block: the named fields (space-separated) plus extras
+    for renamed or derived entries."""
+    return {**{n: getattr(cfg, n) for n in names.split()}, **extras}
 
 
 def _map_jobs(fn, items, jobs: int):
@@ -227,31 +234,21 @@ def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
 
     md_f = attack.restrict_to_phonemes(md, selected)
     mc_f = attack.train_meta(md_f, cfg.tree_params(), rng.child(4))
-    keep = set(selected)
     f_truths, f_preds = [], []
     for model, label in zip(hold_models, hold_labels):
-        fv = attack.extract_features(model)
-        for row in fv.data.rows:
-            if row.values[0] in keep:
-                f_truths.append(label)
-                f_preds.append(dtree.classify(mc_f.tree, row))
+        rows = attack.phoneme_rows(attack.extract_features(model).data, selected)
+        f_truths += [label] * rows.n_rows
+        f_preds += dtree.classify(mc_f.tree, rows)
     filtered = _metrics_block(f_truths, f_preds)
     filtered.update({"tree_nodes": mc_f.tree.n_nodes, "tree_leaves": mc_f.tree.n_leaves,
                      "meta_train_rows": md_f.data.n_rows})
 
     return {
         "case": "speech",
-        "config": {
-            "seed": cfg.seed, "shadows": cfg.shadows, "n_phonemes": cfg.n_phonemes,
-            "n_states": cfg.n_states, "dim": cfg.dim, "n_sequences": cfg.n_sequences,
-            "n_boosted": cfg.n_boosted, "boost_shift": cfg.boost_shift,
-            "base_shift": cfg.base_shift, "train_iters": cfg.train_iters,
-            "top_k": cfg.top_k, "baseline_models": cfg.baseline_models,
-            "holdout_fraction": cfg.holdout_fraction,
-            "min_leaf_size": cfg.min_leaf_size, "max_depth": cfg.max_depth,
-            "variance_floor": hmm.VAR_FLOOR,
-            "verdict_rule": "majority_vote",
-        },
+        "config": _echo(cfg, "seed shadows n_phonemes n_states dim n_sequences n_boosted "
+                             "boost_shift base_shift train_iters top_k baseline_models "
+                             "holdout_fraction min_leaf_size max_depth",
+                        variance_floor=hmm.VAR_FLOOR, verdict_rule="majority_vote"),
         "shadow_summary": [{"label": l, "phonemes": cfg.n_phonemes} for l in labels],
         "unfiltered": unfiltered,
         "filter": {"scores": {ph: scores[ph] for ph in sorted(scores)},
@@ -282,7 +279,7 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
 
     def tree_trainer(train_ds: Dataset, fold_rng: RandomSource):
         tree = dtree.train_tree(train_ds, cfg.tree_params(), fold_rng)
-        return lambda inst: dtree.classify(tree, inst)
+        return lambda test_ds: dtree.classify(tree, test_ds)
 
     log.info("netflow: %d-fold cross-validation on %d support-vector rows",
              cfg.folds, md.data.n_rows)
@@ -308,16 +305,11 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
 
     return {
         "case": "netflow",
-        "config": {
-            "seed": cfg.seed, "shadows": cfg.shadows,
-            "flows_per_shadow": cfg.flows_per_shadow,
-            "signature_fraction": cfg.signature_fraction,
-            "kernel": {"kind": cfg.kernel_kind, "gamma": cfg.gamma, "r": cfg.r,
-                       "degree": cfg.degree},
-            "C": cfg.C, "tol": cfg.tol, "folds": cfg.folds, "n_targets": cfg.n_targets,
-            "min_leaf_size": cfg.min_leaf_size, "max_depth": cfg.max_depth,
-            "verdict_rule": "majority_vote",
-        },
+        "config": _echo(cfg, "seed shadows flows_per_shadow signature_fraction C tol folds "
+                             "n_targets min_leaf_size max_depth",
+                        kernel={"kind": cfg.kernel_kind, "gamma": cfg.gamma, "r": cfg.r,
+                                "degree": cfg.degree},
+                        verdict_rule="majority_vote"),
         "shadow_summary": [
             {"label": l, "support_vectors": int(m.n_support), "converged": bool(m.converged)}
             for l, m in zip(labels, models)
@@ -346,8 +338,7 @@ def run_dp_bypass_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     ds_notp = datagen.gen_flow_dataset(spec, False, cfg.pool_size, rng.child(1))
 
     def web_points(ds: Dataset) -> np.ndarray:
-        idx = [i for i, r in enumerate(ds.rows) if r.label == datagen.WEB]
-        return numeric_matrix(ds.subset(idx))
+        return numeric_matrix(ds.subset(ds.labels == datagen.WEB))
 
     points_p = web_points(ds_p)
     points_notp = web_points(ds_notp)
@@ -357,9 +348,8 @@ def run_dp_bypass_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
         rng.child(2), sample_size=cfg.sample_size,
         holdout_fraction=cfg.holdout_fraction, tree_params=cfg.tree_params())
     report["case"] = "dp_bypass"
-    report["config"].update({"seed": cfg.seed, "pool_size": cfg.pool_size,
-                             "points": "WEB flows only",
-                             "signature_fraction": cfg.signature_fraction})
+    report["config"].update(_echo(cfg, "seed pool_size signature_fraction",
+                                  points="WEB flows only"))
     return report
 
 
@@ -420,10 +410,9 @@ def run_mlp_demo_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     n_ok = sum(1 for r in runs if r["identity_learned"] and r["distinct_codes"] == 8)
     return {
         "case": "mlp_demo",
-        "config": {"seed": cfg.seed, "seeds": cfg.mlp_seeds,
-                   "learning_rate": cfg.learning_rate, "epochs": cfg.epochs,
-                   "layer_sizes": [8, 3, 8],
-                   "target_encoding": [cfg.target_low, cfg.target_high]},
+        "config": _echo(cfg, "seed learning_rate epochs", seeds=cfg.mlp_seeds,
+                        layer_sizes=[8, 3, 8],
+                        target_encoding=[cfg.target_low, cfg.target_high]),
         "runs": runs,
         "successful_seeds": n_ok,
     }

@@ -119,7 +119,7 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
         raise ContractError("training requires a fully labeled dataset")
     C, tol = float(C), float(tol)
     X = numeric_matrix(ds)
-    y, label_map = _map_labels(ds.labels())
+    y, label_map = _map_labels(ds.labels)
     n = len(y)
     if max_passes is None:
         max_passes = 10 * n
@@ -254,7 +254,7 @@ def kkt_audit(model: SvmModel, ds: Dataset, tol: float) -> dict:
     residual sum alpha_i y_i.
     """
     X = numeric_matrix(ds)
-    y, _ = _map_labels(ds.labels())
+    y, _ = _map_labels(ds.labels)
     n = len(y)
     alpha = np.zeros(n)
     alpha[model.sv_indices] = model.sv_alpha

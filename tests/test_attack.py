@@ -76,7 +76,7 @@ class TestExtractFeatures:
         assert fv.data.n_rows == 7
         assert len(fv.data.schema) == 6
         assert all(k == NUMERIC for _, k in fv.data.schema)
-        assert fv.data.rows[0].values[0] in (-1.0, 1.0)
+        assert fv.data.columns[0][0] in (-1.0, 1.0)
 
     def test_acoustic_rows_and_schema(self):
         am = acoustic_with(["aa", "bb", "cc"], 5, 25)
@@ -85,7 +85,9 @@ class TestExtractFeatures:
         assert fv.data.n_rows == 15  # 3 phonemes x 5 states
         assert len(fv.data.schema) == 51  # phoneme + 25 means + 25 vars
         assert fv.data.schema[0][1] == CATEGORICAL
-        assert fv.data.rows[0].values[0] == "aa"
+        assert fv.data.columns[0].tolist() == ["aa"] * 5 + ["bb"] * 5 + ["cc"] * 5
+        assert fv.data.columns[1][5] == am.hmms["bb"].means[0, 0]
+        assert fv.data.columns[26][14] == am.hmms["cc"].vars[4, 0]
 
     def test_kmeans_rows(self):
         m = KMeansModel(np.arange(24, dtype=float).reshape(4, 6), True, 1, [0.0])
@@ -100,7 +102,7 @@ class TestExtractFeatures:
         assert fv.source_kind == "mlp"
         assert fv.data.n_rows == 3
         assert len(fv.data.schema) == 9  # bias + 8 inputs
-        assert fv.data.rows[0].values == tuple(net.weights[0][0])
+        assert [c[0] for c in fv.data.columns] == net.weights[0][0].tolist()
 
     def test_unsupported_kind(self):
         with pytest.raises(ContractError):
@@ -112,13 +114,13 @@ class TestBuildMetaTrainingSet:
         shadows = [(svm_with(3, 4, seed=1), P), (svm_with(4, 4, seed=2), NOT_P)]
         md = build_meta_training_set(shadows)
         assert md.data.n_rows == 7
-        assert sum(r.label == "P" for r in md.data.rows) == 3
+        assert md.data.labels.tolist() == ["P"] * 3 + ["NotP"] * 4
         assert md.source_kind == "svm"
 
     def test_balance_many_shadows(self):
         shadows = [(svm_with(2, 3, seed=i), P if i < 35 else NOT_P) for i in range(70)]
         md = build_meta_training_set(shadows)
-        labels = [r.label for r in md.data.rows]
+        labels = md.data.labels.tolist()
         assert labels.count("P") == labels.count("NotP") == 70
 
     def test_algorithm_fidelity_row_sum(self):
@@ -129,7 +131,7 @@ class TestBuildMetaTrainingSet:
         i = 0
         for m, pl in shadows:
             for _ in range(extract_features(m).data.n_rows):
-                assert md.data.rows[i].label == pl.value
+                assert md.data.labels[i] == pl.value
                 i += 1
 
     def test_mixed_kinds_rejected(self):
@@ -211,13 +213,12 @@ class TestTrainAndInfer:
             labels = ["P" if rng.uniform() < 0.5 else "NotP" for _ in range(120)]
             if len(set(labels)) < 2:
                 continue
-            ds = make_dataset([(f"x{i}", NUMERIC) for i in range(3)], rows, labels,
-                              frozenset(("P", "NotP")))
+            ds = make_dataset([(f"x{i}", NUMERIC) for i in range(3)], rows, labels)
             from shadowprobe.core import split_dataset
             train, test = split_dataset(ds, 0.7, rng)
             from shadowprobe import dtree
             tree = dtree.train_tree(train, TreeParams(min_leaf_size=2), rng)
-            acc = np.mean([dtree.classify(tree, r) == r.label for r in test.rows])
+            acc = np.mean(np.array(dtree.classify(tree, test), dtype=object) == test.labels)
             accs.append(acc)
         assert 0.4 <= np.mean(accs) <= 0.6
 
@@ -300,7 +301,7 @@ class TestKlFilter:
         md = build_meta_training_set(shadows)
         sub = restrict_to_phonemes(md, ["aa"])
         assert sub.data.n_rows == md.data.n_rows // 2
-        assert all(r.values[0] == "aa" for r in sub.data.rows)
+        assert sub.data.columns[0].tolist() == ["aa"] * sub.data.n_rows
 
 
 class TestSplitByProperty:

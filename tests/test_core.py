@@ -10,7 +10,6 @@ from shadowprobe.core import (
     ContractError,
     Dataset,
     DomainError,
-    Instance,
     RandomSource,
     StructuralError,
     load_dataset,
@@ -34,9 +33,9 @@ class TestLoadDataset:
         ds = load_dataset(p, has_header=True, label_column=2)
         assert ds.n_rows == 2
         assert ds.schema == (("a", NUMERIC), ("b", NUMERIC))
-        assert ds.label_domain == frozenset({"p", "q"})
-        assert ds.rows[0].values == (1.0, 2.0)
-        assert ds.rows[1].label == "q"
+        assert ds.labels.tolist() == ["p", "q"]
+        assert [c.tolist() for c in ds.columns] == [[1.0, 3.0], [2.0, 4.0]]
+        assert all(c.dtype == np.float64 for c in ds.columns)
 
     def test_empty_file(self, tmp_path):
         p = write(tmp_path, "")
@@ -52,7 +51,8 @@ class TestLoadDataset:
         p = write(tmp_path, "x,c\n1.5,red\n2.5,blue\n")
         ds = load_dataset(p)
         assert ds.schema == (("x", NUMERIC), ("c", CATEGORICAL))
-        assert ds.rows[1].values == (2.5, "blue")
+        assert ds.columns[0].tolist() == [1.5, 2.5]
+        assert ds.columns[1].tolist() == ["red", "blue"]
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"])
     def test_non_finite_cell_named(self, tmp_path, cell):
@@ -64,14 +64,14 @@ class TestLoadDataset:
 
     def test_non_finite_text_in_categorical_column(self, tmp_path):
         p = write(tmp_path, "c\nnan\nred\n")
-        assert load_dataset(p).rows[0].values == ("nan",)
+        assert load_dataset(p).columns[0].tolist() == ["nan", "red"]
         p = write(tmp_path, "c\ninf\n2\n", name="explicit.csv")
-        assert load_dataset(p, schema=[("c", CATEGORICAL)]).rows[0].values == ("inf",)
+        assert load_dataset(p, schema=[("c", CATEGORICAL)]).columns[0].tolist() == ["inf", "2"]
 
     def test_explicit_schema_wins(self, tmp_path):
         p = write(tmp_path, "x\n1\n2\n")
         ds = load_dataset(p, schema=[("x", CATEGORICAL)])
-        assert ds.rows[0].values == ("1",)
+        assert ds.columns[0].tolist() == ["1", "2"]
 
 
 class TestSplitDataset:
@@ -82,15 +82,15 @@ class TestSplitDataset:
         ds = self.ds(10)
         a, b = split_dataset(ds, 0.5, RandomSource(1))
         assert a.n_rows == 5 and b.n_rows == 5
-        seen = sorted(r.values[0] for r in a.rows + b.rows)
+        seen = sorted(a.columns[0].tolist() + b.columns[0].tolist())
         assert seen == [float(i) for i in range(10)]
 
     def test_deterministic(self):
         ds = self.ds(10)
         a1, b1 = split_dataset(ds, 0.3, RandomSource(1))
         a2, b2 = split_dataset(ds, 0.3, RandomSource(1))
-        assert [r.values for r in a1.rows] == [r.values for r in a2.rows]
-        assert [r.values for r in b1.rows] == [r.values for r in b2.rows]
+        assert a1.columns[0].tolist() == a2.columns[0].tolist()
+        assert b1.columns[0].tolist() == b2.columns[0].tolist()
 
     def test_single_row(self):
         ds = self.ds(1)
@@ -115,7 +115,7 @@ class TestSplitDataset:
             split_dataset(self.ds(3), 0.0, RandomSource(1))
 
     def test_empty_dataset(self):
-        ds = Dataset((("x", NUMERIC),), ())
+        ds = Dataset((("x", NUMERIC),), [[]])
         with pytest.raises(ContractError):
             split_dataset(ds, 0.5, RandomSource(1))
 
@@ -146,7 +146,7 @@ def datasets(draw):
 def test_csv_round_trip_exact(tmp_path_factory, ds):
     path = tmp_path_factory.mktemp("rt") / "ds.csv"
     save_dataset(ds, path)
-    has_labels = any(r.label is not None for r in ds.rows)
+    has_labels = ds.labels is not None
     back = load_dataset(
         path,
         has_header=True,
@@ -154,9 +154,9 @@ def test_csv_round_trip_exact(tmp_path_factory, ds):
         schema=ds.schema,
     )
     assert back.schema == ds.schema
-    assert [r.values for r in back.rows] == [r.values for r in ds.rows]
+    assert [c.tolist() for c in back.columns] == [c.tolist() for c in ds.columns]
     if has_labels:
-        assert back.labels() == ds.labels()
+        assert back.labels.tolist() == ds.labels.tolist()
 
 
 class TestRandomSource:
@@ -199,19 +199,57 @@ class TestRandomSource:
 class TestValidation:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ContractError):
-            Dataset((("a", NUMERIC), ("b", NUMERIC)), (Instance((1.0,)),))
+            Dataset((("a", NUMERIC), ("b", NUMERIC)), ([1.0, 2.0], [1.0]))
+        with pytest.raises(ContractError):
+            Dataset((("a", NUMERIC), ("b", NUMERIC)), ([1.0],))
+        with pytest.raises(ContractError):
+            make_dataset([("a", NUMERIC), ("b", NUMERIC)], [(1.0, 2.0), (1.0,)])
+        with pytest.raises(ContractError, match="2 labels for 1 rows"):
+            Dataset((("a", NUMERIC),), ([1.0],), ["p", "q"])
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ContractError):
-            Dataset((("a", NUMERIC),), (Instance(("oops",)),))
-
-    def test_label_domain_enforced(self):
+            Dataset((("a", NUMERIC),), (["oops"],))
         with pytest.raises(ContractError):
-            Dataset((("a", NUMERIC),), (Instance((1.0,), "z"),), frozenset({"p"}))
+            Dataset((("a", NUMERIC),), ([1.0, None],))
 
-    def test_empty_instance_rejected(self):
+    @pytest.mark.parametrize("cell", [1.5, 3, None, b"x"])
+    def test_non_str_categorical_cell_rejected(self, cell):
+        with pytest.raises(ContractError, match="'c', row 1"):
+            Dataset((("c", CATEGORICAL),), (["x", cell],))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ContractError, match=f"'b', row 2: non-finite value {value!r}"):
+            Dataset((("a", NUMERIC), ("b", NUMERIC)), ([1.0, 2.0, 3.0], [0.0, 1.0, value]))
+
+    def test_columns_are_read_only_copies(self):
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        ds = Dataset((("a", NUMERIC), ("b", NUMERIC)), values.T, ["p", "q"])
+        values[0, 0] = 9.0
+        assert ds.columns[0].tolist() == [1.0, 3.0]
+        with pytest.raises(ValueError):
+            ds.columns[0][0] = 5.0
+        with pytest.raises(ValueError):
+            ds.labels[0] = "q"
+
+    def test_unknown_kind_and_missing_label_rejected(self):
         with pytest.raises(ContractError):
-            Instance(())
+            Dataset((("a", "ordinal"),), ([1.0],))
+        with pytest.raises(ContractError):
+            Dataset((("a", NUMERIC),), ([1.0, 2.0],), ["p", None])
+        with pytest.raises(ContractError):
+            Dataset((), ())
+
+    def test_subset_by_mask_and_index(self):
+        ds = make_dataset([("a", NUMERIC), ("c", CATEGORICAL)],
+                          [(1.0, "x"), (2.0, "y"), (3.0, "z")], ["p", "q", "p"])
+        by_mask = ds.subset(ds.labels == "p")
+        assert by_mask.columns[1].tolist() == ["x", "z"]
+        by_index = ds.subset([2, 0])
+        assert by_index.columns[0].tolist() == [3.0, 1.0]
+        assert by_index.labels.tolist() == ["p", "p"]
+        assert ds.subset([]).n_rows == 0
 
     def test_numeric_matrix_requires_numeric(self):
         ds = make_dataset([("a", CATEGORICAL)], [("x",)])

@@ -20,13 +20,13 @@ from shadowprobe.hmm import flat_start, train_acoustic_model, viterbi_train
 class TestFlowDataset:
     def test_balanced_labels(self):
         ds = gen_flow_dataset(default_flow_spec(), False, 2000, RandomSource(1))
-        labels = ds.labels()
+        labels = ds.labels.tolist()
         assert labels.count(WEB) == 1000
         assert labels.count(DNS) == 1000
 
     def test_large_balance(self):
         ds = gen_flow_dataset(default_flow_spec(), True, 20000, RandomSource(2))
-        labels = ds.labels()
+        labels = ds.labels.tolist()
         assert labels.count(WEB) == 10000 and labels.count(DNS) == 10000
 
     def test_no_signature_mode_when_off(self):
@@ -37,17 +37,18 @@ class TestFlowDataset:
         off = gen_flow_dataset(spec, False, 4000, RandomSource(3))
         on = gen_flow_dataset(spec, True, 4000, RandomSource(3))
         port_col = FLOW_COLUMNS.index("dst_port_frac")
-        web_ports_off = {r.values[port_col] for r in off.rows if r.label == WEB}
-        web_ports_on = {r.values[port_col] for r in on.rows if r.label == WEB}
+        web_ports_off = set(off.columns[port_col][off.labels == WEB].tolist())
+        web_ports_on = set(on.columns[port_col][on.labels == WEB].tolist())
         assert 80 / 1024 in web_ports_off
         assert web_ports_on == {443 / 1024}
 
     def test_determinism(self):
         a = gen_flow_dataset(default_flow_spec(), True, 500, RandomSource(4))
         b = gen_flow_dataset(default_flow_spec(), True, 500, RandomSource(4))
-        assert [r.values for r in a.rows] == [r.values for r in b.rows]
+        assert np.array_equal(numeric_matrix(a), numeric_matrix(b))
+        assert a.labels.tolist() == b.labels.tolist()
         c = gen_flow_dataset(default_flow_spec(), True, 500, RandomSource(5))
-        assert [r.values for r in c.rows] != [r.values for r in a.rows]
+        assert not np.array_equal(numeric_matrix(c), numeric_matrix(a))
 
     def test_fields_within_declared_ranges(self):
         spec = default_flow_spec()
@@ -67,7 +68,7 @@ class TestFlowDataset:
         spec = default_flow_spec(signature_fraction=0.5)
         ds = gen_flow_dataset(spec, True, 4000, RandomSource(8))
         port_col = FLOW_COLUMNS.index("dst_port_frac")
-        n80 = sum(1 for r in ds.rows if r.label == WEB and r.values[port_col] == 80 / 1024)
+        n80 = int(np.sum((ds.labels == WEB) & (ds.columns[port_col] == 80 / 1024)))
         # Half the WEB flows come from the normal mixture; a third of
         # those use port 80.
         assert 250 < n80 < 420
@@ -156,6 +157,6 @@ class TestShadowArray:
     def test_independent_child_seeds(self):
         spec = default_flow_spec()
         shadows = gen_shadow_array(spec, 4, 0.5, RandomSource(23), size=20)
-        first = [r.values for r in shadows[0][0].rows]
-        third = [r.values for r in shadows[2][0].rows]
-        assert first != third  # same label arm, different draws
+        first = numeric_matrix(shadows[0][0])
+        third = numeric_matrix(shadows[2][0])
+        assert not np.array_equal(first, third)  # same label arm, different draws

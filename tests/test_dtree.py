@@ -8,19 +8,19 @@ from shadowprobe.core import (
     NUMERIC,
     ContractError,
     DomainError,
-    Instance,
     RandomSource,
     make_dataset,
 )
 from shadowprobe.dtree import (
+    CategoricalNode,
     CategoricalSplit,
     Leaf,
+    NumericNode,
     NumericSplit,
     TreeParams,
     classify,
     entropy,
     info_gain,
-    predict,
     train_tree,
     training_accuracy,
 )
@@ -146,8 +146,7 @@ class TestTrainTree:
         ds = make_dataset([("x", NUMERIC), ("y", NUMERIC)], rows, labels)
         tree = train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(1), debug=True)
         oracle = greedy_tree_exact(rows, labels)
-        for r in ds.rows:
-            assert classify(tree, r) == oracle(r.values)
+        assert classify(tree, ds) == [oracle(r) for r in rows]
 
     def test_leaf_counts_partition_dataset(self):
         ds = toy_dataset()
@@ -188,7 +187,7 @@ class TestTrainTree:
                            TOY_ROWS, [mapping[l] for l in TOY_LABELS])
         t1 = train_tree(ds, TreeParams(), RandomSource(5))
         t2 = train_tree(ds2, TreeParams(), RandomSource(5))
-        assert [mapping[p] for p in predict(t1, ds)] == predict(t2, ds2)
+        assert [mapping[p] for p in classify(t1, ds)] == classify(t2, ds2)
         assert t1.n_nodes == t2.n_nodes
 
     def test_max_depth_and_min_leaf(self):
@@ -201,21 +200,25 @@ class TestTrainTree:
         ds = make_dataset([("x", NUMERIC)], [(1.0,), (2.0,)])
         with pytest.raises(ContractError):
             train_tree(ds, TreeParams(), RandomSource(0))
+        tree = train_tree(make_dataset([("x", NUMERIC)], [(1.0,)], ["a"]), TreeParams(),
+                          RandomSource(0))
+        with pytest.raises(ContractError):
+            training_accuracy(tree, ds)
 
 
 class TestClassify:
     def test_memorizes_training_rows(self):
         ds = toy_dataset()
         tree = train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(0))
-        for r, l in zip(ds.rows, TOY_LABELS):
-            assert classify(tree, r) == l
+        assert classify(tree, ds) == TOY_LABELS
 
     def test_unseen_category_takes_fallback(self):
         ds = make_dataset([("c", CATEGORICAL)],
                           [("a",), ("a",), ("b",), ("b",), ("b",)],
                           ["p", "p", "q", "q", "q"])
         tree = train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(0))
-        assert classify(tree, Instance(("zzz",))) == "q"  # node majority
+        unseen = make_dataset([("c", CATEGORICAL)], [("zzz",), ("a",), ("b",)])
+        assert classify(tree, unseen) == ["q", "p", "q"]  # node majority for "zzz"
 
     def test_manual_trace_depth_two(self):
         rows = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
@@ -224,13 +227,89 @@ class TestClassify:
         tree = train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(0))
         # Hand trace: root splits x at 0.5 (gain 1.0 beats y's 0.5);
         # right child splits y at 0.5.
-        assert classify(tree, Instance((0.2, 0.9))) == "a"
-        assert classify(tree, Instance((0.7, 0.1))) == "b"
-        assert classify(tree, Instance((0.7, 0.9))) == "c"
+        probe = make_dataset([("x", NUMERIC), ("y", NUMERIC)],
+                             [(0.2, 0.9), (0.7, 0.1), (0.7, 0.9)])
+        assert classify(tree, probe) == ["a", "b", "c"]
 
     def test_schema_mismatch(self):
         tree = train_tree(toy_dataset(), TreeParams(), RandomSource(0))
         with pytest.raises(ContractError):
-            classify(tree, Instance((1.0,)))
+            classify(tree, make_dataset([("temp", NUMERIC)], [(1.0,)]))
         with pytest.raises(ContractError):
-            classify(tree, Instance(("not-a-number", "sunny")))
+            classify(tree, make_dataset([("temp", CATEGORICAL), ("outlook", CATEGORICAL)],
+                                        [("not-a-number", "sunny")]))
+        with pytest.raises(ContractError):
+            classify(tree, make_dataset([("t", NUMERIC), ("outlook", CATEGORICAL)],
+                                        [(1.0, "sunny")]))
+
+    def test_empty_dataset(self):
+        tree = train_tree(toy_dataset(), TreeParams(), RandomSource(0))
+        empty = make_dataset([("temp", NUMERIC), ("outlook", CATEGORICAL)], [])
+        assert classify(tree, empty) == []
+
+
+def descend(tree, values):
+    """Reference descent of one row, as the tree's own rules state."""
+    node = tree.root
+    while not isinstance(node, Leaf):
+        v = values[node.attribute]
+        if isinstance(node, NumericNode):
+            node = node.low if v <= node.threshold else node.high
+        else:
+            node = node.branches.get(v, node.fallback)
+    return node.label
+
+
+TRAIN_VALUES = [-1.0, 0.0, 0.5, 2.0, 3.25]
+
+
+@st.composite
+def mixed_train_and_probe(draw):
+    kinds = draw(st.lists(st.sampled_from([NUMERIC, CATEGORICAL]), min_size=1, max_size=3))
+    schema = [(f"a{j}", k) for j, k in enumerate(kinds)]
+    cell = {NUMERIC: st.sampled_from(TRAIN_VALUES),
+            CATEGORICAL: st.sampled_from(["u", "v", "w"])}
+    # Probe rows may hold values never seen in training: new numbers,
+    # every possible threshold (the midpoints), and the category "new",
+    # which must take the fallback leaf.
+    midpoints = sorted({(a + b) / 2 for a in TRAIN_VALUES for b in TRAIN_VALUES})
+    probe_cell = {NUMERIC: st.one_of(st.sampled_from(midpoints),
+                                     st.floats(-5, 5, allow_nan=False)),
+                  CATEGORICAL: st.sampled_from(["u", "v", "w", "new"])}
+    n = draw(st.integers(1, 30))
+    rows = [tuple(draw(cell[k]) for k in kinds) for _ in range(n)]
+    labels = draw(st.lists(st.sampled_from(["p", "q", "r"]), min_size=n, max_size=n))
+    probe = [tuple(draw(probe_cell[k]) for k in kinds)
+             for _ in range(draw(st.integers(0, 30)))]
+    return schema, rows, labels, probe
+
+
+class TestBatchClassify:
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_train_and_probe(), st.integers(1, 3))
+    def test_matches_per_row_descent(self, case, min_leaf):
+        schema, rows, labels, probe = case
+        ds = make_dataset(schema, rows, labels)
+        tree = train_tree(ds, TreeParams(min_leaf_size=min_leaf), RandomSource(4), debug=True)
+        assert classify(tree, ds) == [descend(tree, r) for r in rows]
+        probe_ds = make_dataset(schema, probe)
+        assert classify(tree, probe_ds) == [descend(tree, r) for r in probe]
+
+    def test_unseen_category_below_numeric_split(self):
+        rows = [(0.0, "u"), (0.0, "v"), (1.0, "u"), (1.0, "v"), (1.0, "v")]
+        ds = make_dataset([("x", NUMERIC), ("c", CATEGORICAL)], rows,
+                          ["a", "a", "b", "c", "c"])
+        tree = train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(0))
+        assert isinstance(tree.root, NumericNode)
+        assert isinstance(tree.root.high, CategoricalNode)
+        probe = [(1.0, "new"), (0.0, "new"), (1.0, "u"), (2.0, "v")]
+        got = classify(tree, make_dataset([("x", NUMERIC), ("c", CATEGORICAL)], probe))
+        assert got == [tree.root.high.fallback.label, "a", "b", "c"]
+
+    def test_lowest_threshold_wins_gain_tie(self):
+        # Splits at 0.5 and 2.5 have exactly equal gain; 0.5 must win.
+        ds = make_dataset([("x", NUMERIC)], [(0.0,), (1.0,), (2.0,), (3.0,)],
+                          ["a", "b", "b", "a"])
+        tree = train_tree(ds, TreeParams(), RandomSource(0), debug=True)
+        assert isinstance(tree.root, NumericNode)
+        assert tree.root.threshold == 0.5

@@ -120,7 +120,7 @@ class TestFolds:
         seen = []
 
         def trainer(train_ds, rng):
-            return lambda inst: "p"
+            return lambda test_ds: ["p"] * test_ds.n_rows
 
         result = k_fold_cross_validate(ds, 6, trainer, RandomSource(3))
         assert len(result.fold_accuracies) == 6
@@ -133,15 +133,15 @@ class TestFolds:
         ds = make_dataset([("a", NUMERIC), ("b", NUMERIC)], rows, labels)
 
         def trainer(train_ds, rng):
-            table = {r.values: r.label for r in train_ds.rows}
-            return lambda inst: table[inst.values]
+            table = dict(zip(zip(*train_ds.columns), train_ds.labels))
+            return lambda test_ds: [table[r] for r in zip(*test_ds.columns)]
 
         result = k_fold_cross_validate(ds, 2, trainer, RandomSource(4))
         assert result.mean_accuracy == 1.0
 
     def test_k_out_of_range(self):
         ds = labeled_dataset(4, RandomSource(5))
-        trainer = lambda d, r: (lambda inst: "p")
+        trainer = lambda d, r: (lambda test_ds: ["p"] * test_ds.n_rows)
         with pytest.raises(ContractError):
             k_fold_cross_validate(ds, 1, trainer, RandomSource(6))
         with pytest.raises(ContractError):
@@ -166,7 +166,7 @@ class TestFolds:
 
         def trainer(train_ds, fold_rng):
             tree = dtree.train_tree(train_ds, TreeParams(min_leaf_size=5), fold_rng)
-            return lambda inst: dtree.classify(tree, inst)
+            return lambda test_ds: dtree.classify(tree, test_ds)
 
         cv_scores, ho_scores = [], []
         for seed in range(10):
@@ -174,6 +174,6 @@ class TestFolds:
             cv_scores.append(cv.mean_accuracy)
             train, test = split_dataset(ds, 0.7, RandomSource(200 + seed))
             predict = trainer(train, RandomSource(300 + seed))
-            ho = np.mean([predict(r) == r.label for r in test.rows])
+            ho = np.mean([p == l for p, l in zip(predict(test), test.labels)])
             ho_scores.append(ho)
         assert abs(np.mean(cv_scores) - np.mean(ho_scores)) < 0.05

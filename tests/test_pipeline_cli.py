@@ -2,11 +2,16 @@ import filecmp
 import json
 import os
 
+import numpy as np
 import pytest
 
+from shadowprobe.attack import NOT_P, P, build_meta_training_set, train_meta
 from shadowprobe.cli import main
+from shadowprobe.core import RandomSource
+from shadowprobe.dtree import TreeParams
 from shadowprobe.pipeline import ConfigError, PipelineConfig, run_pipeline
-from shadowprobe.serialize import load_model
+from shadowprobe.serialize import load_model, save_model, to_payload
+from shadowprobe.svm import KernelSpec, SvmModel
 
 SPEECH_SMALL = dict(shadows=8, n_phonemes=8, dim=6, n_states=3, n_sequences=4,
                     n_boosted=3, baseline_models=3, train_iters=3, top_k=3)
@@ -43,7 +48,8 @@ class TestConfig:
             PipelineConfig(case="speech", **{field: value})
 
     @pytest.mark.parametrize("field,value", [
-        ("sample_size", 0), ("k", 0), ("k", 2001), ("pool_size", 1), ("n_targets", 0),
+        ("sample_size", 0), ("k", 0), ("k", 2001), ("pool_size", 1), ("pool_size", 5),
+        ("n_targets", 0),
         ("baseline_models", 0), ("epochs", -1), ("learning_rate", 0.0), ("C", 0.0),
         ("C", -1.0), ("tol", 0.0), ("degree", 0), ("min_leaf_size", 0), ("max_depth", -1),
     ])
@@ -52,7 +58,7 @@ class TestConfig:
             PipelineConfig(case="netflow", **{field: value})
 
     def test_boundary_values_accepted(self):
-        cfg = PipelineConfig(case="dp_bypass", k=5, sample_size=5, pool_size=2, n_targets=1,
+        cfg = PipelineConfig(case="dp_bypass", k=5, sample_size=5, pool_size=10, n_targets=1,
                              baseline_models=1, epochs=0, degree=1, min_leaf_size=1,
                              max_depth=0)
         assert cfg.k == cfg.sample_size == 5
@@ -147,6 +153,25 @@ class TestCli:
         assert main(["attack", "--meta", os.path.join(out, "run", "meta_classifier.json"),
                      "--target", os.path.join(out, "svm_model.json")]) == 0
 
+    def test_attack_rejects_non_finite_target(self, tmp_path, capsys):
+        def svm_model(seed):
+            rng = RandomSource(seed)
+            return SvmModel(sv_indices=np.arange(5), sv_y=np.array([1.0, -1.0] * 2 + [1.0]),
+                            sv_x=rng.normal(size=(5, 3)), sv_alpha=np.full(5, 0.5),
+                            bias=0.0, kernel=KernelSpec("linear"), C=1.0, converged=True)
+
+        shadows = [(svm_model(s), P if s % 2 else NOT_P) for s in range(4)]
+        mc = train_meta(build_meta_training_set(shadows), TreeParams(min_leaf_size=1),
+                        RandomSource(0))
+        meta, target = tmp_path / "meta.json", tmp_path / "target.json"
+        save_model(mc, meta)
+        payload = to_payload(svm_model(9))
+        payload["support_vectors"][0]["x"][0] = float("nan")
+        target.write_text(json.dumps(payload))
+        # The NaN used to reach the meta-tree and yield a verdict (exit 0).
+        assert main(["attack", "--meta", str(meta), "--target", str(target)]) == 1
+        assert "'x1', row 0: non-finite value nan" in capsys.readouterr().err
+
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"case": "mlp_demo", "seed": 1, "mlp_seeds": 1,
@@ -168,6 +193,8 @@ class TestCli:
         # Both used to pass validation and fail inside the pipeline (exit 1).
         {"case": "dp_bypass", "sample_size": 0, "n_runs": 4, "pool_size": 500},
         {"case": "netflow", "n_targets": 0},
+        # Passed validation, then k-means found 2 points for k=3 (exit 1).
+        {"case": "dp_bypass", "pool_size": 4, "n_runs": 4, "k": 3},
     ])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
         cfg = tmp_path / "bad.json"

@@ -88,8 +88,7 @@ class TestRoundTrips:
         back = roundtrip(tree, tmp_path)
         assert back.schema == tree.schema
         assert back.n_nodes == tree.n_nodes
-        for r in ds.rows:
-            assert classify(back, r) == classify(tree, r)
+        assert classify(back, ds) == classify(tree, ds)
 
     def test_meta_classifier_exact(self, tmp_path):
         shadows = []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shadowprobe.core import ContractError, NUMERIC, RandomSource, make_dataset
+from shadowprobe.core import ContractError, NUMERIC, RandomSource, make_dataset, numeric_matrix
 from shadowprobe.svm import (
     KernelSpec,
     SvmModel,
@@ -84,7 +84,7 @@ class TestSmoTrain:
     def test_xor_rbf(self):
         ds = xy_dataset([[0, 0], [0, 1], [1, 0], [1, 1]], [-1, 1, 1, -1])
         m = smo_train(ds, KernelSpec("rbf", gamma=1.0), C=10.0, tol=1e-3, rng=RandomSource(4))
-        preds = [svm_predict(m, r.values) for r in ds.rows]
+        preds = [svm_predict(m, x) for x in numeric_matrix(ds)]
         assert preds == [-1, 1, 1, -1]
 
     def test_dual_objective_matches_pga_oracle(self):
@@ -148,8 +148,8 @@ class TestSmoTrain:
 def assert_matches_reference(ds, kernel, C, tol, max_passes, seed):
     """smo_train against the numpy-scalar reference loop, bit for bit."""
     m = smo_train(ds, kernel, C=C, tol=tol, max_passes=max_passes, rng=RandomSource(seed))
-    X = np.array([r.values for r in ds.rows])
-    y, _ = _map_labels(ds.labels())
+    X = numeric_matrix(ds)
+    y, _ = _map_labels(ds.labels)
     passes = 10 * len(y) if max_passes is None else max_passes
     alpha, b, converged, _ = smo_train_reference(
         y, kernel_matrix(kernel, X, X), C, tol, passes, RandomSource(seed))
