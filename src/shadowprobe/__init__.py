@@ -37,7 +37,6 @@ from .svm import KernelSpec, SvmModel, kkt_audit, smo_train, svm_decision, svm_p
 from .hmm import (
     AcousticModel,
     GaussianHmm,
-    baum_welch,
     flat_start,
     forward_loglik,
     train_acoustic_model,

@@ -19,7 +19,8 @@ import sys
 
 from . import datagen, dtree, hmm, metrics, serialize, svm
 from .attack import infer_property, kl_divergence_scores, kl_filter
-from .core import RandomSource, ShadowprobeError, load_dataset, save_dataset
+from .core import (ContractError, RandomSource, ShadowprobeError, StructuralError,
+                   load_dataset, save_dataset)
 from .pipeline import CASES, ConfigError, PipelineConfig, run_pipeline
 from .svm import KernelSpec
 
@@ -124,6 +125,26 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _load_corpus(path) -> dict:
+    """A JSON object mapping each phoneme to a list of (T, dim) frame lists."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise StructuralError(f"{path}: not valid JSON ({e})") from e
+    if not isinstance(raw, dict):
+        raise StructuralError(f"{path}: a corpus must be a JSON object of phoneme sequences")
+    corpus = {}
+    for ph, seqs in raw.items():
+        if not isinstance(seqs, list):
+            raise StructuralError(f"{path}: phoneme {ph!r}: sequences must be a JSON list")
+        try:
+            corpus[ph] = [hmm.as_sequence(s) for s in seqs]
+        except ContractError as e:
+            raise ContractError(f"{path}: phoneme {ph!r}: {e}") from None
+    return corpus
+
+
 def cmd_train(args) -> int:
     d = _load_config(args)
     d.setdefault("case", "netflow")
@@ -137,9 +158,7 @@ def cmd_train(args) -> int:
         model = svm.smo_train(ds, kernel, C=cfg.C, tol=cfg.tol, rng=rng)
         out = os.path.join(cfg.out_dir, "svm_model.json")
     elif cfg.case == "speech":
-        with open(args.data, "r", encoding="utf-8") as fh:
-            corpus = {ph: [hmm.as_sequence(s) for s in seqs]
-                      for ph, seqs in json.load(fh).items()}
+        corpus = _load_corpus(args.data)
         model = hmm.train_acoustic_model(corpus, n_states=cfg.n_states, iters=cfg.train_iters)
         out = os.path.join(cfg.out_dir, "acoustic_model.json")
     else:

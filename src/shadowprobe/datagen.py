@@ -17,7 +17,7 @@ hidden property replaces a configured fraction of WEB flows with
 Speech sequences are sampled directly from per-phoneme per-state
 generator Gaussians walked left to right; the hidden property shifts
 each phoneme's state means by a per-phoneme multiple of the state
-sigmas (and optionally rescales variances).
+sigmas.
 """
 
 from __future__ import annotations
@@ -209,9 +209,8 @@ class SpeechSpec:
     """Per-phoneme per-state generator Gaussians plus the accent knob.
 
     ``mean_shift_sigmas[p]`` moves phoneme p's state means by that many
-    state sigmas when the property holds; ``var_scale[p]`` rescales its
-    variances. ``boosted`` names the phonemes intended to carry the
-    strongest shift (ground truth for filter checks).
+    state sigmas when the property holds. ``boosted`` names the phonemes
+    intended to carry the strongest shift (ground truth for filter checks).
     """
 
     phonemes: tuple
@@ -220,7 +219,6 @@ class SpeechSpec:
     means: np.ndarray          # (phonemes, states, dim)
     sigmas: np.ndarray         # (phonemes, states, dim), standard deviations
     mean_shift_sigmas: np.ndarray  # (phonemes,)
-    var_scale: np.ndarray          # (phonemes,)
     frames_per_state: tuple = (4, 9)
     boosted: tuple = ()
 
@@ -230,8 +228,6 @@ class SpeechSpec:
             raise ContractError("means/sigmas must be (phonemes, states, dim)")
         if np.any(self.sigmas <= 0):
             raise ContractError("generator sigmas must be positive")
-        if np.any(self.var_scale <= 0):
-            raise ContractError("variance scales must be positive")
         lo, hi = self.frames_per_state
         if lo < 1 or hi < lo:
             raise ContractError("frames_per_state must satisfy 1 <= lo <= hi")
@@ -240,7 +236,6 @@ class SpeechSpec:
 def default_speech_spec(rng: RandomSource, n_phonemes: int = 40, n_states: int = 5,
                         dim: int = 25, n_boosted: int | None = None,
                         boost_shift: float = 1.5, base_shift: float = 0.4,
-                        var_scale_boosted: float = 1.0,
                         frames_per_state: tuple = (4, 9)) -> SpeechSpec:
     """Random inventory where an accent perturbs every phoneme a little
     and ``n_boosted`` phonemes (default up to 5) much more."""
@@ -255,8 +250,6 @@ def default_speech_spec(rng: RandomSource, n_phonemes: int = 40, n_states: int =
     sigmas = rng.uniform(0.3, 0.7, size=(n_phonemes, n_states, dim))
     shift = np.full(n_phonemes, base_shift)
     shift[:n_boosted] = boost_shift
-    scale = np.ones(n_phonemes)
-    scale[:n_boosted] = var_scale_boosted
     return SpeechSpec(
         phonemes=phonemes,
         n_states=n_states,
@@ -264,7 +257,6 @@ def default_speech_spec(rng: RandomSource, n_phonemes: int = 40, n_states: int =
         means=means,
         sigmas=sigmas,
         mean_shift_sigmas=shift,
-        var_scale=scale,
         frames_per_state=tuple(frames_per_state),
         boosted=phonemes[:n_boosted],
     )
@@ -282,7 +274,6 @@ def gen_speech_corpus(spec: SpeechSpec, with_property: bool, n_sequences: int,
         sd = spec.sigmas[p]
         if with_property:
             mu = mu + spec.mean_shift_sigmas[p] * sd
-            sd = sd * np.sqrt(spec.var_scale[p])
         seqs = []
         for _ in range(n_sequences):
             frames = []

@@ -33,9 +33,18 @@ _LOG2PI = math.log(2.0 * math.pi)
 
 
 def as_sequence(seq) -> np.ndarray:
-    arr = np.asarray(seq, dtype=np.float64)
+    """The sequence as a (T, dim) float array of finite numbers."""
+    try:
+        arr = np.asarray(seq)
+    except ValueError as e:  # ragged frames
+        raise ContractError(f"observation sequence frames must be equal-length lists ({e})") from e
+    if arr.dtype.kind not in "iuf":
+        raise ContractError(f"observation sequence must hold numbers, got {arr.dtype} values")
+    arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ContractError(f"observation sequence must be a non-empty (T, dim) array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ContractError("observation sequence holds a non-finite value")
     return arr
 
 
@@ -108,9 +117,6 @@ class GaussianHmm:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    def copy(self) -> "GaussianHmm":
-        return GaussianHmm(self.trans.copy(), self.means.copy(), self.vars.copy())
 
 
 @dataclass(eq=False)
@@ -314,47 +320,6 @@ def forward_loglik(model: GaussianHmm, seq) -> float:
     return float(alpha[n - 1])
 
 
-def posteriors(model: GaussianHmm, seq):
-    """Forward-backward state and transition posteriors.
-
-    Returns ``(gamma, xi, loglik)`` where gamma is (T, n) with
-    gamma[t, s] = P(state_t = s | seq) and xi is (T-1, n, n) with mass
-    only on the self-loop and advance entries.
-    """
-    seq = as_sequence(seq)
-    n = model.n_states
-    T = seq.shape[0]
-    if T < n:
-        raise InfeasiblePathError(f"sequence length {T} < minimum path length {n}")
-    logb = log_emissions(model, seq)
-    stay, adv = _log_trans(model.trans)
-    log_alpha = np.full((T, n), -np.inf)
-    log_alpha[0, 0] = logb[0, 0]
-    for t in range(1, T):
-        from_adv = np.full(n, -np.inf)
-        from_adv[1:] = log_alpha[t - 1, :-1] + adv
-        log_alpha[t] = logb[t] + np.logaddexp(log_alpha[t - 1] + stay, from_adv)
-    loglik = log_alpha[T - 1, n - 1]
-    if not np.isfinite(loglik):
-        raise InfeasiblePathError("no feasible path reaches the final state")
-    log_beta = np.full((T, n), -np.inf)
-    log_beta[T - 1, n - 1] = 0.0
-    for t in range(T - 2, -1, -1):
-        via_stay = stay + logb[t + 1] + log_beta[t + 1]
-        via_adv = np.full(n, -np.inf)
-        via_adv[:-1] = adv + logb[t + 1, 1:] + log_beta[t + 1, 1:]
-        log_beta[t] = np.logaddexp(via_stay, via_adv)
-    gamma = np.exp(log_alpha + log_beta - loglik)
-    xi = np.zeros((T - 1, n, n))
-    for t in range(T - 1):
-        xi_stay = np.exp(log_alpha[t] + stay + logb[t + 1] + log_beta[t + 1] - loglik)
-        np.fill_diagonal(xi[t], xi_stay)
-        xi_adv = np.exp(log_alpha[t, :-1] + adv + logb[t + 1, 1:] + log_beta[t + 1, 1:] - loglik)
-        for s in range(n - 1):
-            xi[t, s, s + 1] = xi_adv[s]
-    return gamma, xi, float(loglik)
-
-
 def _check_monotone(name: str, prev: float | None, new: float) -> None:
     if prev is not None and new < prev - 1e-8 * max(1.0, abs(prev)):
         raise ArithmeticError(f"{name} log-likelihood decreased: {prev} -> {new}")
@@ -447,58 +412,12 @@ def viterbi_train(model: GaussianHmm, sequences, iters: int) -> GaussianHmm:
     return _train_lockstep([model], [seqs], iters)[0]
 
 
-def baum_welch(model: GaussianHmm, sequences, iters: int) -> GaussianHmm:
-    """Soft-EM with forward-backward posteriors.
-
-    The total forward log-likelihood is non-decreasing across iterations
-    (1e-8 relative slack); states with negligible posterior mass keep
-    their previous parameters.
-    """
-    seqs = [as_sequence(s) for s in sequences]
-    if not seqs:
-        raise ContractError("baum_welch needs at least one sequence")
-    model = model.copy()
-    n, d = model.n_states, model.dim
-    prev_total = None
-    for _ in range(iters):
-        total = 0.0
-        g_sum = np.zeros(n)
-        o_sum = np.zeros((n, d))
-        o_sq = np.zeros((n, d))
-        stay_counts = np.zeros(n)
-        adv_counts = np.zeros(n - 1)
-        for seq in seqs:
-            gamma, xi, ll = posteriors(model, seq)
-            total += ll
-            g_sum += gamma.sum(axis=0)
-            o_sum += gamma.T @ seq
-            o_sq += gamma.T @ (seq * seq)
-            stay_counts += xi.sum(axis=0).diagonal()
-            adv_counts += np.array([xi[:, s, s + 1].sum() for s in range(n - 1)])
-        _check_monotone("forward", prev_total, total)
-        prev_total = total
-        hit = g_sum > 1e-12
-        means = model.means.copy()
-        vars_ = model.vars.copy()
-        means[hit] = o_sum[hit] / g_sum[hit, None]
-        vars_[hit] = np.maximum(o_sq[hit] / g_sum[hit, None] - means[hit] ** 2, VAR_FLOOR)
-        trans = _reestimate_trans(model.trans[None], stay_counts[None],
-                                  np.append(adv_counts, 0.0)[None])[0]
-        model = GaussianHmm(trans, means, vars_)
-    if iters > 0:
-        final = sum(forward_loglik(model, s) for s in seqs)
-        _check_monotone("forward", prev_total, final)
-    return model
-
-
 def train_acoustic_model(corpus: dict, n_states: int = DEFAULT_STATES,
-                         iters: int = 5, tune_iters: int = 0) -> AcousticModel:
-    """Flat-start one HMM per phoneme, Viterbi-train all of them in
-    lockstep, then optionally tune each with Baum-Welch passes."""
+                         iters: int = 5) -> AcousticModel:
+    """Flat-start one HMM per phoneme, then Viterbi-train all of them in
+    lockstep for ``iters`` hard-EM iterations."""
     phonemes = sorted(corpus)
     groups = [[as_sequence(s) for s in corpus[ph]] for ph in phonemes]
     models = _train_lockstep([flat_start(seqs, n_states) for seqs in groups], groups,
                              iters, phonemes)
-    if tune_iters:
-        models = [baum_welch(m, seqs, tune_iters) for m, seqs in zip(models, groups)]
     return AcousticModel(dict(zip(phonemes, models)))

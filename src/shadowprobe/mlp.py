@@ -98,14 +98,12 @@ def total_squared_error(net: Mlp, pairs) -> float:
     return e
 
 
-def backprop_train(net: Mlp, pairs, lr: float, epochs: int, rng: RandomSource,
-                   stop_error: float | None = None) -> Mlp:
+def backprop_train(net: Mlp, pairs, lr: float, epochs: int, rng: RandomSource) -> Mlp:
     """Per-presentation SGD; presentation order is reshuffled each epoch.
 
     Each presentation applies ``w -= lr * dE/dW`` with the gradients of
     that single pair (same math as :func:`gradients`, inlined for
-    speed). ``stop_error`` optionally ends training early once the total
-    squared error over the pairs drops to that level.
+    speed).
     """
     if lr <= 0:
         raise ContractError("learning rate must be positive")
@@ -135,6 +133,4 @@ def backprop_train(net: Mlp, pairs, lr: float, epochs: int, rng: RandomSource,
                 below = acts[l - 1]
                 delta = below * (1.0 - below) * back[1:]
             weights[0] -= lr * np.outer(delta, ext[0])
-        if stop_error is not None and total_squared_error(net, pairs) <= stop_error:
-            break
     return net

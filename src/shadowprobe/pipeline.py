@@ -18,8 +18,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import attack, datagen, dtree, hmm, metrics, serialize, svm
-from .attack import PROPERTY
-from .core import ContractError, Dataset, RandomSource, numeric_matrix
+from .attack import NOT_PROPERTY, PROPERTY
+from .core import ContractError, Dataset, RandomSource, numeric_matrix, round_half_up
 from .dtree import TreeParams
 from .kmeans import SulqParams
 from .mlp import backprop_train, forward, init_mlp
@@ -133,6 +133,18 @@ class PipelineConfig:
         for name, ok, msg in validate:
             if not ok:
                 raise ConfigError(f"{name}: {msg} (got {getattr(self, name)!r})")
+        # speech holds out some of its shadows, dp_bypass some of its runs;
+        # the first round_half_up(n / 2) of them carry the property.
+        count = {"speech": "shadows", "dp_bypass": "n_runs"}.get(self.case)
+        if count is not None:
+            n = getattr(self, count)
+            n_p = round_half_up(0.5 * n)
+            try:
+                attack.split_by_property([PROPERTY] * n_p + [NOT_PROPERTY] * (n - n_p),
+                                         self.holdout_fraction)
+            except ContractError as e:
+                raise ConfigError(f"{count}: {n} models cannot be split at holdout_fraction "
+                                  f"{self.holdout_fraction} ({e})") from None
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":

@@ -78,6 +78,7 @@ def to_payload(model) -> dict:
             "converged": model.converged,
             "label_map": (None if model.label_map is None
                           else {str(k): v for k, v in model.label_map.items()}),
+            "dim": model.dim,
             "support_vectors": [
                 {"index": int(i), "y": float(y), "alpha": float(a), "x": [float(v) for v in x]}
                 for i, y, a, x in zip(model.sv_indices, model.sv_y,
@@ -143,10 +144,16 @@ def _decode(kind, payload: dict):
         if label_map is not None:
             label_map = {int(k): v for k, v in label_map.items()}
         kern = payload["kernel"]
+        # Payloads written before "dim" was saved take it from the vectors.
+        dim = payload.get("dim", len(svs[0]["x"]) if svs else None)
+        if type(dim) is not int or dim < 1:
+            raise StructuralError(f"svm payload needs a positive integer dim, got {dim!r}")
+        if any(len(s["x"]) != dim for s in svs):
+            raise StructuralError(f"svm payload has a support vector whose length is not dim={dim}")
         return SvmModel(
             sv_indices=np.array([s["index"] for s in svs], dtype=np.int64),
             sv_y=np.array([s["y"] for s in svs]),
-            sv_x=np.array([s["x"] for s in svs]).reshape(len(svs), -1),
+            sv_x=np.array([s["x"] for s in svs]).reshape(len(svs), dim),
             sv_alpha=np.array([s["alpha"] for s in svs]),
             bias=payload["bias"],
             kernel=KernelSpec(kern["kind"], kern["gamma"], kern["r"], kern["degree"]),

@@ -9,11 +9,9 @@ from shadowprobe.hmm import (
     VAR_FLOOR,
     AcousticModel,
     GaussianHmm,
-    baum_welch,
     check_params,
     flat_start,
     forward_loglik,
-    posteriors,
     train_acoustic_model,
     viterbi,
     viterbi_batch,
@@ -140,25 +138,6 @@ class TestForward:
             assert forward_loglik(m, seq) >= viterbi(m, seq)[1] - 1e-12
 
 
-class TestPosteriors:
-    def test_match_enumeration(self):
-        rng = RandomSource(4)
-        m = small_model(n=2, seed=9)
-        for _ in range(3):
-            seq = rng.normal(0, 1.5, size=(5, 2))
-            gamma, xi, ll = posteriors(m, seq)
-            _, _, total, g_ref, xi_ref = hmm_enumerate(m.trans, m.means, m.vars, seq)
-            assert abs(ll - total) < 1e-9
-            assert np.max(np.abs(gamma - g_ref)) < 1e-9
-            assert np.max(np.abs(xi - xi_ref)) < 1e-9
-
-    def test_gamma_rows_sum_to_one(self):
-        m = small_model(n=3, seed=5)
-        seq = RandomSource(6).normal(size=(8, 2))
-        gamma, _, _ = posteriors(m, seq)
-        assert np.allclose(gamma.sum(axis=1), 1.0)
-
-
 def generate_from(model, n_seqs, frames_per_state, rng):
     seqs = []
     n = model.n_states
@@ -231,33 +210,18 @@ class TestViterbiTrain:
         assert np.all(trained.trans[band == 0] == 0.0)
 
 
-class TestBaumWelch:
-    def test_zero_iters_identity(self):
-        m = small_model()
-        out = baum_welch(m, [RandomSource(14).normal(size=(5, 2))], 0)
-        assert np.array_equal(out.means, m.means)
+class TestAsSequence:
+    @pytest.mark.parametrize("seq", [
+        [[1.0, 2.0], [3.0]], [["1.0", "2.0"]], [[None, 1.0]], [[True, False]],
+        [[1.0, np.nan]], [[np.inf, 1.0]], [1.0, 2.0], [[]],
+    ])
+    def test_rejects_malformed(self, seq):
+        with pytest.raises(ContractError):
+            hmm.as_sequence(seq)
 
-    def test_single_state_reproduces_global_moments(self):
-        rng = RandomSource(15)
-        seqs = [rng.normal(2, 1, size=(10, 3)) for _ in range(3)]
-        start = GaussianHmm(np.array([[1.0]]), np.zeros((1, 3)), np.ones((1, 3)))
-        one = baum_welch(start, seqs, 1)
-        flat = flat_start(seqs, 1)
-        assert np.max(np.abs(one.means - flat.means)) < 1e-10
-        assert np.max(np.abs(one.vars - flat.vars)) < 1e-10
-
-    def test_monotone_forward_loglik(self):
-        rng = RandomSource(16)
-        gen = small_model(n=2, dim=2, seed=17)
-        seqs = generate_from(gen, 10, (3, 6), rng)
-        start = flat_start(seqs, 2)
-        prev = sum(forward_loglik(start, s) for s in seqs)
-        model = start
-        for _ in range(5):
-            model = baum_welch(model, seqs, 1)
-            cur = sum(forward_loglik(model, s) for s in seqs)
-            assert cur >= prev - 1e-8 * max(1.0, abs(prev))
-            prev = cur
+    def test_integers_become_floats(self):
+        arr = hmm.as_sequence([[1, 2], [3, 4]])
+        assert arr.dtype == np.float64 and arr.shape == (2, 2)
 
 
 class TestAcousticModel:

@@ -107,13 +107,6 @@ class TestBackpropTrain:
         trained = backprop_train(net, pairs, 0.3, 300, rng)
         assert total_squared_error(trained, pairs) < start
 
-    def test_stop_error_short_circuits(self):
-        pairs = self.identity_pairs()
-        rng = RandomSource(9)
-        net = init_mlp((8, 3, 8), rng)
-        loose = backprop_train(net, pairs, 0.3, 5000, RandomSource(10), stop_error=1.5)
-        assert total_squared_error(loose, pairs) <= 1.5
-
     def test_target_range_enforced(self):
         net = init_mlp((2, 2), RandomSource(11))
         with pytest.raises(ContractError):

@@ -195,6 +195,9 @@ class TestCli:
         {"case": "netflow", "n_targets": 0},
         # Passed validation, then k-means found 2 points for k=3 (exit 1).
         {"case": "dp_bypass", "pool_size": 4, "n_runs": 4, "k": 3},
+        # Passed validation, then no model of one label was left to hold out (exit 1).
+        {"case": "speech", "shadows": 3},
+        {"case": "dp_bypass", "n_runs": 4, "holdout_fraction": 0.75},
     ])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
         cfg = tmp_path / "bad.json"
@@ -203,6 +206,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert any(f"config error: {f}:" in err for f in bad if f != "case"), err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("corpus", [
+        '{"aa": [[[1.0, 2.0], [3.0]]]}',
+        '{"aa": "x"}',
+        '[1, 2]',
+        '{"aa": [[[1.0, 2.0',
+        '{"aa": [[[NaN, 2.0], [1.0, 2.0], [0.5, 1.5], [1.0, 0.0], [2.0, 2.0]]]}',
+    ])
+    def test_train_rejects_malformed_corpus(self, tmp_path, capsys, corpus):
+        data = tmp_path / "corpus.json"
+        data.write_text(corpus)
+        assert main(["train", "--case", "speech", "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "must be finite" not in err
 
     def test_config_not_json_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.json"

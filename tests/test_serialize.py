@@ -147,8 +147,11 @@ def sample_payloads():
 
 
 PAYLOADS = sample_payloads()
+# An svm payload without "dim" takes it from its support vectors
+# (TestSvmDim), so "dim" is the one optional body key.
 REQUIRED = [(kind, key) for kind, body in PAYLOADS.items()
-            for key in sorted(body) if key not in ("format_version", "kind")]
+            for key in sorted(body) if key not in ("format_version", "kind")
+            and (kind, key) != ("svm", "dim")]
 
 
 class TestMissingKeys:
@@ -181,3 +184,34 @@ class TestMissingKeys:
     def test_wrong_value_type(self):
         with pytest.raises(StructuralError):
             from_payload({**PAYLOADS["acoustic"], "phonemes": 5})
+
+
+class TestSvmDim:
+    def zero_sv_svm(self):
+        m = random_svm()
+        return SvmModel(sv_indices=np.zeros(0, dtype=np.int64), sv_y=np.zeros(0),
+                        sv_x=np.zeros((0, 7)), sv_alpha=np.zeros(0), bias=0.5,
+                        kernel=m.kernel, C=m.C, converged=True, label_map=m.label_map)
+
+    def test_zero_support_vectors_roundtrip(self, tmp_path):
+        back = roundtrip(self.zero_sv_svm(), tmp_path)
+        assert back.sv_x.shape == (0, 7)
+        assert back.n_support == 0 and back.dim == 7
+        assert back.bias == 0.5
+
+    def test_payload_without_dim_takes_it_from_vectors(self):
+        m = random_svm()
+        body = {k: v for k, v in to_payload(m).items() if k != "dim"}
+        back = from_payload(body)
+        assert np.array_equal(back.sv_x, m.sv_x)
+        assert back.dim == 4
+
+    def test_no_vectors_and_no_dim_rejected(self):
+        body = {k: v for k, v in to_payload(self.zero_sv_svm()).items() if k != "dim"}
+        with pytest.raises(StructuralError, match="dim"):
+            from_payload(body)
+
+    @pytest.mark.parametrize("dim", [3, 5, 0, "4", None])
+    def test_vector_length_must_match_dim(self, dim):
+        with pytest.raises(StructuralError, match="dim"):
+            from_payload({**to_payload(random_svm()), "dim": dim})
