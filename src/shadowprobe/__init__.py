@@ -33,7 +33,7 @@ from .dtree import (
     info_gain,
     train_tree,
 )
-from .svm import KernelSpec, SvmModel, kkt_audit, smo_train, svm_decision, svm_predict
+from .svm import KernelSpec, SvmModel, kkt_audit, smo_train, svm_decision
 from .hmm import (
     AcousticModel,
     GaussianHmm,

@@ -150,13 +150,17 @@ def train_meta(md: MetaDataset, params: TreeParams, rng: RandomSource) -> MetaCl
 def infer_property(mc: MetaClassifier, target, include_rows: bool = False) -> PropertyVerdict:
     """Classify every extracted row of the target; majority vote decides.
 
-    An exact tie resolves to NotP with the tie flag set.
+    An exact tie resolves to NotP with the tie flag set. A target that
+    yields no rows (an SVM without support vectors) gives no evidence
+    and is a ContractError, not a tie.
     """
     fv = extract_features(target)
     if fv.source_kind != mc.source_kind or fv.data.schema != mc.schema:
         raise ContractError(
             f"target kind {fv.source_kind!r} does not match meta-classifier kind {mc.source_kind!r}"
         )
+    if fv.data.n_rows == 0:
+        raise ContractError(f"target {fv.source_kind} model yields no feature rows to vote on")
     votes = dtree.classify(mc.tree, fv.data)
     votes_p = votes.count(PROPERTY)
     votes_notp = len(votes) - votes_p
@@ -267,9 +271,13 @@ def split_by_property(labels, holdout_fraction: float):
     train_idx, hold_idx = [], []
     for want in (PROPERTY, NOT_PROPERTY):
         idx = [i for i, l in enumerate(labels) if l == want]
+        if len(idx) < 2:
+            raise ContractError(f"need at least 2 models with label {want} to hold one out, "
+                                f"got {len(idx)}")
         n_hold = max(1, round_half_up(holdout_fraction * len(idx)))
         if n_hold >= len(idx):
-            raise ContractError(f"need at least 2 models with label {want} to hold one out")
+            raise ContractError(f"{n_hold} of {len(idx)} models with label {want} would be "
+                                f"held out, leaving none to train on")
         train_idx.extend(idx[:-n_hold])
         hold_idx.extend(idx[-n_hold:])
     return sorted(train_idx), sorted(hold_idx)

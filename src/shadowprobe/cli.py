@@ -150,12 +150,11 @@ def cmd_train(args) -> int:
     d.setdefault("case", "netflow")
     cfg = PipelineConfig.from_dict(d)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    rng = RandomSource(cfg.seed)
     if cfg.case == "netflow":
         ds = load_dataset(args.data, has_header=True,
                           label_column=len(datagen.FLOW_COLUMNS))
         kernel = KernelSpec(cfg.kernel_kind, cfg.gamma, cfg.r, cfg.degree)
-        model = svm.smo_train(ds, kernel, C=cfg.C, tol=cfg.tol, rng=rng)
+        model = svm.smo_train(ds, kernel, C=cfg.C, tol=cfg.tol)
         out = os.path.join(cfg.out_dir, "svm_model.json")
     elif cfg.case == "speech":
         corpus = _load_corpus(args.data)

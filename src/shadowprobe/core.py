@@ -77,12 +77,9 @@ class RandomSource:
         return RandomSource(_splitmix64(self.seed ^ _splitmix64((int(key) + 1) & _MASK64)))
 
     # Thin passthroughs so call sites stay short.
-    def integers(self, low: int, high: int, size=None):
-        """One int in [low, high), or an array of ``size`` of them: the
-        same stream as that many scalar calls."""
-        if size is None:
-            return int(self.generator.integers(low, high))
-        return self.generator.integers(low, high, size)
+    def integers(self, low: int, high: int) -> int:
+        """One int in [low, high)."""
+        return int(self.generator.integers(low, high))
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self.generator.uniform(low, high, size)

@@ -179,8 +179,8 @@ def _train_acoustic_shadow(args):
 
 
 def _train_svm_shadow(args):
-    ds, kernel, C, tol, seed = args
-    return svm.smo_train(ds, kernel, C=C, tol=tol, rng=RandomSource(seed))
+    ds, kernel, C, tol = args
+    return svm.smo_train(ds, kernel, C=C, tol=tol)
 
 
 def _metrics_block(truths, preds):
@@ -278,12 +278,8 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     shadows = datagen.gen_shadow_array(spec, cfg.shadows, 0.5, rng.child(1),
                                        size=cfg.flows_per_shadow)
     log.info("netflow: training %d shadow SVMs", len(shadows))
-    seeds = [rng.child(1000 + i).seed for i in range(len(shadows))]
     models = _map_jobs(
-        _train_svm_shadow,
-        [(ds, kernel, cfg.C, cfg.tol, s) for (ds, _), s in zip(shadows, seeds)],
-        cfg.jobs,
-    )
+        _train_svm_shadow, [(ds, kernel, cfg.C, cfg.tol) for ds, _ in shadows], cfg.jobs)
     labels = [pl.value for _, pl in shadows]
 
     md = attack.build_meta_training_set(list(zip(models, [pl for _, pl in shadows])))
@@ -301,12 +297,8 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     log.info("netflow: evaluating %d held-out target classifiers", cfg.n_targets)
     target_specs = datagen.gen_shadow_array(spec, cfg.n_targets, 0.5, rng.child(4),
                                             size=cfg.flows_per_shadow)
-    t_seeds = [rng.child(2000 + i).seed for i in range(len(target_specs))]
     targets = _map_jobs(
-        _train_svm_shadow,
-        [(ds, kernel, cfg.C, cfg.tol, s) for (ds, _), s in zip(target_specs, t_seeds)],
-        cfg.jobs,
-    )
+        _train_svm_shadow, [(ds, kernel, cfg.C, cfg.tol) for ds, _ in target_specs], cfg.jobs)
     verdicts = []
     correct = 0
     for model, (_, pl) in zip(targets, target_specs):

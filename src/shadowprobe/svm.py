@@ -1,12 +1,13 @@
-"""Binary soft-margin SVM trained by simplified SMO.
+"""Binary soft-margin SVM trained by working-set SMO.
 
 Four kernels are supported: linear x.y, polynomial (gamma x.y + r)^d,
 rbf exp(-gamma ||x - y||^2), and sigmoid tanh(gamma x.y + r). Training
-follows the classic simplified SMO scheme: sweep the examples, and for
-each multiplier violating its KKT condition within tolerance, pair it
-with a random second multiplier and solve the two-variable subproblem
-analytically. Each accepted pair update can only increase the dual
-objective. Feature scaling is the caller's responsibility.
+is the SMO decomposition of Fan, Chen & Lin (JMLR 2005), LIBSVM's
+solver: each iteration pairs the multiplier that violates its KKT
+condition most with the one of largest second-order gain, and solves
+the two-variable subproblem analytically, clipped onto the box [0, C].
+Training is deterministic and stops when the maximal-violating-pair gap
+falls below ``tol``. Feature scaling is the caller's responsibility.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, Dataset, RandomSource, numeric_matrix
+from .core import ContractError, Dataset, numeric_matrix
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
-_DRAW_BLOCK = 1024  # second indices drawn per RandomSource call
+_TAU = 1e-12  # curvature used for pairs with K_ii + K_jj - 2 K_ij <= 0
+# Iteration cap max(_MIN_ITERS, _ITERS_PER_EXAMPLE * n), as in LIBSVM.
+_MIN_ITERS = 10_000_000
+_ITERS_PER_EXAMPLE = 100
 
 
 @dataclass(frozen=True)
@@ -93,24 +97,21 @@ def _map_labels(labels):
     return y, {-1: distinct[0], 1: distinct[1]}
 
 
-def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3,
-              max_passes: int | None = None, rng: RandomSource | None = None) -> SvmModel:
-    """Train by simplified SMO with random second-index selection.
+def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3) -> SvmModel:
+    """Train by SMO with second-order working-set selection.
 
-    ``max_passes`` bounds the number of consecutive full sweeps that make
-    no accepted pair update before training stops (default 10 * |ds|).
-    A sweep that finds no KKT violation at all ends training with
-    ``converged=True``; exhausting the quiet-sweep budget while
-    violations remain returns the best model so far flagged
-    ``converged=False``.
-
-    The trainer owns ``rng``: it draws the random second indices in
-    blocks of 1024 (the same stream as one draw per pair), so the
-    generator's state after it returns is unspecified. Give each
-    training its own source.
+    Minimises the dual a'Qa/2 - sum(a), Q_ij = y_i y_j K_ij, over
+    0 <= a <= C, y'a = 0, keeping its gradient G = Qa - 1. Let F = -y G;
+    I_up holds the t with y_t = +1 and a_t < C, or y_t = -1 and a_t > 0,
+    and I_low the t with y_t = +1 and a_t > 0, or y_t = -1 and a_t < C.
+    With m = max F over I_up and M = min F over I_low, a is optimal when
+    m <= M. Each iteration takes i = argmax F over I_up and the j in
+    I_low with F_j < m that maximises the second-order gain
+    (m - F_j)^2 / a_ij, a_ij = K_ii + K_jj - 2 K_ij (floored at 1e-12, so
+    the non-PSD sigmoid kernel still moves). Training stops with
+    ``converged=True`` once m - M < tol, or with ``converged=False``
+    after max(10^7, 100 |ds|) iterations.
     """
-    if rng is None:
-        raise ContractError("smo_train requires a RandomSource")
     if C <= 0:
         raise ContractError("C must be positive")
     if tol <= 0:
@@ -121,127 +122,88 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
     X = numeric_matrix(ds)
     y, label_map = _map_labels(ds.labels)
     n = len(y)
-    if max_passes is None:
-        max_passes = 10 * n
 
     K = kernel_matrix(kernel, X, X)
-    b = 0.0
-    f = np.zeros(n)  # f[i] = sum_j alpha_j y_j K[j, i] + b, kept incrementally
-    # The pair updates run on Python floats. The sweep's vectorised KKT
-    # scan flags i when y_i (f_i - y_i) < lower[i] or > upper[i]: the
-    # bound is -tol (tol) while alpha_i < C (alpha_i > 0), else infinite.
-    alpha = [0.0] * n
-    lower = np.full(n, -tol)
-    upper = np.full(n, np.inf)
-    yl = y.tolist()
-    kdiag = K.diagonal().tolist()
-    snap = 1e-10 * C
-    min_step = 1e-14 * max(1.0, C)
-    draws, drawn = [], 0
-
-    quiet = 0
-    converged = False
-    while quiet < max_passes:
-        resid = y * (f - y)
-        candidates = np.flatnonzero((resid < lower) | (resid > upper)).tolist()
-        if not candidates:
-            converged = True
+    kdiag = K.diagonal()
+    pos = y > 0
+    alpha = np.zeros(n)
+    G = np.full(n, -1.0)
+    cap = max(_MIN_ITERS, _ITERS_PER_EXAMPLE * n)
+    iters = 0
+    while True:
+        F = -y * G
+        above, below = alpha > 0, alpha < C
+        F_up = np.where(np.where(pos, below, above), F, -np.inf)
+        F_low = np.where(np.where(pos, above, below), F, np.inf)
+        i = int(np.argmax(F_up))
+        m, M = F_up[i], F_low.min()
+        if m - M < tol or iters == cap:
             break
-        changed = 0
-        for i in candidates:
-            y_i = yl[i]
-            e_i = f.item(i) - y_i
-            a_i_old = alpha[i]
-            # Re-check: earlier updates in this sweep may have fixed i.
-            if not ((y_i * e_i < -tol and a_i_old < C) or (y_i * e_i > tol and a_i_old > 0)):
-                continue
-            if drawn == len(draws):
-                draws, drawn = rng.integers(0, n - 1, size=_DRAW_BLOCK).tolist(), 0
-            j = draws[drawn]
-            drawn += 1
-            if j >= i:
-                j += 1
-            y_j = yl[j]
-            e_j = f.item(j) - y_j
-            a_j_old = alpha[j]
-            if y_i != y_j:
-                lo = max(0.0, a_j_old - a_i_old)
-                hi = min(C, C + a_j_old - a_i_old)
-            else:
-                lo = max(0.0, a_i_old + a_j_old - C)
-                hi = min(C, a_i_old + a_j_old)
-            if lo >= hi:
-                continue
-            k_ij = K.item(i, j)
-            eta = 2.0 * k_ij - kdiag[i] - kdiag[j]
-            if eta >= 0:
-                continue
-            a_j = a_j_old - y_j * (e_i - e_j) / eta
-            a_j = min(max(a_j, lo), hi)
-            if abs(a_j - a_j_old) < min_step:
-                continue
-            a_i = a_i_old + y_i * y_j * (a_j_old - a_j)
-            # Snap float dust onto the exact box bounds; otherwise
-            # near-zero residue keeps registering as a free vector.
-            if a_i < snap:
-                a_i = 0.0
-            elif a_i > C - snap:
-                a_i = C
-            if a_j < snap:
-                a_j = 0.0
-            elif a_j > C - snap:
-                a_j = C
-            d_i, d_j = a_i - a_i_old, a_j - a_j_old
-            b1 = b - e_i - y_i * d_i * kdiag[i] - y_j * d_j * k_ij
-            b2 = b - e_j - y_i * d_i * k_ij - y_j * d_j * kdiag[j]
-            if 0 < a_i < C:
-                b_new = b1
-            elif 0 < a_j < C:
-                b_new = b2
-            else:
-                b_new = (b1 + b2) / 2.0
-            alpha[i], alpha[j] = a_i, a_j
-            lower[i] = -tol if a_i < C else -np.inf
-            upper[i] = tol if a_i > 0 else np.inf
-            lower[j] = -tol if a_j < C else -np.inf
-            upper[j] = tol if a_j > 0 else np.inf
-            f += y_i * d_i * K[i] + y_j * d_j * K[j] + (b_new - b)
-            b = b_new
-            changed += 1
-        quiet = quiet + 1 if changed == 0 else 0
+        iters += 1
+        b = m - F_low  # > 0 exactly where j can pair with i
+        a = kdiag[i] + kdiag - 2.0 * K[i]
+        j = int(np.argmax(np.where(b > 0, b * b / np.where(a > 0, a, _TAU), -1.0)))
 
-    alpha = np.array(alpha)
-    sv = np.nonzero(alpha > 0)[0]
+        # LIBSVM's analytic two-variable step, clipped onto the box.
+        y_i, y_j = y.item(i), y.item(j)
+        a_i, a_j = alpha.item(i), alpha.item(j)
+        quad = a.item(j) if a.item(j) > 0 else _TAU
+        if y_i != y_j:
+            delta = (-G.item(i) - G.item(j)) / quad
+            diff = a_i - a_j
+            a_i, a_j = a_i + delta, a_j + delta
+            if diff > 0:
+                if a_j < 0:
+                    a_i, a_j = diff, 0.0
+                if a_i > C:
+                    a_i, a_j = C, C - diff
+            else:
+                if a_i < 0:
+                    a_i, a_j = 0.0, -diff
+                if a_j > C:
+                    a_i, a_j = C + diff, C
+        else:
+            delta = (G.item(i) - G.item(j)) / quad
+            total = a_i + a_j
+            a_i, a_j = a_i - delta, a_j + delta
+            if total > C:
+                if a_i > C:
+                    a_i, a_j = C, total - C
+                if a_j > C:
+                    a_i, a_j = total - C, C
+            else:
+                if a_j < 0:
+                    a_i, a_j = total, 0.0
+                if a_i < 0:
+                    a_i, a_j = 0.0, total
+        G += y * ((y_i * (a_i - alpha.item(i))) * K[i] + (y_j * (a_j - alpha.item(j))) * K[j])
+        alpha[i], alpha[j] = a_i, a_j
+
+    # On a free vector y f(x) = 1 makes b = F; with none, LIBSVM's midpoint.
+    free = (alpha > 0) & (alpha < C)
+    bias = float(F[free].mean()) if free.any() else float(m + M) / 2.0
+    sv = np.flatnonzero(alpha > 0)
     return SvmModel(
         sv_indices=sv,
         sv_y=y[sv],
         sv_x=X[sv],
         sv_alpha=alpha[sv],
-        bias=float(b),
+        bias=bias,
         kernel=kernel,
         C=C,
-        converged=converged,
+        converged=bool(m - M < tol),
         label_map=label_map,
     )
 
 
-def svm_decision(model: SvmModel, x) -> float:
-    """f(x) = sum_i alpha_i y_i K(x_i, x) + b."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.dim:
-        raise ContractError(f"probe has dimension {x.shape}, model expects {model.dim}")
-    if model.n_support == 0:
-        return float(model.bias)
-    k = kernel_matrix(model.kernel, model.sv_x, x[None, :])[:, 0]
-    return float((model.sv_alpha * model.sv_y) @ k + model.bias)
-
-
-def svm_predict(model: SvmModel, x):
-    """Predicted label: sign of the decision value, with sign(0) = +1."""
-    s = 1 if svm_decision(model, x) >= 0 else -1
-    if model.label_map is not None:
-        return model.label_map[s]
-    return s
+def svm_decision(model: SvmModel, X) -> np.ndarray:
+    """f(x) = sum_i alpha_i y_i K(x_i, x) + b for each row x of the
+    ``(m, dim)`` batch ``X``; the predicted class is the sign, with
+    sign(0) = +1 (``label_map[1]`` for named labels)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.dim:
+        raise ContractError(f"probes have shape {X.shape}, model expects (m, {model.dim})")
+    return (model.sv_alpha * model.sv_y) @ kernel_matrix(model.kernel, model.sv_x, X) + model.bias
 
 
 def kkt_audit(model: SvmModel, ds: Dataset, tol: float) -> dict:
@@ -258,12 +220,7 @@ def kkt_audit(model: SvmModel, ds: Dataset, tol: float) -> dict:
     n = len(y)
     alpha = np.zeros(n)
     alpha[model.sv_indices] = model.sv_alpha
-    if model.n_support:
-        K = kernel_matrix(model.kernel, model.sv_x, X)
-        fx = (model.sv_alpha * model.sv_y) @ K + model.bias
-    else:
-        fx = np.full(n, model.bias)
-    margin = y * fx
+    margin = y * svm_decision(model, X)
     C = model.C
     free = (alpha > 0) & (alpha < C)
     viol_zero = np.where(alpha == 0, np.maximum(0.0, (1.0 - margin) - tol), 0.0)

@@ -84,7 +84,7 @@ def test_criterion_1_oracle_equivalence():
         X = np.vstack([rng.normal(0, 1, size=(10, 2)), rng.normal(3.5, 1, size=(10, 2))])
         y = np.array([-1.0] * 10 + [1.0] * 10)
         ds = make_dataset([("a", NUMERIC), ("b", NUMERIC)], X.tolist(), y.tolist())
-        model = smo_train(ds, kernel, C=1.0, tol=1e-5, rng=RandomSource(700 + seed))
+        model = smo_train(ds, kernel, C=1.0, tol=1e-5)
         K = kernel_matrix(kernel, X, X)
         alpha = np.zeros(20)
         alpha[model.sv_indices] = model.sv_alpha
@@ -229,8 +229,7 @@ def _netflow_null_accuracy(seed):
     spec = default_flow_spec(signature_fraction=0.0)  # property knob disabled
     shadows = gen_shadow_array(spec, 8, 0.5, rng.child(1), size=200)
     kernel = KernelSpec("polynomial", 1.0, 0.0, 3)
-    models = [smo_train(ds, kernel, C=1.0, tol=1e-3, rng=rng.child(100 + i))
-              for i, (ds, _) in enumerate(shadows)]
+    models = [smo_train(ds, kernel, C=1.0, tol=1e-3) for ds, _ in shadows]
     labels = [pl.value for _, pl in shadows]
     return _holdout_row_accuracy(models, labels, rng)
 

@@ -197,6 +197,15 @@ class TestTrainAndInfer:
         assert v.tie
         assert v.label == NOT_P
 
+    def test_no_rows_is_no_verdict(self):
+        mc = train_meta(build_meta_training_set(self.separable_shadows()),
+                        TreeParams(min_leaf_size=1), RandomSource(0))
+        target = SvmModel(sv_indices=np.arange(0), sv_y=np.zeros(0), sv_x=np.zeros((0, 2)),
+                          sv_alpha=np.zeros(0), bias=0.5, kernel=KernelSpec("linear"), C=1.0,
+                          converged=True)
+        with pytest.raises(ContractError, match="no feature rows"):
+            infer_property(mc, target)
+
     def test_kind_mismatch_rejected(self):
         md = build_meta_training_set(self.separable_shadows())
         mc = train_meta(md, TreeParams(min_leaf_size=1), RandomSource(0))
@@ -312,8 +321,14 @@ class TestSplitByProperty:
         assert train == [0, 1, 2, 4, 5, 6]
 
     def test_needs_both_sides(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="need at least 2 models with label P"):
             split_by_property(["P", "NotP"], 0.9)
+
+    def test_holdout_too_large(self):
+        with pytest.raises(ContractError,
+                           match="2 of 2 models with label P would be held out") as e:
+            split_by_property(["P", "P", "NotP", "NotP"], 0.75)
+        assert "need at least" not in str(e.value)
 
 
 class TestMatchedDisplacement:

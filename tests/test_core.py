@@ -172,18 +172,6 @@ class TestRandomSource:
         assert c1.seed != c2.seed
         assert RandomSource(42).child(0).seed == c1.seed
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), low=st.integers(-5, 5),
-           span=st.sampled_from([1, 2, 3, 999, 1999, 2**31, 2**40]), m=st.integers(0, 300))
-    def test_block_draw_is_scalar_stream(self, seed, low, span, m):
-        scalar, block = RandomSource(seed), RandomSource(seed)
-        want = [scalar.integers(low, low + span) for _ in range(m)]
-        got = block.integers(low, low + span, size=m)
-        assert got.tolist() == want
-        # Both sources are left at the same point of the stream.
-        assert block.integers(0, 1 << 20) == scalar.integers(0, 1 << 20)
-        assert block.uniform() == scalar.uniform()
-
     def test_seed_bounds(self):
         with pytest.raises(ContractError):
             RandomSource(-1)

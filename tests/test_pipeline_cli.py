@@ -18,6 +18,19 @@ SPEECH_SMALL = dict(shadows=8, n_phonemes=8, dim=6, n_states=3, n_sequences=4,
 NETFLOW_SMALL = dict(shadows=6, flows_per_shadow=200, folds=3, n_targets=4)
 
 
+def svm_model(seed, n=5):
+    rng = RandomSource(seed)
+    return SvmModel(sv_indices=np.arange(n), sv_y=np.array([1.0, -1.0] * 2 + [1.0])[:n],
+                    sv_x=rng.normal(size=(n, 3)), sv_alpha=np.full(n, 0.5),
+                    bias=0.0, kernel=KernelSpec("linear"), C=1.0, converged=True)
+
+
+def svm_meta_classifier():
+    shadows = [(svm_model(s), P if s % 2 else NOT_P) for s in range(4)]
+    return train_meta(build_meta_training_set(shadows), TreeParams(min_leaf_size=1),
+                      RandomSource(0))
+
+
 class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
@@ -30,6 +43,11 @@ class TestConfig:
     def test_field_level_message(self):
         with pytest.raises(ConfigError, match="shadows"):
             PipelineConfig(case="speech", shadows=1)
+
+    def test_holdout_too_large_names_the_holdout(self):
+        with pytest.raises(ConfigError, match="2 of 2 models with label P would be held out, "
+                                              "leaving none to train on"):
+            PipelineConfig.from_dict({"case": "dp_bypass", "n_runs": 4, "holdout_fraction": 0.75})
 
     @pytest.mark.parametrize("field,value", [
         ("jobs", "2"), ("jobs", True), ("jobs", 2.0), ("n_states", "5"), ("dim", None),
@@ -154,23 +172,24 @@ class TestCli:
                      "--target", os.path.join(out, "svm_model.json")]) == 0
 
     def test_attack_rejects_non_finite_target(self, tmp_path, capsys):
-        def svm_model(seed):
-            rng = RandomSource(seed)
-            return SvmModel(sv_indices=np.arange(5), sv_y=np.array([1.0, -1.0] * 2 + [1.0]),
-                            sv_x=rng.normal(size=(5, 3)), sv_alpha=np.full(5, 0.5),
-                            bias=0.0, kernel=KernelSpec("linear"), C=1.0, converged=True)
-
-        shadows = [(svm_model(s), P if s % 2 else NOT_P) for s in range(4)]
-        mc = train_meta(build_meta_training_set(shadows), TreeParams(min_leaf_size=1),
-                        RandomSource(0))
         meta, target = tmp_path / "meta.json", tmp_path / "target.json"
-        save_model(mc, meta)
+        save_model(svm_meta_classifier(), meta)
         payload = to_payload(svm_model(9))
         payload["support_vectors"][0]["x"][0] = float("nan")
         target.write_text(json.dumps(payload))
         # The NaN used to reach the meta-tree and yield a verdict (exit 0).
         assert main(["attack", "--meta", str(meta), "--target", str(target)]) == 1
         assert "'x1', row 0: non-finite value nan" in capsys.readouterr().err
+
+    def test_attack_rejects_target_without_support_vectors(self, tmp_path, capsys):
+        meta, target = tmp_path / "meta.json", tmp_path / "target.json"
+        save_model(svm_meta_classifier(), meta)
+        save_model(svm_model(9, n=0), target)
+        # A model with no rows used to print a NotP tie verdict and exit 0.
+        assert main(["attack", "--meta", str(meta), "--target", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1 and "no feature rows" in captured.err
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

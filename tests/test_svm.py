@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shadowprobe import svm
 from shadowprobe.core import ContractError, NUMERIC, RandomSource, make_dataset, numeric_matrix
 from shadowprobe.svm import (
     KernelSpec,
@@ -10,11 +11,10 @@ from shadowprobe.svm import (
     kkt_audit,
     smo_train,
     svm_decision,
-    svm_predict,
     _map_labels,
 )
 
-from oracles import kernel_eval, smo_train_reference, svm_dual_objective, svm_dual_pga
+from oracles import kernel_eval, svm_dual_objective, svm_dual_pga
 
 
 def xy_dataset(X, y):
@@ -30,6 +30,11 @@ def k1(spec, x, y):
 
 def oracle_k(spec, x, y):
     return kernel_eval(spec.kind, x, y, spec.gamma, spec.r, spec.degree)
+
+
+def signs(model, X):
+    """Predicted classes as +-1: the sign of the decision value, sign(0) = +1."""
+    return np.where(svm_decision(model, X) >= 0, 1, -1).tolist()
 
 
 class TestKernels:
@@ -76,16 +81,15 @@ class TestKernels:
 class TestSmoTrain:
     def test_two_point_margin(self):
         ds = xy_dataset([[0.0], [2.0]], [-1, 1])
-        m = smo_train(ds, KernelSpec("linear"), C=10.0, tol=1e-3, rng=RandomSource(3))
+        m = smo_train(ds, KernelSpec("linear"), C=10.0, tol=1e-3)
         assert m.n_support == 2
-        assert abs(svm_decision(m, [1.0])) <= 1e-3
+        assert abs(svm_decision(m, [[1.0]])[0]) <= 1e-3
         assert m.converged
 
     def test_xor_rbf(self):
         ds = xy_dataset([[0, 0], [0, 1], [1, 0], [1, 1]], [-1, 1, 1, -1])
-        m = smo_train(ds, KernelSpec("rbf", gamma=1.0), C=10.0, tol=1e-3, rng=RandomSource(4))
-        preds = [svm_predict(m, x) for x in numeric_matrix(ds)]
-        assert preds == [-1, 1, 1, -1]
+        m = smo_train(ds, KernelSpec("rbf", gamma=1.0), C=10.0, tol=1e-3)
+        assert signs(m, numeric_matrix(ds)) == [-1, 1, 1, -1]
 
     def test_dual_objective_matches_pga_oracle(self):
         rng = RandomSource(11)
@@ -93,7 +97,7 @@ class TestSmoTrain:
         y = np.array([-1.0] * 10 + [1.0] * 10)
         ds = xy_dataset(X, y)
         kernel = KernelSpec("linear")
-        m = smo_train(ds, kernel, C=1.0, tol=1e-5, rng=RandomSource(5))
+        m = smo_train(ds, kernel, C=1.0, tol=1e-5)
         K = kernel_matrix(kernel, X, X)
         alpha = np.zeros(20)
         alpha[m.sv_indices] = m.sv_alpha
@@ -103,99 +107,110 @@ class TestSmoTrain:
         assert abs(got - want) < 1e-4
         assert kkt_audit(m, ds, 1e-3)["passed"]
 
-    def test_dual_objective_non_decreasing(self):
-        rng = RandomSource(12)
-        X = np.vstack([rng.normal(0, 1, size=(8, 2)), rng.normal(3, 1, size=(8, 2))])
-        y = [-1.0] * 8 + [1.0] * 8
-        K = kernel_matrix(KernelSpec("linear"), X, X)
-        *_, trace = smo_train_reference(np.array(y), K, 1.0, 1e-3, 10 * len(y), RandomSource(6),
-                                        record_objective=True)
-        assert len(trace) > 0
-        for a, b in zip(trace, trace[1:]):
-            assert b >= a - 1e-9
-
     def test_dual_equality_constraint(self):
         rng = RandomSource(13)
         X = np.vstack([rng.normal(0, 1, size=(10, 3)), rng.normal(3, 1, size=(10, 3))])
         y = [-1.0] * 10 + [1.0] * 10
-        m = smo_train(xy_dataset(X, y), KernelSpec("rbf", gamma=0.5), C=2.0,
-                      tol=1e-3, rng=RandomSource(7))
+        m = smo_train(xy_dataset(X, y), KernelSpec("rbf", gamma=0.5), C=2.0, tol=1e-3)
         assert abs(float(m.sv_alpha @ m.sv_y)) < 1e-8
         assert np.all(m.sv_alpha > 0)
-        assert np.all(m.sv_alpha <= m.C + 1e-12)
+        assert np.all(m.sv_alpha <= m.C)
 
     def test_single_class_rejected(self):
         ds = xy_dataset([[0.0], [1.0]], [1, 1])
         with pytest.raises(ContractError):
-            smo_train(ds, KernelSpec("linear"), rng=RandomSource(0))
+            smo_train(ds, KernelSpec("linear"))
 
     def test_named_labels_mapped_sorted(self):
         ds = make_dataset([("x", NUMERIC)], [[0.0], [0.2], [2.0], [2.2]],
                           ["apple", "apple", "pear", "pear"])
-        m = smo_train(ds, KernelSpec("linear"), C=10.0, rng=RandomSource(1))
+        m = smo_train(ds, KernelSpec("linear"), C=10.0)
         assert m.label_map == {-1: "apple", 1: "pear"}
-        assert svm_predict(m, [0.0]) == "apple"
-        assert svm_predict(m, [2.2]) == "pear"
+        assert [m.label_map[s] for s in signs(m, [[0.0], [2.2]])] == ["apple", "pear"]
 
-    def test_non_convergence_flagged(self):
-        # A budget of zero sweeps cannot converge.
-        ds = xy_dataset([[0.0], [2.0]], [-1, 1])
-        m = smo_train(ds, KernelSpec("linear"), C=10.0, tol=1e-3,
-                      max_passes=0, rng=RandomSource(3))
-        assert not m.converged
-
-
-def assert_matches_reference(ds, kernel, C, tol, max_passes, seed):
-    """smo_train against the numpy-scalar reference loop, bit for bit."""
-    m = smo_train(ds, kernel, C=C, tol=tol, max_passes=max_passes, rng=RandomSource(seed))
-    X = numeric_matrix(ds)
-    y, _ = _map_labels(ds.labels)
-    passes = 10 * len(y) if max_passes is None else max_passes
-    alpha, b, converged, _ = smo_train_reference(
-        y, kernel_matrix(kernel, X, X), C, tol, passes, RandomSource(seed))
-    sv = np.nonzero(alpha > 0)[0]
-    assert np.array_equal(m.sv_indices, sv)
-    assert m.sv_alpha.tobytes() == alpha[sv].tobytes()
-    assert m.bias == b and type(m.bias) is float
-    assert m.converged == converged
-    return m
-
-
-KERNELS = st.sampled_from([
-    KernelSpec("linear"), KernelSpec("polynomial", 0.5, 1.0, 2),
-    KernelSpec("polynomial", 1.0, 0.0, 3), KernelSpec("rbf", 0.7),
-    KernelSpec("sigmoid", 0.1, -0.5),
-])
-
-
-class TestSmoMatchesReference:
-    @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24), d=st.integers(1, 4),
-           kernel=KERNELS, C=st.sampled_from([0.05, 1.0, 7.5]),
-           max_passes=st.sampled_from([0, 1, None]))
-    def test_random_datasets(self, seed, n, d, kernel, C, max_passes):
-        gen = np.random.default_rng(seed)
-        y = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
-        gen.shuffle(y)
-        X = gen.normal(size=(n, d)) + 0.8 * y[:, None]
-        if seed % 3 == 0:
-            X = np.round(X)  # repeated points and exact kernel ties
-        assert_matches_reference(xy_dataset(X, y), kernel, C, 1e-3, max_passes, seed)
-
-    def test_unconverged(self):
+    def test_non_convergence_flagged(self, monkeypatch):
+        # With the iteration cap at zero no pair is ever updated.
+        monkeypatch.setattr(svm, "_MIN_ITERS", 0)
+        monkeypatch.setattr(svm, "_ITERS_PER_EXAMPLE", 0)
+        m = smo_train(xy_dataset([[0.0], [2.0]], [-1, 1]), KernelSpec("linear"),
+                      C=10.0, tol=1e-3)
+        assert not m.converged and m.n_support == 0
+        # A cap of one iteration per example stops this problem early.
+        monkeypatch.setattr(svm, "_ITERS_PER_EXAMPLE", 1)
         rng = RandomSource(41)
         X = rng.normal(0, 1, size=(40, 2))
         y = np.where(rng.uniform(size=40) < 0.5, -1.0, 1.0)
-        m = assert_matches_reference(xy_dataset(X, y), KernelSpec("rbf", 2.0), 5.0, 1e-4, 1, 3)
+        ds = xy_dataset(X, y)
+        m = smo_train(ds, KernelSpec("rbf", 2.0), C=5.0, tol=1e-4)
         assert not m.converged and m.n_support > 0
+        assert not kkt_audit(m, ds, 1e-4)["passed"]
+
+
+KERNELS = [
+    KernelSpec("linear"), KernelSpec("polynomial", 0.5, 1.0, 2),
+    KernelSpec("polynomial", 1.0, 0.0, 3), KernelSpec("rbf", 0.7),
+    KernelSpec("sigmoid", 0.1, -0.5),
+]
+
+
+@st.composite
+def svm_problems(draw, kernels=KERNELS):
+    """Two-class problems with every kernel and C; one in three rounds
+    its inputs, for repeated points and exact kernel ties."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n, d = draw(st.integers(2, 24)), draw(st.integers(1, 4))
+    gen = np.random.default_rng(seed)
+    y = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+    gen.shuffle(y)
+    X = gen.normal(size=(n, d)) + 0.8 * y[:, None]
+    if seed % 3 == 0:
+        X = np.round(X)
+    return X, y, draw(st.sampled_from(kernels)), draw(st.sampled_from([0.05, 1.0, 7.5]))
+
+
+class TestSmoSolution:
+    @settings(max_examples=80, deadline=None)
+    @given(problem=svm_problems(), tol=st.sampled_from([1e-3, 1e-5]))
+    def test_converged_passes_kkt_audit(self, problem, tol):
+        X, y, kernel, C = problem
+        ds = xy_dataset(X, y)
+        m = smo_train(ds, kernel, C=C, tol=tol)
+        assert m.converged
+        assert kkt_audit(m, ds, tol)["passed"]
+
+    @settings(max_examples=12, deadline=None)
+    @given(problem=svm_problems(KERNELS[:4]))
+    def test_dual_objective_matches_pga_oracle(self, problem):
+        X, y, kernel, C = problem
+        m = smo_train(xy_dataset(X, y), kernel, C=C, tol=1e-5)
+        K = kernel_matrix(kernel, X, X)
+        alpha = np.zeros(len(y))
+        alpha[m.sv_indices] = m.sv_alpha
+        got = svm_dual_objective(alpha, y, K)
+        # Projected-gradient iterates are feasible, so they never exceed
+        # the optimum; a short run still below SMO's value gets the full run.
+        want = svm_dual_objective(svm_dual_pga(y, K, C, iters=20_000), y, K)
+        if got - want >= 1e-4:
+            want = svm_dual_objective(svm_dual_pga(y, K, C), y, K)
+        assert abs(got - want) < 1e-4
+
+    @settings(max_examples=30, deadline=None)
+    @given(problem=svm_problems())
+    def test_deterministic(self, problem):
+        X, y, kernel, C = problem
+        a = smo_train(xy_dataset(X, y), kernel, C=C, tol=1e-3)
+        b = smo_train(xy_dataset(X, y), kernel, C=C, tol=1e-3)
+        assert a.sv_indices.tobytes() == b.sv_indices.tobytes()
+        assert a.sv_alpha.tobytes() == b.sv_alpha.tobytes()
+        assert a.bias == b.bias and type(a.bias) is float
 
     def test_netflow_shadow(self):
         from shadowprobe import datagen
         spec = datagen.default_flow_spec(1.0)
         ds = datagen.gen_flow_dataset(spec, True, 300, RandomSource(5))
-        m = assert_matches_reference(ds, KernelSpec("polynomial", 1.0, 0.0, 3), 1.0, 1e-3,
-                                     None, 6)
-        assert m.converged
+        m = smo_train(ds, KernelSpec("polynomial", 1.0, 0.0, 3), C=1.0, tol=1e-3)
+        assert m.converged and m.n_support > 0
+        assert kkt_audit(m, ds, 1e-3)["passed"]
 
 
 class TestDecision:
@@ -204,28 +219,26 @@ class TestDecision:
         X = np.vstack([rng.normal(0, 1, size=(12, 2)), rng.normal(4, 1, size=(12, 2))])
         y = [-1.0] * 12 + [1.0] * 12
         ds = xy_dataset(X, y)
-        return smo_train(ds, KernelSpec("rbf", gamma=0.3), C=5.0, tol=1e-4,
-                         rng=RandomSource(8)), ds
+        return smo_train(ds, KernelSpec("rbf", gamma=0.3), C=5.0, tol=1e-4), ds
 
     def test_free_vectors_on_margin(self):
         m, ds = self.trained()
         free = (m.sv_alpha > 1e-8) & (m.sv_alpha < m.C - 1e-8)
         assert free.any()
-        for x, y in zip(m.sv_x[free], m.sv_y[free]):
-            assert abs(svm_decision(m, x) - y) <= 1e-4 + 1e-9
+        assert np.all(np.abs(svm_decision(m, m.sv_x[free]) - m.sv_y[free]) <= 1e-4 + 1e-9)
 
     def test_resummation_oracle(self):
         m, _ = self.trained()
-        rng = RandomSource(9)
-        for _ in range(10):
-            x = rng.normal(2, 2, size=2)
-            got = svm_decision(m, x)
+        probes = RandomSource(9).normal(2, 2, size=(10, 2))
+        got = svm_decision(m, probes)
+        assert got.shape == (10,)
+        for x, g in zip(probes, got):
             # Independent re-summation with reversed term order and
             # scalar kernel evaluations.
             acc = m.bias
             for i in reversed(range(m.n_support)):
                 acc += m.sv_alpha[i] * m.sv_y[i] * oracle_k(m.kernel, m.sv_x[i], x)
-            assert abs(got - acc) < 1e-9
+            assert abs(g - acc) < 1e-9
 
     def test_sign_zero_is_positive(self):
         m = SvmModel(
@@ -233,12 +246,15 @@ class TestDecision:
             sv_y=np.zeros(0), sv_x=np.zeros((0, 1)), sv_alpha=np.zeros(0),
             bias=0.0, kernel=KernelSpec("linear"), C=1.0, converged=True,
         )
-        assert svm_predict(m, [5.0]) == 1
+        assert svm_decision(m, [[5.0], [-1.0]]).tolist() == [0.0, 0.0]
+        assert signs(m, [[5.0]]) == [1]
 
     def test_dimension_mismatch(self):
         m, _ = self.trained()
         with pytest.raises(ContractError):
-            svm_decision(m, [1.0, 2.0, 3.0])
+            svm_decision(m, [[1.0, 2.0, 3.0]])
+        with pytest.raises(ContractError):
+            svm_decision(m, [1.0, 2.0])  # one probe must still be a (1, dim) batch
 
     def test_rbf_translation_invariance(self):
         rng = RandomSource(31)
@@ -246,11 +262,10 @@ class TestDecision:
         y = [-1.0] * 10 + [1.0] * 10
         shift = np.array([13.7, -4.2])
         kernel = KernelSpec("rbf", gamma=0.7)
-        m1 = smo_train(xy_dataset(X, y), kernel, C=2.0, rng=RandomSource(10))
-        m2 = smo_train(xy_dataset(X + shift, y), kernel, C=2.0, rng=RandomSource(10))
+        m1 = smo_train(xy_dataset(X, y), kernel, C=2.0)
+        m2 = smo_train(xy_dataset(X + shift, y), kernel, C=2.0)
         probes = RandomSource(11).normal(1.5, 2.0, size=(20, 2))
-        for p in probes:
-            assert (svm_decision(m1, p) >= 0) == (svm_decision(m2, p + shift) >= 0)
+        assert signs(m1, probes) == signs(m2, probes + shift)
 
 
 def test_label_mapping_helper():
