@@ -135,15 +135,28 @@ class TestSmoTrain:
         m = smo_train(xy_dataset([[0.0], [2.0]], [-1, 1]), KernelSpec("linear"),
                       C=10.0, tol=1e-3)
         assert not m.converged and m.n_support == 0
-        # A cap of one iteration per example stops this problem early.
+
+
+class TestSmoMatchesReference:
+    def test_unconverged(self, monkeypatch):
+        # A cap of one iteration per example stops this problem early: the
+        # multipliers stay feasible but fall short of the reference optimum.
+        monkeypatch.setattr(svm, "_MIN_ITERS", 0)
         monkeypatch.setattr(svm, "_ITERS_PER_EXAMPLE", 1)
         rng = RandomSource(41)
         X = rng.normal(0, 1, size=(40, 2))
         y = np.where(rng.uniform(size=40) < 0.5, -1.0, 1.0)
         ds = xy_dataset(X, y)
-        m = smo_train(ds, KernelSpec("rbf", 2.0), C=5.0, tol=1e-4)
+        kernel = KernelSpec("rbf", 2.0)
+        m = smo_train(ds, kernel, C=5.0, tol=1e-4)
         assert not m.converged and m.n_support > 0
         assert not kkt_audit(m, ds, 1e-4)["passed"]
+        alpha = np.zeros(len(y))
+        alpha[m.sv_indices] = m.sv_alpha
+        assert abs(float(alpha @ y)) < 1e-8 and np.all(alpha <= m.C)
+        K = kernel_matrix(kernel, X, X)
+        optimum = svm_dual_objective(svm_dual_pga(y, K, m.C), y, K)
+        assert svm_dual_objective(alpha, y, K) < optimum - 1e-4
 
 
 KERNELS = [
