@@ -4,11 +4,13 @@ Every non-input unit applies the logistic sigmoid 1 / (1 + exp(-net))
 to a linear combination of its inputs; each layer's weight matrix
 carries the bias as column 0, with the corresponding input pinned to 1.
 Training is per-presentation stochastic gradient descent on the squared
-error E = 0.5 * ||target - output||^2.
+error E = 0.5 * ||target - output||^2; same-shaped nets train side by
+side on stacked weights, each exactly as it would alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,13 +19,10 @@ from .core import ContractError, RandomSource
 
 
 def sigmoid(z):
+    """Logistic function; exp only ever sees -|z|, so it cannot overflow."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(eq=False)
@@ -44,9 +43,8 @@ class Mlp:
             want = (self.layer_sizes[l + 1], self.layer_sizes[l] + 1)
             if w.shape != want:
                 raise ContractError(f"weight matrix {l} has shape {w.shape}, expected {want}")
-
-    def copy(self) -> "Mlp":
-        return Mlp(self.layer_sizes, [w.copy() for w in self.weights])
+            if not np.all(np.isfinite(w)):
+                raise ContractError(f"weight matrix {l} has non-finite entries")
 
 
 def init_mlp(layer_sizes, rng: RandomSource) -> Mlp:
@@ -90,47 +88,69 @@ def gradients(net: Mlp, x, target) -> list:
 
 
 def total_squared_error(net: Mlp, pairs) -> float:
-    e = 0.0
-    for x, t in pairs:
-        out, _ = forward(net, x)
-        d = np.asarray(t, dtype=np.float64) - out
-        e += 0.5 * float(d @ d)
-    return e
+    return sum(0.5 * float(((forward(net, x)[0] - np.asarray(t, dtype=np.float64)) ** 2).sum())
+               for x, t in pairs)
 
 
-def backprop_train(net: Mlp, pairs, lr: float, epochs: int, rng: RandomSource) -> Mlp:
-    """Per-presentation SGD; presentation order is reshuffled each epoch.
+def _training_pairs(pairs, n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs and targets as (pairs, n_in) and (pairs, n_out) arrays, validated."""
+    xs, ts = np.empty((len(pairs), n_in)), np.empty((len(pairs), n_out))
+    for i, (x, t) in enumerate(pairs):
+        x, t = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64)
+        if x.shape != (n_in,) or t.shape != (n_out,):
+            raise ContractError(f"pair {i}: input {x.shape} and target {t.shape} do not fit "
+                                f"a network of shape ({n_in},) -> ({n_out},)")
+        if not np.all(np.isfinite(x)):
+            raise ContractError(f"pair {i}: input must be finite")
+        if not np.all((t > 0.0) & (t < 1.0)):
+            raise ContractError(f"pair {i}: targets must lie strictly inside (0, 1)")
+        xs[i], ts[i] = x, t
+    return xs, ts
 
-    Each presentation applies ``w -= lr * dE/dW`` with the gradients of
-    that single pair (same math as :func:`gradients`, inlined for
-    speed).
+
+def backprop_train(nets, pairs, lr: float, epochs: int, rngs) -> list[Mlp]:
+    """Per-presentation SGD of same-shaped nets, trained side by side.
+
+    Each net draws a fresh presentation order from its own RandomSource
+    every epoch, and each presentation applies ``w -= lr * dE/dW`` with
+    the gradients of that single pair (same math as :func:`gradients`).
+    Layer l of all nets is one ``(nets, out, in + 1)`` stack, so one
+    presentation step is a handful of stacked numpy calls for every net;
+    each net's products are the same matrix-vector products as when it
+    trains alone, so a net's result does not depend on its stack mates.
     """
-    if lr <= 0:
-        raise ContractError("learning rate must be positive")
-    pairs = [(np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64)) for x, t in pairs]
-    for _, t in pairs:
-        if np.any(t <= 0.0) or np.any(t >= 1.0):
-            raise ContractError("targets must lie strictly inside (0, 1)")
-    net = net.copy()
-    weights = net.weights
+    nets = list(nets)
+    if not nets:
+        raise ContractError("backprop_train needs at least one net")
+    sizes = nets[0].layer_sizes
+    if any(net.layer_sizes != sizes for net in nets):
+        raise ContractError("nets trained together must share layer_sizes")
+    if len(rngs) != len(nets):
+        raise ContractError(f"one RandomSource per net required: {len(nets)} nets, {len(rngs)} rngs")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ContractError(f"learning rate must be positive and finite, got {lr!r}")
+    if epochs < 0:
+        raise ContractError(f"epochs must be >= 0, got {epochs!r}")
+    xs, ts = _training_pairs(pairs, sizes[0], sizes[-1])
+    weights = [np.stack([net.weights[l] for net in nets]) for l in range(len(sizes) - 1)]
     n_layers = len(weights)
-    ext = [np.empty(w.shape[1]) for w in weights]  # [1, layer input] buffers
+    ext = [np.empty((len(nets), w.shape[2])) for w in weights]  # [1, layer input] per net
     for e in ext:
-        e[0] = 1.0
+        e[:, 0] = 1.0
     acts = [None] * n_layers
     for _ in range(epochs):
-        for i in rng.permutation(len(pairs)):
-            x, t = pairs[i]
-            a = x
+        orders = np.stack([rng.permutation(len(xs)) for rng in rngs], axis=1)
+        for pick in orders:  # one pair index per net
+            a = xs[pick]
             for l, w in enumerate(weights):
-                ext[l][1:] = a
-                a = sigmoid(w @ ext[l])
+                ext[l][:, 1:] = a
+                a = sigmoid((w @ ext[l][..., None])[..., 0])
                 acts[l] = a
-            delta = (a - t) * a * (1.0 - a)
+            delta = (a - ts[pick]) * a * (1.0 - a)
             for l in range(n_layers - 1, 0, -1):
-                back = weights[l].T @ delta
-                weights[l] -= lr * np.outer(delta, ext[l])
+                back = (weights[l].transpose(0, 2, 1) @ delta[..., None])[..., 0]
+                weights[l] -= lr * (delta[..., None] * ext[l][..., None, :])
                 below = acts[l - 1]
-                delta = below * (1.0 - below) * back[1:]
-            weights[0] -= lr * np.outer(delta, ext[0])
-    return net
+                delta = below * (1.0 - below) * back[:, 1:]  # drop the bias row
+            weights[0] -= lr * (delta[..., None] * ext[0][..., None, :])
+    return [Mlp(sizes, [w[s] for w in weights]) for s in range(len(nets))]

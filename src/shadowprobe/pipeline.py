@@ -22,7 +22,7 @@ from .attack import NOT_PROPERTY, PROPERTY
 from .core import ContractError, Dataset, RandomSource, numeric_matrix, round_half_up
 from .dtree import TreeParams
 from .kmeans import SulqParams
-from .mlp import backprop_train, forward, init_mlp
+from .mlp import backprop_train, forward, init_mlp, total_squared_error
 from .svm import KernelSpec
 
 log = logging.getLogger("shadowprobe")
@@ -375,40 +375,48 @@ def _identity_state(net, pairs):
     return identity, codes, rows
 
 
+def _crystallized(net, pairs) -> bool:
+    identity, codes, _ = _identity_state(net, pairs)
+    return identity and len(codes) == 8
+
+
 def run_mlp_demo_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     """8-3-8 identity task: the hidden layer learns a 3-bit code.
 
-    Each seed trains in chunks and stops as soon as every pattern's
-    output argmax matches its input and the thresholded hidden codes are
-    pairwise distinct (the learned solution is stable once reached), or
-    when the epoch budget runs out.
+    All seeds train side by side in chunks. A seed leaves the stack as
+    soon as every pattern's output argmax matches its input and the
+    thresholded hidden codes are pairwise distinct (the learned solution
+    is stable once reached), or when the epoch budget runs out.
     """
     patterns = np.eye(8)
     targets = np.where(patterns > 0.5, cfg.target_high, cfg.target_low)
     pairs = list(zip(patterns, targets))
     chunk = 1000
+    seed_rngs = [rng.child(s) for s in range(cfg.mlp_seeds)]
+    nets = [init_mlp((8, 3, 8), seed_rng) for seed_rng in seed_rngs]
+    start_errs = [total_squared_error(net, pairs) for net in nets]
+    epochs_run = 0
+    stopped_at = [0] * cfg.mlp_seeds
+    training = list(range(cfg.mlp_seeds))
+    while training and epochs_run < cfg.epochs:
+        step = min(chunk, cfg.epochs - epochs_run)
+        trained = backprop_train([nets[s] for s in training], pairs, cfg.learning_rate, step,
+                                 [seed_rngs[s] for s in training])
+        epochs_run += step
+        for s, net in zip(training, trained):
+            nets[s] = net
+            stopped_at[s] = epochs_run
+        training = [s for s in training if not _crystallized(nets[s], pairs)]
     runs = []
-    for s in range(cfg.mlp_seeds):
-        seed_rng = rng.child(s)
-        net = init_mlp((8, 3, 8), seed_rng)
-        start_err = sum(0.5 * float(((forward(net, x)[0] - t) ** 2).sum()) for x, t in pairs)
-        epochs_run = 0
-        while epochs_run < cfg.epochs:
-            step = min(chunk, cfg.epochs - epochs_run)
-            net = backprop_train(net, pairs, cfg.learning_rate, step, seed_rng)
-            epochs_run += step
-            identity, codes, rows = _identity_state(net, pairs)
-            if identity and len(codes) == 8:
-                break
+    for s, net in enumerate(nets):
         identity, codes, rows = _identity_state(net, pairs)
-        end_err = sum(0.5 * float(((forward(net, x)[0] - t) ** 2).sum()) for x, t in pairs)
         runs.append({
             "seed_index": s,
             "identity_learned": bool(identity),
             "distinct_codes": len(codes),
-            "epochs_run": epochs_run,
-            "start_error": start_err,
-            "end_error": end_err,
+            "epochs_run": stopped_at[s],
+            "start_error": start_errs[s],
+            "end_error": total_squared_error(net, pairs),
             "patterns": rows,
         })
     n_ok = sum(1 for r in runs if r["identity_learned"] and r["distinct_codes"] == 8)

@@ -251,6 +251,44 @@ def mlp_numeric_gradients(net_forward_error, weights, h=1e-5):
     return grads
 
 
+def sigmoid_reference(z):
+    """Logistic function with separate branches for z >= 0 and z < 0."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def backprop_train_reference(weights, pairs, lr, epochs, rng):
+    """One net's per-presentation SGD, one pair at a time; new weight list."""
+    pairs = [(np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64)) for x, t in pairs]
+    weights = [np.array(w, dtype=np.float64) for w in weights]
+    n_layers = len(weights)
+    ext = [np.empty(w.shape[1]) for w in weights]  # [1, layer input] buffers
+    for e in ext:
+        e[0] = 1.0
+    acts = [None] * n_layers
+    for _ in range(epochs):
+        for i in rng.permutation(len(pairs)):
+            x, t = pairs[i]
+            a = x
+            for l, w in enumerate(weights):
+                ext[l][1:] = a
+                a = sigmoid_reference(w @ ext[l])
+                acts[l] = a
+            delta = (a - t) * a * (1.0 - a)
+            for l in range(n_layers - 1, 0, -1):
+                back = weights[l].T @ delta
+                weights[l] -= lr * np.outer(delta, ext[l])
+                below = acts[l - 1]
+                delta = below * (1.0 - below) * back[1:]
+            weights[0] -= lr * np.outer(delta, ext[0])
+    return weights
+
+
 def _viterbi_reference(trans, means, vars_, seq):
     """Per-sequence, per-frame Viterbi: (path, logprob), or None if infeasible."""
     n, d = means.shape

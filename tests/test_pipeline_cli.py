@@ -134,6 +134,17 @@ class TestPipelines:
         assert report["successful_seeds"] >= 1
         assert len(report["runs"][0]["patterns"]) == 8
 
+    def test_mlp_seed_independent_of_other_seeds(self, tmp_path):
+        # At seed 3 the three nets stop after 4000, 1000 and 3000 epochs,
+        # so seed 0 keeps training while the others leave the stack.
+        runs = {}
+        for n in (1, 3):
+            cfg = PipelineConfig(case="mlp_demo", seed=3, out_dir=str(tmp_path / f"s{n}"),
+                                 mlp_seeds=n, epochs=4000)
+            runs[n] = run_pipeline(cfg)["runs"]
+        assert [r["epochs_run"] for r in runs[3]] == [4000, 1000, 3000]
+        assert runs[1][0] == runs[3][0]
+
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
         for i in (1, 2):

@@ -4,6 +4,7 @@ import pytest
 from shadowprobe.core import (
     CATEGORICAL,
     NUMERIC,
+    ContractError,
     FormatError,
     RandomSource,
     StructuralError,
@@ -128,6 +129,12 @@ class TestErrors:
     def test_non_object_payload(self):
         with pytest.raises(StructuralError):
             from_payload([1, 2, 3])
+
+    def test_mlp_non_finite_weight_rejected(self):
+        body = to_payload(init_mlp((8, 3, 8), RandomSource(5)))
+        body["weights"][1][2][1] = float("nan")
+        with pytest.raises(ContractError, match="weight matrix 1 has non-finite"):
+            from_payload(body)
 
 
 def sample_payloads():
