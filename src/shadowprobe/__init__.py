@@ -21,7 +21,6 @@ from .core import (
     make_dataset,
     numeric_matrix,
     save_dataset,
-    split_dataset,
 )
 from .dtree import (
     CategoricalSplit,
@@ -43,7 +42,7 @@ from .hmm import (
     viterbi,
     viterbi_train,
 )
-from .kmeans import KMeansModel, SulqParams, assign, kmeans_train, sulq_kmeans_train
+from .kmeans import KMeansModel, SulqParams, kmeans_train, sulq_kmeans_train
 from .mlp import Mlp, backprop_train, forward, gradients, init_mlp
 from .metrics import (
     ConfusionMatrix,

@@ -42,6 +42,7 @@ from .svm import SvmModel
 
 PROPERTY = "P"
 NOT_PROPERTY = "NotP"
+_KMEANS_MAX_ITERS = 100  # Lloyd iteration budget of every dp_bypass k-means run
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,8 @@ class PropertyVerdict:
     label: PropertyLabel
     votes_p: int
     votes_notp: int
-    tie: bool = False
-    per_row: list | None = None
+    tie: bool
+    per_row: list  # the meta-classifier's vote on each feature row, in row order
 
 
 def extract_features(model) -> FeatureVectorSet:
@@ -147,12 +148,13 @@ def train_meta(md: MetaDataset, params: TreeParams, rng: RandomSource) -> MetaCl
     return MetaClassifier(tree, md.source_kind, md.data.schema, acc)
 
 
-def infer_property(mc: MetaClassifier, target, include_rows: bool = False) -> PropertyVerdict:
+def infer_property(mc: MetaClassifier, target) -> PropertyVerdict:
     """Classify every extracted row of the target; majority vote decides.
 
-    An exact tie resolves to NotP with the tie flag set. A target that
-    yields no rows (an SVM without support vectors) gives no evidence
-    and is a ContractError, not a tie.
+    The verdict carries every row's vote in ``per_row``. An exact tie
+    resolves to NotP with the tie flag set. A target that yields no rows
+    (an SVM without support vectors) gives no evidence and is a
+    ContractError, not a tie.
     """
     fv = extract_features(target)
     if fv.source_kind != mc.source_kind or fv.data.schema != mc.schema:
@@ -166,7 +168,24 @@ def infer_property(mc: MetaClassifier, target, include_rows: bool = False) -> Pr
     votes_notp = len(votes) - votes_p
     tie = votes_p == votes_notp
     label = P if votes_p > votes_notp else NOT_P
-    return PropertyVerdict(label, votes_p, votes_notp, tie, votes if include_rows else None)
+    return PropertyVerdict(label, votes_p, votes_notp, tie, votes)
+
+
+def judge(mc: MetaClassifier, models, labels):
+    """Verdicts on models whose true property labels are known.
+
+    Returns ``(verdicts, truths, votes)``: one report entry per model
+    (truth, verdict, vote counts, tie flag), then the true label and the
+    meta-classifier's vote of every feature row, models in the given order.
+    """
+    verdicts, truths, votes = [], [], []
+    for model, label in zip(models, labels):
+        v = infer_property(mc, model)
+        verdicts.append({"truth": label, "verdict": v.label.value,
+                         "votes_p": v.votes_p, "votes_notp": v.votes_notp, "tie": v.tie})
+        truths += [label] * len(v.per_row)
+        votes += v.per_row
+    return verdicts, truths, votes
 
 
 def kl_gaussian(p, q) -> float:
@@ -229,21 +248,6 @@ def kl_filter(reference: AcousticModel, baselines, top_k: int) -> list:
     return ranked[:top_k]
 
 
-def phoneme_rows(data: Dataset, phonemes) -> Dataset:
-    """The acoustic-model feature rows whose phoneme is in ``phonemes``."""
-    return data.subset(np.isin(data.columns[0], list(phonemes)))
-
-
-def restrict_to_phonemes(md: MetaDataset, phonemes) -> MetaDataset:
-    """Meta-dataset filtered to rows whose phoneme is in the given set."""
-    if md.source_kind != "hmm":
-        raise ContractError("phoneme filtering applies to acoustic-model feature rows")
-    data = phoneme_rows(md.data, phonemes)
-    if data.n_rows == 0:
-        raise ContractError("filter removed every row")
-    return MetaDataset(data, md.source_kind)
-
-
 def matched_displacement(a: np.ndarray, b: np.ndarray) -> float:
     """Mean distance between two centroid sets under the best pairing.
 
@@ -283,34 +287,39 @@ def split_by_property(labels, holdout_fraction: float):
     return sorted(train_idx), sorted(hold_idx)
 
 
-def _attack_on_models(models, labels, holdout_fraction, tree_params, rng):
+def holdout_attack(models, labels, holdout_fraction: float, params: TreeParams,
+                   rng: RandomSource):
+    """Train a meta-classifier on the shadows and judge the held-out tail.
+
+    ``split_by_property`` picks the held-out models. Returns
+    ``(md, mc, verdicts, truths, votes)``: the meta-training set, the
+    meta-classifier, and ``judge`` on the held-out models.
+    """
     train_idx, hold_idx = split_by_property(labels, holdout_fraction)
-    shadows = [(models[i], P if labels[i] == PROPERTY else NOT_P) for i in train_idx]
-    md = build_meta_training_set(shadows)
-    mc = train_meta(md, tree_params, rng)
-    row_truths, row_preds = [], []
-    verdict_correct = 0
-    for i in hold_idx:
-        verdict = infer_property(mc, models[i], include_rows=True)
-        verdict_correct += verdict.label.value == labels[i]
-        row_preds.extend(verdict.per_row)
-        row_truths.extend([labels[i]] * len(verdict.per_row))
-    row_accuracy = sum(t == p for t, p in zip(row_truths, row_preds)) / len(row_truths)
+    md = build_meta_training_set(
+        [(models[i], P if labels[i] == PROPERTY else NOT_P) for i in train_idx])
+    mc = train_meta(md, params, rng)
+    return (md, mc, *judge(mc, [models[i] for i in hold_idx], [labels[i] for i in hold_idx]))
+
+
+def _attack_on_models(models, labels, holdout_fraction, tree_params, rng):
+    md, mc, verdicts, truths, votes = holdout_attack(models, labels, holdout_fraction,
+                                                     tree_params, rng)
     return {
-        "n_train_models": len(train_idx),
-        "n_holdout_models": len(hold_idx),
+        "n_train_models": len(models) - len(verdicts),
+        "n_holdout_models": len(verdicts),
         "meta_train_rows": md.data.n_rows,
         "meta_train_accuracy": mc.train_accuracy,
         "tree_nodes": mc.tree.n_nodes,
         "tree_leaves": mc.tree.n_leaves,
-        "row_accuracy": row_accuracy,
-        "verdict_accuracy": verdict_correct / len(hold_idx),
+        "row_accuracy": sum(t == v for t, v in zip(truths, votes)) / len(votes),
+        "verdict_accuracy": sum(v["verdict"] == v["truth"] for v in verdicts) / len(verdicts),
     }
 
 
-def run_dp_bypass(points_p, points_notp, k: int, sulq: SulqParams, n_runs: int,
+def run_dp_bypass(points_p, points_notp, k: int, sigma: float, n_runs: int,
                   rng: RandomSource, sample_size: int | None = None,
-                  holdout_fraction: float = 0.3, max_iters: int = 100,
+                  holdout_fraction: float = 0.3,
                   tree_params: TreeParams | None = None) -> dict:
     """Compare the centroid attack with and without SuLQ noise.
 
@@ -319,7 +328,10 @@ def run_dp_bypass(points_p, points_notp, k: int, sulq: SulqParams, n_runs: int,
     centroid meta-attack on both arms, and reports accuracies plus
     plot-ready centroid scatter data. The noiseless and noisy models of
     a run share the subsample and the initialization seed, so noisy
-    centroid displacement is directly measurable.
+    centroid displacement is directly measurable. SuLQ clamps each run
+    to its own sample's min/max: a shared clamp would clip one arm's
+    values systematically and distort the comparison. The report echoes
+    run 0's clamp.
     """
     points_p = np.asarray(points_p, dtype=np.float64)
     points_notp = np.asarray(points_notp, dtype=np.float64)
@@ -329,12 +341,12 @@ def run_dp_bypass(points_p, points_notp, k: int, sulq: SulqParams, n_runs: int,
         raise ContractError("n_runs must be >= 2")
     if tree_params is None:
         tree_params = TreeParams(min_leaf_size=2)
+    sulq = SulqParams(sigma)
     n_p = round_half_up(0.5 * n_runs)
     labels = [PROPERTY] * n_p + [NOT_PROPERTY] * (n_runs - n_p)
     if sample_size is None:
         sample_size = min(2000, len(points_p), len(points_notp))
 
-    report_clamp = sulq.clamp
     plain_models, noisy_models = [], []
     scatter = []
     displacements = []
@@ -344,16 +356,10 @@ def run_dp_bypass(points_p, points_notp, k: int, sulq: SulqParams, n_runs: int,
         size = min(sample_size, len(pool))
         idx = run_rng.child(0).choice(len(pool), size=size, replace=False)
         pts = pool[idx]
-        # Clamp bounds come from each run's own training sample unless
-        # fixed explicitly; a shared clamp would clip one arm's values
-        # systematically and distort the comparison.
-        params = SulqParams(sulq.sigma, sulq.clamp)
-        if report_clamp is None:
+        if r == 0:
             report_clamp = clamp_from_points(pts)
-        init_seed_plain = run_rng.child(1)
-        init_seed_noisy = run_rng.child(1)
-        plain = kmeans_train(pts, k, max_iters, init_seed_plain)
-        noisy = sulq_kmeans_train(pts, k, max_iters, params, init_seed_noisy)
+        plain = kmeans_train(pts, k, _KMEANS_MAX_ITERS, run_rng.child(1))
+        noisy = sulq_kmeans_train(pts, k, _KMEANS_MAX_ITERS, sulq, run_rng.child(1))
         plain_models.append(plain)
         noisy_models.append(noisy)
         displacements.append(matched_displacement(noisy.centroids, plain.centroids))
@@ -378,8 +384,8 @@ def run_dp_bypass(points_p, points_notp, k: int, sulq: SulqParams, n_runs: int,
             "k": k,
             "n_runs_per_arm": n_runs,
             "sample_size": sample_size,
-            "sigma": sulq.sigma,
-            "clamp_source": "fixed" if sulq.clamp is not None else "per-run sample min/max",
+            "sigma": sigma,
+            "clamp_source": "per-run sample min/max",
             "clamp_low": [float(v) for v in report_clamp[0]],
             "clamp_high": [float(v) for v in report_clamp[1]],
             "holdout_fraction": holdout_fraction,

@@ -305,18 +305,3 @@ def save_dataset(ds: Dataset, path, include_header: bool = True) -> None:
                 names.append("label")
             writer.writerow(names)
         writer.writerows(zip(*cells))
-
-
-def split_dataset(ds: Dataset, fraction: float, rng: RandomSource) -> tuple[Dataset, Dataset]:
-    """Disjoint random partition; the first part gets round(fraction * n) rows.
-
-    Rounding is half-up. The shuffle is driven solely by ``rng``, so the
-    same seed always produces the same split.
-    """
-    if ds.n_rows == 0:
-        raise ContractError("cannot split an empty dataset")
-    if not 0.0 < fraction < 1.0:
-        raise DomainError(f"fraction must be in (0, 1), got {fraction}")
-    n1 = round_half_up(fraction * ds.n_rows)
-    perm = rng.permutation(ds.n_rows)
-    return ds.subset(perm[:n1]), ds.subset(perm[n1:])

@@ -87,18 +87,6 @@ class FlowSpec:
         if not 0.0 <= self.signature_fraction <= 1.0:
             raise ContractError("signature_fraction must be in [0, 1]")
 
-    def column_ranges(self) -> dict:
-        """Validity bounds for every emitted column."""
-        return {
-            "src_port_frac": (1024 / 65536, 1.0),
-            "dst_port_frac": (0.0, 64.0),
-            "proto_code": (0.0, 1.0),
-            "log_duration": (0.0, 1.0),
-            "log_packets": (0.0, 1.0),
-            "log_bytes": (0.0, 1.0),
-            "tos": (0.0, 1.0),
-        }
-
 
 def default_flow_spec(signature_fraction: float = 1.0) -> FlowSpec:
     """Tight DNS cluster against two three-mode WEB mixtures.

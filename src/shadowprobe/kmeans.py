@@ -183,12 +183,3 @@ def sulq_kmeans_train(points, k: int, max_iters: int, params: SulqParams,
         return sums / noisy_counts[:, None]
 
     return _lloyd(points, k, max_iters, rng, noise=noisy_update)
-
-
-def assign(model: KMeansModel, x) -> int:
-    """Index of the nearest centroid; ties go to the lowest index."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.dim:
-        raise ContractError(f"point has shape {x.shape}, model expects dimension {model.dim}")
-    d = ((model.centroids - x[None, :]) ** 2).sum(axis=1)
-    return int(np.argmin(d))

@@ -21,7 +21,6 @@ from . import attack, datagen, dtree, hmm, metrics, serialize, svm
 from .attack import NOT_PROPERTY, PROPERTY
 from .core import ContractError, Dataset, RandomSource, numeric_matrix, round_half_up
 from .dtree import TreeParams
-from .kmeans import SulqParams
 from .mlp import backprop_train, forward, init_mlp, total_squared_error
 from .svm import KernelSpec
 
@@ -129,6 +128,8 @@ class PipelineConfig:
             ("mlp_seeds", self.mlp_seeds >= 1, "must be >= 1"),
             ("learning_rate", self.learning_rate > 0, "must be positive"),
             ("epochs", self.epochs >= 0, "must be >= 0"),
+            ("target_low", 0 < self.target_low < 1, "must be in (0, 1)"),
+            ("target_high", self.target_low < self.target_high < 1, "must be in (target_low, 1)"),
         ]
         for name, ok, msg in validate:
             if not ok:
@@ -183,8 +184,7 @@ def _train_svm_shadow(args):
     return svm.smo_train(ds, kernel, C=C, tol=tol)
 
 
-def _metrics_block(truths, preds):
-    cm = metrics.confusion_matrix(truths, preds)
+def _metrics_block(cm: metrics.ConfusionMatrix) -> dict:
     pra = metrics.precision_recall_accuracy(cm)
     return {
         "labels": list(cm.labels),
@@ -192,18 +192,6 @@ def _metrics_block(truths, preds):
         "accuracy": pra["accuracy"],
         "per_class": pra["per_class"],
     }
-
-
-def _row_level_eval(mc, models, labels):
-    truths, preds = [], []
-    verdicts = []
-    for model, label in zip(models, labels):
-        v = attack.infer_property(mc, model, include_rows=True)
-        verdicts.append({"truth": label, "verdict": v.label.value,
-                         "votes_p": v.votes_p, "votes_notp": v.votes_notp, "tie": v.tie})
-        preds.extend(v.per_row)
-        truths.extend([label] * len(v.per_row))
-    return truths, preds, verdicts
 
 
 def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
@@ -220,16 +208,15 @@ def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     )
     labels = [pl.value for _, pl in shadows]
 
-    train_idx, hold_idx = attack.split_by_property(labels, cfg.holdout_fraction)
-    train_shadows = [(models[i], shadows[i][1]) for i in train_idx]
-    md = attack.build_meta_training_set(train_shadows)
-    mc = attack.train_meta(md, cfg.tree_params(), rng.child(2))
-    hold_models = [models[i] for i in hold_idx]
-    hold_labels = [labels[i] for i in hold_idx]
-    truths, preds, verdicts = _row_level_eval(mc, hold_models, hold_labels)
-    unfiltered = _metrics_block(truths, preds)
-    unfiltered.update({"tree_nodes": mc.tree.n_nodes, "tree_leaves": mc.tree.n_leaves,
-                       "meta_train_rows": md.data.n_rows})
+    def evaluate(shadow_models, meta_rng):
+        md, mc, verdicts, truths, votes = attack.holdout_attack(
+            shadow_models, labels, cfg.holdout_fraction, cfg.tree_params(), meta_rng)
+        block = _metrics_block(metrics.confusion_matrix(truths, votes))
+        block.update({"tree_nodes": mc.tree.n_nodes, "tree_leaves": mc.tree.n_leaves,
+                      "meta_train_rows": md.data.n_rows})
+        return block, mc, verdicts
+
+    unfiltered, mc, verdicts = evaluate(models, rng.child(2))
 
     log.info("speech: building reference and %d baseline models for the divergence filter",
              cfg.baseline_models)
@@ -244,16 +231,8 @@ def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     scores = attack.kl_divergence_scores(reference, baselines)
     selected = attack.kl_filter(reference, baselines, cfg.top_k)
 
-    md_f = attack.restrict_to_phonemes(md, selected)
-    mc_f = attack.train_meta(md_f, cfg.tree_params(), rng.child(4))
-    f_truths, f_preds = [], []
-    for model, label in zip(hold_models, hold_labels):
-        rows = attack.phoneme_rows(attack.extract_features(model).data, selected)
-        f_truths += [label] * rows.n_rows
-        f_preds += dtree.classify(mc_f.tree, rows)
-    filtered = _metrics_block(f_truths, f_preds)
-    filtered.update({"tree_nodes": mc_f.tree.n_nodes, "tree_leaves": mc_f.tree.n_leaves,
-                     "meta_train_rows": md_f.data.n_rows})
+    filtered, _, _ = evaluate(
+        [hmm.AcousticModel({ph: m.hmms[ph] for ph in selected}) for m in models], rng.child(4))
 
     return {
         "case": "speech",
@@ -292,20 +271,13 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     log.info("netflow: %d-fold cross-validation on %d support-vector rows",
              cfg.folds, md.data.n_rows)
     cv = metrics.k_fold_cross_validate(md.data, cfg.folds, tree_trainer, rng.child(3))
-    pra = metrics.precision_recall_accuracy(cv.pooled)
 
     log.info("netflow: evaluating %d held-out target classifiers", cfg.n_targets)
     target_specs = datagen.gen_shadow_array(spec, cfg.n_targets, 0.5, rng.child(4),
                                             size=cfg.flows_per_shadow)
     targets = _map_jobs(
         _train_svm_shadow, [(ds, kernel, cfg.C, cfg.tol) for ds, _ in target_specs], cfg.jobs)
-    verdicts = []
-    correct = 0
-    for model, (_, pl) in zip(targets, target_specs):
-        v = attack.infer_property(mc, model)
-        verdicts.append({"truth": pl.value, "verdict": v.label.value,
-                         "votes_p": v.votes_p, "votes_notp": v.votes_notp, "tie": v.tie})
-        correct += v.label.value == pl.value
+    verdicts, _, _ = attack.judge(mc, targets, [pl.value for _, pl in target_specs])
 
     return {
         "case": "netflow",
@@ -318,18 +290,13 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
             {"label": l, "support_vectors": int(m.n_support), "converged": bool(m.converged)}
             for l, m in zip(labels, models)
         ],
-        "cross_validation": {
-            "fold_accuracies": cv.fold_accuracies,
-            "mean_accuracy": cv.mean_accuracy,
-            "labels": list(cv.pooled.labels),
-            "confusion_matrix": cv.pooled.to_lists(),
-            "accuracy": pra["accuracy"],
-            "per_class": pra["per_class"],
-        },
+        "cross_validation": {"fold_accuracies": cv.fold_accuracies,
+                             "mean_accuracy": cv.mean_accuracy, **_metrics_block(cv.pooled)},
         "meta_tree": {"nodes": mc.tree.n_nodes, "leaves": mc.tree.n_leaves,
                       "train_rows": md.data.n_rows, "train_accuracy": mc.train_accuracy},
         "targets": {"verdicts": verdicts,
-                    "verdict_accuracy": correct / len(targets)},
+                    "verdict_accuracy": sum(v["verdict"] == v["truth"] for v in verdicts)
+                                        / len(targets)},
         "artifacts": {"meta_classifier": "meta_classifier.json"},
         "_meta_classifier": mc,
     }
@@ -348,7 +315,7 @@ def run_dp_bypass_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     points_notp = web_points(ds_notp)
     log.info("dp_bypass: %d runs per arm, k=%d, sigma=%g", cfg.n_runs, cfg.k, cfg.sigma)
     report = attack.run_dp_bypass(
-        points_p, points_notp, cfg.k, SulqParams(cfg.sigma), cfg.n_runs,
+        points_p, points_notp, cfg.k, cfg.sigma, cfg.n_runs,
         rng.child(2), sample_size=cfg.sample_size,
         holdout_fraction=cfg.holdout_fraction, tree_params=cfg.tree_params())
     report["case"] = "dp_bypass"

@@ -242,7 +242,7 @@ def _holdout_row_accuracy(models, labels, rng):
     mc = train_meta(md, TreeParams(min_leaf_size=5), rng.child(999))
     correct = total = 0
     for i in hold_idx:
-        v = infer_property(mc, models[i], include_rows=True)
+        v = infer_property(mc, models[i])
         correct += sum(p == labels[i] for p in v.per_row)
         total += len(v.per_row)
     return correct / total

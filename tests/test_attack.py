@@ -8,6 +8,7 @@ from shadowprobe.core import (
     DomainError,
     RandomSource,
     make_dataset,
+    round_half_up,
 )
 from shadowprobe.attack import (
     NOT_P,
@@ -15,19 +16,21 @@ from shadowprobe.attack import (
     PropertyLabel,
     build_meta_training_set,
     extract_features,
+    holdout_attack,
     infer_property,
+    judge,
     kl_divergence_scores,
     kl_filter,
     kl_gaussian,
     matched_displacement,
-    restrict_to_phonemes,
     run_dp_bypass,
     split_by_property,
     train_meta,
 )
+from shadowprobe import dtree
 from shadowprobe.dtree import TreeParams
 from shadowprobe.hmm import AcousticModel, GaussianHmm
-from shadowprobe.kmeans import KMeansModel, SulqParams
+from shadowprobe.kmeans import KMeansModel
 from shadowprobe.mlp import init_mlp
 from shadowprobe.svm import KernelSpec, SvmModel
 
@@ -174,7 +177,7 @@ class TestTrainAndInfer:
         md = build_meta_training_set(shadows)
         mc = train_meta(md, TreeParams(min_leaf_size=1), RandomSource(0))
         target, _ = shadows[0]
-        v = infer_property(mc, target, include_rows=True)
+        v = infer_property(mc, target)
         assert v.label == P
         assert (v.votes_p, v.votes_notp) == (4, 0)
         assert not v.tie
@@ -206,6 +209,35 @@ class TestTrainAndInfer:
         with pytest.raises(ContractError, match="no feature rows"):
             infer_property(mc, target)
 
+    def test_judge_matches_infer_property(self):
+        mc = train_meta(build_meta_training_set(self.separable_shadows()),
+                        TreeParams(min_leaf_size=1), RandomSource(0))
+        models = [svm_with(n, 2, seed=n) for n in (3, 1, 5, 2)]
+        labels = ["P", "NotP", "NotP", "P"]
+        verdicts, truths, votes = judge(mc, models, labels)
+        for model, label, entry in zip(models, labels, verdicts):
+            v = infer_property(mc, model)
+            assert entry == {"truth": label, "verdict": v.label.value, "votes_p": v.votes_p,
+                             "votes_notp": v.votes_notp, "tie": v.tie}
+        assert len(verdicts) == len(models)
+        assert truths == [l for m, l in zip(models, labels) for _ in range(m.n_support)]
+        assert votes == [vote for m in models
+                         for vote in dtree.classify(mc.tree, extract_features(m).data)]
+
+    def test_holdout_attack_judges_split_tail(self):
+        models = [svm_with(2 + i, 2, seed=i) for i in range(8)]
+        labels = ["P", "NotP"] * 4
+        params = TreeParams(min_leaf_size=1)
+        md, mc, *judged = holdout_attack(models, labels, 0.5, params, RandomSource(3))
+        train_idx, hold_idx = split_by_property(labels, 0.5)
+        want = build_meta_training_set(
+            [(models[i], P if labels[i] == "P" else NOT_P) for i in train_idx])
+        assert md.data.labels.tolist() == want.data.labels.tolist()
+        assert [c.tolist() for c in md.data.columns] == [c.tolist() for c in want.data.columns]
+        want_mc = train_meta(want, params, RandomSource(3))
+        assert tuple(judged) == judge(want_mc, [models[i] for i in hold_idx],
+                                      [labels[i] for i in hold_idx])
+
     def test_kind_mismatch_rejected(self):
         md = build_meta_training_set(self.separable_shadows())
         mc = train_meta(md, TreeParams(min_leaf_size=1), RandomSource(0))
@@ -223,9 +255,9 @@ class TestTrainAndInfer:
             if len(set(labels)) < 2:
                 continue
             ds = make_dataset([(f"x{i}", NUMERIC) for i in range(3)], rows, labels)
-            from shadowprobe.core import split_dataset
-            train, test = split_dataset(ds, 0.7, rng)
-            from shadowprobe import dtree
+            perm = rng.permutation(ds.n_rows)
+            n_train = round_half_up(0.7 * ds.n_rows)
+            train, test = ds.subset(perm[:n_train]), ds.subset(perm[n_train:])
             tree = dtree.train_tree(train, TreeParams(min_leaf_size=2), rng)
             acc = np.mean(np.array(dtree.classify(tree, test), dtype=object) == test.labels)
             accs.append(acc)
@@ -304,13 +336,21 @@ class TestKlFilter:
         with pytest.raises(ContractError):
             kl_filter(a, [a], 3)
 
-    def test_restrict_rows(self):
-        shadows = [(acoustic_with(["aa", "bb"], 2, 3, seed=i), P if i % 2 else NOT_P)
-                   for i in range(4)]
-        md = build_meta_training_set(shadows)
-        sub = restrict_to_phonemes(md, ["aa"])
-        assert sub.data.n_rows == md.data.n_rows // 2
-        assert sub.data.columns[0].tolist() == ["aa"] * sub.data.n_rows
+    def test_restricted_models_give_masked_meta_set(self):
+        # The speech filter trains on models cut down to the selected
+        # phonemes; their meta-set must equal the full one masked to them.
+        phonemes = ["dd", "aa", "ee", "bb", "cc"]
+        shadows = [(acoustic_with(phonemes, 3, 4, seed=i), P if i % 2 else NOT_P)
+                   for i in range(6)]
+        selected = ["ee", "bb"]  # in kl_filter's rank order, not by name
+        full = build_meta_training_set(shadows).data
+        masked = full.subset(np.isin(full.columns[0], selected))
+        restricted = build_meta_training_set(
+            [(AcousticModel({ph: m.hmms[ph] for ph in selected}), pl) for m, pl in shadows]).data
+        assert restricted.schema == masked.schema
+        assert restricted.labels.tolist() == masked.labels.tolist()
+        assert [c.tolist() for c in restricted.columns] == [c.tolist() for c in masked.columns]
+        assert [c.dtype for c in restricted.columns] == [c.dtype for c in masked.columns]
 
 
 class TestSplitByProperty:
@@ -349,7 +389,7 @@ class TestRunDpBypass:
 
     def test_report_shape_and_accuracy(self):
         p, n = self.pools()
-        rep = run_dp_bypass(p, n, 2, SulqParams(0.5), 12, RandomSource(1),
+        rep = run_dp_bypass(p, n, 2, 0.5, 12, RandomSource(1),
                             sample_size=200, holdout_fraction=0.3)
         assert rep["config"]["n_runs_per_arm"] == 12
         assert rep["noiseless"]["n_train_models"] + rep["noiseless"]["n_holdout_models"] == 12
@@ -360,7 +400,7 @@ class TestRunDpBypass:
 
     def test_vanishing_noise_equalizes_arms(self):
         p, n = self.pools(seed=2)
-        rep = run_dp_bypass(p, n, 2, SulqParams(1e-12), 8, RandomSource(3),
+        rep = run_dp_bypass(p, n, 2, 1e-12, 8, RandomSource(3),
                             sample_size=150)
         assert rep["noiseless"]["verdict_accuracy"] == rep["sulq"]["verdict_accuracy"]
         assert rep["noiseless"]["row_accuracy"] == rep["sulq"]["row_accuracy"]
@@ -368,13 +408,13 @@ class TestRunDpBypass:
 
     def test_deterministic(self):
         p, n = self.pools(seed=4)
-        a = run_dp_bypass(p, n, 2, SulqParams(0.5), 8, RandomSource(5), sample_size=150)
-        b = run_dp_bypass(p, n, 2, SulqParams(0.5), 8, RandomSource(5), sample_size=150)
+        a = run_dp_bypass(p, n, 2, 0.5, 8, RandomSource(5), sample_size=150)
+        b = run_dp_bypass(p, n, 2, 0.5, 8, RandomSource(5), sample_size=150)
         assert a == b
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ContractError):
-            run_dp_bypass(np.zeros((0, 2)), np.zeros((5, 2)), 2, SulqParams(1.0),
+            run_dp_bypass(np.zeros((0, 2)), np.zeros((5, 2)), 2, 1.0,
                           8, RandomSource(6))
 
 

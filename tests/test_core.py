@@ -9,7 +9,6 @@ from shadowprobe.core import (
     NUMERIC,
     ContractError,
     Dataset,
-    DomainError,
     RandomSource,
     StructuralError,
     load_dataset,
@@ -17,7 +16,6 @@ from shadowprobe.core import (
     numeric_matrix,
     round_half_up,
     save_dataset,
-    split_dataset,
 )
 
 
@@ -72,52 +70,6 @@ class TestLoadDataset:
         p = write(tmp_path, "x\n1\n2\n")
         ds = load_dataset(p, schema=[("x", CATEGORICAL)])
         assert ds.columns[0].tolist() == ["1", "2"]
-
-
-class TestSplitDataset:
-    def ds(self, n):
-        return make_dataset([("x", NUMERIC)], [(float(i),) for i in range(n)])
-
-    def test_partition(self):
-        ds = self.ds(10)
-        a, b = split_dataset(ds, 0.5, RandomSource(1))
-        assert a.n_rows == 5 and b.n_rows == 5
-        seen = sorted(a.columns[0].tolist() + b.columns[0].tolist())
-        assert seen == [float(i) for i in range(10)]
-
-    def test_deterministic(self):
-        ds = self.ds(10)
-        a1, b1 = split_dataset(ds, 0.3, RandomSource(1))
-        a2, b2 = split_dataset(ds, 0.3, RandomSource(1))
-        assert a1.columns[0].tolist() == a2.columns[0].tolist()
-        assert b1.columns[0].tolist() == b2.columns[0].tolist()
-
-    def test_single_row(self):
-        ds = self.ds(1)
-        a, b = split_dataset(ds, 0.5, RandomSource(1))
-        assert {a.n_rows, b.n_rows} == {0, 1}
-        assert a.n_rows + b.n_rows == 1
-
-    def test_rounding_rule_exhaustive(self):
-        # Oracle: sizes must partition and the first part must match the
-        # documented half-up rounding for every (n, fraction) pair.
-        for n in range(1, 12):
-            ds = self.ds(n)
-            for frac in (0.1, 0.25, 0.5, 0.75, 0.9):
-                a, b = split_dataset(ds, frac, RandomSource(7))
-                assert a.n_rows == math.floor(frac * n + 0.5)
-                assert a.n_rows + b.n_rows == n
-
-    def test_fraction_domain(self):
-        with pytest.raises(DomainError):
-            split_dataset(self.ds(3), 1.0, RandomSource(1))
-        with pytest.raises(DomainError):
-            split_dataset(self.ds(3), 0.0, RandomSource(1))
-
-    def test_empty_dataset(self):
-        ds = Dataset((("x", NUMERIC),), [[]])
-        with pytest.raises(ContractError):
-            split_dataset(ds, 0.5, RandomSource(1))
 
 
 names = st.text(alphabet="abcdefgh", min_size=1, max_size=6)

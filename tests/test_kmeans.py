@@ -5,9 +5,7 @@ from hypothesis import given, settings, strategies as st
 from shadowprobe import kmeans
 from shadowprobe.core import ContractError, RandomSource
 from shadowprobe.kmeans import (
-    KMeansModel,
     SulqParams,
-    assign,
     clamp_from_points,
     kmeans_train,
     sulq_kmeans_train,
@@ -69,31 +67,6 @@ class TestKMeansTrain:
         a = kmeans_train(pts, 2, rng=RandomSource(10))
         b = kmeans_train(pts, 2, rng=RandomSource(10))
         assert np.array_equal(a.centroids, b.centroids)
-
-
-class TestAssign:
-    def model(self):
-        return KMeansModel(np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]]),
-                           True, 3, [0.0])
-
-    def test_exact_centroid(self):
-        assert assign(self.model(), [4.0, 0.0]) == 2
-
-    def test_tie_goes_to_lowest_index(self):
-        assert assign(self.model(), [1.0, 7.0]) == 0
-
-    def test_random_probes_match_linear_scan(self):
-        m = self.model()
-        rng = RandomSource(11)
-        for _ in range(50):
-            x = rng.normal(2, 3, size=2)
-            dists = [float(((c - x) ** 2).sum()) for c in m.centroids]
-            want = dists.index(min(dists))
-            assert assign(m, x) == want
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractError):
-            assign(self.model(), [1.0])
 
 
 class TestSulq:

@@ -152,7 +152,7 @@ class TestFolds:
         # 70/30 holdout estimate, averaged over seeds, on a learnable
         # synthetic problem.
         from shadowprobe import dtree
-        from shadowprobe.core import split_dataset
+        from shadowprobe.core import round_half_up
         from shadowprobe.dtree import TreeParams
 
         rng = RandomSource(7)
@@ -172,7 +172,9 @@ class TestFolds:
         for seed in range(10):
             cv = k_fold_cross_validate(ds, 10, trainer, RandomSource(100 + seed))
             cv_scores.append(cv.mean_accuracy)
-            train, test = split_dataset(ds, 0.7, RandomSource(200 + seed))
+            perm = RandomSource(200 + seed).permutation(ds.n_rows)
+            n_train = round_half_up(0.7 * ds.n_rows)
+            train, test = ds.subset(perm[:n_train]), ds.subset(perm[n_train:])
             predict = trainer(train, RandomSource(300 + seed))
             ho = np.mean([p == l for p, l in zip(predict(test), test.labels)])
             ho_scores.append(ho)

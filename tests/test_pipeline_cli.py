@@ -228,6 +228,10 @@ class TestCli:
         # Passed validation, then no model of one label was left to hold out (exit 1).
         {"case": "speech", "shadows": 3},
         {"case": "dp_bypass", "n_runs": 4, "holdout_fraction": 0.75},
+        # The first exited 1 from backprop_train; the inverted pair ran and exited 0.
+        {"case": "mlp_demo", "mlp_seeds": 1, "epochs": 10, "target_low": 0.0},
+        {"case": "mlp_demo", "mlp_seeds": 1, "epochs": 10, "target_low": 0.9,
+         "target_high": 0.1},
     ])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
         cfg = tmp_path / "bad.json"
