@@ -8,7 +8,9 @@ classifier's training set carried the property.
 
 from .core import (
     CATEGORICAL,
+    NOT_P,
     NUMERIC,
+    P,
     ContractError,
     Dataset,
     DomainError,
@@ -42,7 +44,7 @@ from .hmm import (
     viterbi,
     viterbi_train,
 )
-from .kmeans import KMeansModel, SulqParams, kmeans_train, sulq_kmeans_train
+from .kmeans import KMeansModel, kmeans_train, sulq_kmeans_train
 from .mlp import Mlp, backprop_train, forward, gradients, init_mlp
 from .metrics import (
     ConfusionMatrix,
@@ -54,9 +56,6 @@ from .attack import (
     FeatureVectorSet,
     MetaClassifier,
     MetaDataset,
-    NOT_P,
-    P,
-    PropertyLabel,
     PropertyVerdict,
     build_meta_training_set,
     extract_features,

@@ -19,14 +19,15 @@ Feature encodings per model family:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     CATEGORICAL,
+    NOT_P,
     NUMERIC,
+    P,
     ContractError,
     Dataset,
     DomainError,
@@ -36,29 +37,11 @@ from .core import (
 from . import dtree
 from .dtree import DecisionTree, TreeParams
 from .hmm import AcousticModel
-from .kmeans import KMeansModel, SulqParams, clamp_from_points, kmeans_train, sulq_kmeans_train
+from .kmeans import KMeansModel, kmeans_train, sulq_kmeans_train
 from .mlp import Mlp
 from .svm import SvmModel
 
-PROPERTY = "P"
-NOT_PROPERTY = "NotP"
 _KMEANS_MAX_ITERS = 100  # Lloyd iteration budget of every dp_bypass k-means run
-
-
-@dataclass(frozen=True)
-class PropertyLabel:
-    """Binary training-set property: held (P) or not held (NotP)."""
-
-    value: str
-    description: str = ""
-
-    def __post_init__(self):
-        if self.value not in (PROPERTY, NOT_PROPERTY):
-            raise ContractError(f"property label must be {PROPERTY!r} or {NOT_PROPERTY!r}, got {self.value!r}")
-
-
-P = PropertyLabel(PROPERTY)
-NOT_P = PropertyLabel(NOT_PROPERTY)
 
 
 @dataclass(eq=False)
@@ -83,7 +66,7 @@ class MetaClassifier:
 
 @dataclass(eq=False)
 class PropertyVerdict:
-    label: PropertyLabel
+    label: str  # P or NOT_P
     votes_p: int
     votes_notp: int
     tie: bool
@@ -118,8 +101,9 @@ def extract_features(model) -> FeatureVectorSet:
 def build_meta_training_set(shadows) -> MetaDataset:
     """Label every extracted row with its shadow's property label.
 
-    All shadows must be the same model kind and both labels must be
-    present, otherwise meta-training would be degenerate.
+    Each label must be P or NOT_P. All shadows must be the same model
+    kind and both labels must be present, otherwise meta-training would
+    be degenerate.
     """
     if not shadows:
         raise ContractError("no shadow classifiers given")
@@ -128,15 +112,17 @@ def build_meta_training_set(shadows) -> MetaDataset:
     schema = None
     seen = set()
     for model, label in shadows:
+        if label not in (P, NOT_P):
+            raise ContractError(f"property label must be {P!r} or {NOT_P!r}, got {label!r}")
         fv = extract_features(model)
         if kind is None:
             kind, schema = fv.source_kind, fv.data.schema
         elif fv.source_kind != kind or fv.data.schema != schema:
             raise ContractError(f"mixed shadow model kinds: {kind} vs {fv.source_kind}")
-        seen.add(label.value)
+        seen.add(label)
         parts.append(fv.data.columns)
-        labels += [label.value] * fv.data.n_rows
-    if seen != {PROPERTY, NOT_PROPERTY}:
+        labels += [label] * fv.data.n_rows
+    if seen != {P, NOT_P}:
         raise ContractError(f"meta-training needs both property labels, got {sorted(seen)}")
     columns = [np.concatenate(col) for col in zip(*parts)]
     return MetaDataset(Dataset(schema, columns, labels), kind)
@@ -164,7 +150,7 @@ def infer_property(mc: MetaClassifier, target) -> PropertyVerdict:
     if fv.data.n_rows == 0:
         raise ContractError(f"target {fv.source_kind} model yields no feature rows to vote on")
     votes = dtree.classify(mc.tree, fv.data)
-    votes_p = votes.count(PROPERTY)
+    votes_p = votes.count(P)
     votes_notp = len(votes) - votes_p
     tie = votes_p == votes_notp
     label = P if votes_p > votes_notp else NOT_P
@@ -181,15 +167,18 @@ def judge(mc: MetaClassifier, models, labels):
     verdicts, truths, votes = [], [], []
     for model, label in zip(models, labels):
         v = infer_property(mc, model)
-        verdicts.append({"truth": label, "verdict": v.label.value,
+        verdicts.append({"truth": label, "verdict": v.label,
                          "votes_p": v.votes_p, "votes_notp": v.votes_notp, "tie": v.tie})
         truths += [label] * len(v.per_row)
         votes += v.per_row
     return verdicts, truths, votes
 
 
-def kl_gaussian(p, q) -> float:
+def kl_gaussian(p, q):
     """Divergence of two univariate Gaussians given as (mean, variance).
+
+    Means and variances may be arrays of one shape; the result is then
+    the divergence of each pair of elements.
 
     Computed as (mu_i - mu_j)^2 / (2 s2_i)
     + 0.5 (s2_i / s2_j - 1 - ln(s2_i / s2_j)), with the first term
@@ -201,10 +190,10 @@ def kl_gaussian(p, q) -> float:
     """
     mu_i, s2_i = p
     mu_j, s2_j = q
-    if s2_i <= 0 or s2_j <= 0:
+    if np.any(s2_i <= 0) or np.any(s2_j <= 0):
         raise DomainError("variances must be positive")
     ratio = s2_i / s2_j
-    return (mu_i - mu_j) ** 2 / (2.0 * s2_i) + 0.5 * (ratio - 1.0 - math.log(ratio))
+    return (mu_i - mu_j) ** 2 / (2.0 * s2_i) + 0.5 * (ratio - 1.0 - np.log(ratio))
 
 
 def kl_divergence_scores(reference: AcousticModel, baselines) -> dict:
@@ -231,10 +220,7 @@ def kl_divergence_scores(reference: AcousticModel, baselines) -> dict:
             h = b.hmms[phoneme]
             if h.n_states != r.n_states:
                 raise ContractError(f"state count mismatch for phoneme {phoneme!r}")
-            d = (r.means - h.means) ** 2 / (2.0 * r.vars)
-            ratio = r.vars / h.vars
-            d += 0.5 * (ratio - 1.0 - np.log(ratio))
-            acc += float(d.mean())
+            acc += float(kl_gaussian((r.means, r.vars), (h.means, h.vars)).mean())
         scores[phoneme] = acc / len(baselines)
     return scores
 
@@ -273,7 +259,7 @@ def matched_displacement(a: np.ndarray, b: np.ndarray) -> float:
 def split_by_property(labels, holdout_fraction: float):
     """Per-property deterministic tail holdout; returns (train_idx, hold_idx)."""
     train_idx, hold_idx = [], []
-    for want in (PROPERTY, NOT_PROPERTY):
+    for want in (P, NOT_P):
         idx = [i for i, l in enumerate(labels) if l == want]
         if len(idx) < 2:
             raise ContractError(f"need at least 2 models with label {want} to hold one out, "
@@ -296,8 +282,7 @@ def holdout_attack(models, labels, holdout_fraction: float, params: TreeParams,
     meta-classifier, and ``judge`` on the held-out models.
     """
     train_idx, hold_idx = split_by_property(labels, holdout_fraction)
-    md = build_meta_training_set(
-        [(models[i], P if labels[i] == PROPERTY else NOT_P) for i in train_idx])
+    md = build_meta_training_set([(models[i], labels[i]) for i in train_idx])
     mc = train_meta(md, params, rng)
     return (md, mc, *judge(mc, [models[i] for i in hold_idx], [labels[i] for i in hold_idx]))
 
@@ -318,48 +303,44 @@ def _attack_on_models(models, labels, holdout_fraction, tree_params, rng):
 
 
 def run_dp_bypass(points_p, points_notp, k: int, sigma: float, n_runs: int,
-                  rng: RandomSource, sample_size: int | None = None,
-                  holdout_fraction: float = 0.3,
-                  tree_params: TreeParams | None = None) -> dict:
+                  sample_size: int, holdout_fraction: float, tree_params: TreeParams,
+                  rng: RandomSource) -> dict:
     """Compare the centroid attack with and without SuLQ noise.
 
     Trains ``n_runs`` models per arm (half on property data, half on
-    non-property data, each run on a fresh subsample), runs the
-    centroid meta-attack on both arms, and reports accuracies plus
-    plot-ready centroid scatter data. The noiseless and noisy models of
-    a run share the subsample and the initialization seed, so noisy
-    centroid displacement is directly measurable. SuLQ clamps each run
-    to its own sample's min/max: a shared clamp would clip one arm's
-    values systematically and distort the comparison. The report echoes
-    run 0's clamp.
+    non-property data, each run on a fresh subsample of ``sample_size``
+    points), runs the centroid meta-attack on both arms, and returns
+    each arm's attack results, the mean centroid displacement, the
+    property separation and plot-ready centroid scatter data. The
+    noiseless and noisy models of a run share the subsample and the
+    initialization seed, so noisy centroid displacement is directly
+    measurable. ``clamp_low`` and ``clamp_high`` give run 0's sample
+    range: the per-dimension min and max, the max raised to min + 1
+    where the two are equal.
     """
     points_p = np.asarray(points_p, dtype=np.float64)
     points_notp = np.asarray(points_notp, dtype=np.float64)
-    if len(points_p) == 0 or len(points_notp) == 0:
-        raise ContractError("both point pools must be non-empty")
+    smaller = min(len(points_p), len(points_notp))
+    if not 1 <= sample_size <= smaller:
+        raise ContractError(f"sample_size must be in [1, {smaller}] (the smaller point pool), "
+                            f"got {sample_size}")
     if n_runs < 2:
         raise ContractError("n_runs must be >= 2")
-    if tree_params is None:
-        tree_params = TreeParams(min_leaf_size=2)
-    sulq = SulqParams(sigma)
     n_p = round_half_up(0.5 * n_runs)
-    labels = [PROPERTY] * n_p + [NOT_PROPERTY] * (n_runs - n_p)
-    if sample_size is None:
-        sample_size = min(2000, len(points_p), len(points_notp))
+    labels = [P] * n_p + [NOT_P] * (n_runs - n_p)
 
     plain_models, noisy_models = [], []
     scatter = []
     displacements = []
     for r in range(n_runs):
-        pool = points_p if labels[r] == PROPERTY else points_notp
+        pool = points_p if labels[r] == P else points_notp
         run_rng = rng.child(r)
-        size = min(sample_size, len(pool))
-        idx = run_rng.child(0).choice(len(pool), size=size, replace=False)
-        pts = pool[idx]
+        pts = pool[run_rng.child(0).choice(len(pool), size=sample_size, replace=False)]
         if r == 0:
-            report_clamp = clamp_from_points(pts)
+            low, high = pts.min(axis=0), pts.max(axis=0)
+            high = np.where(high > low, high, low + 1.0)
         plain = kmeans_train(pts, k, _KMEANS_MAX_ITERS, run_rng.child(1))
-        noisy = sulq_kmeans_train(pts, k, _KMEANS_MAX_ITERS, sulq, run_rng.child(1))
+        noisy = sulq_kmeans_train(pts, k, _KMEANS_MAX_ITERS, sigma, run_rng.child(1))
         plain_models.append(plain)
         noisy_models.append(noisy)
         displacements.append(matched_displacement(noisy.centroids, plain.centroids))
@@ -374,29 +355,17 @@ def run_dp_bypass(points_p, points_notp, k: int, sigma: float, n_runs: int,
                 })
 
     mean_p = np.mean([m.centroids.mean(axis=0) for m, l in zip(plain_models, labels)
-                      if l == PROPERTY], axis=0)
+                      if l == P], axis=0)
     mean_notp = np.mean([m.centroids.mean(axis=0) for m, l in zip(plain_models, labels)
-                         if l == NOT_PROPERTY], axis=0)
-    separation = float(np.linalg.norm(mean_p - mean_notp))
-
-    report = {
-        "config": {
-            "k": k,
-            "n_runs_per_arm": n_runs,
-            "sample_size": sample_size,
-            "sigma": sigma,
-            "clamp_source": "per-run sample min/max",
-            "clamp_low": [float(v) for v in report_clamp[0]],
-            "clamp_high": [float(v) for v in report_clamp[1]],
-            "holdout_fraction": holdout_fraction,
-            "verdict_rule": "majority_vote",
-        },
+                         if l == NOT_P], axis=0)
+    return {
         "noiseless": _attack_on_models(plain_models, labels, holdout_fraction,
                                        tree_params, rng.child(10_000)),
         "sulq": _attack_on_models(noisy_models, labels, holdout_fraction,
                                   tree_params, rng.child(10_001)),
         "centroid_displacement_mean": float(np.mean(displacements)),
-        "property_separation": separation,
+        "property_separation": float(np.linalg.norm(mean_p - mean_notp)),
         "scatter": scatter,
+        "clamp_low": low.tolist(),
+        "clamp_high": high.tolist(),
     }
-    return report

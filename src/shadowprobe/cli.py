@@ -171,7 +171,7 @@ def cmd_attack(args) -> int:
     mc = serialize.load_model(args.meta)
     target = serialize.load_model(args.target)
     verdict = infer_property(mc, target)
-    result = {"verdict": verdict.label.value, "votes_p": verdict.votes_p,
+    result = {"verdict": verdict.label, "votes_p": verdict.votes_p,
               "votes_notp": verdict.votes_notp, "tie": verdict.tie}
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0

@@ -19,6 +19,10 @@ NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 KINDS = (NUMERIC, CATEGORICAL)
 
+# Binary training-set property labels: held (P) or not held (NotP).
+P = "P"
+NOT_P = "NotP"
+
 
 class ShadowprobeError(Exception):
     """Base class for errors raised by this package."""

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import NOT_P, P
-from .core import ContractError, Dataset, NUMERIC, RandomSource, round_half_up
+from .core import NOT_P, NUMERIC, P, ContractError, Dataset, RandomSource, round_half_up
 
 WEB = "WEB"
 DNS = "DNS"

@@ -3,10 +3,12 @@
 The private variant perturbs every training-set access made by the
 update step: per-cluster per-dimension sums and per-cluster counts each
 receive Gaussian noise N(0, sigma) (sigma is the standard deviation),
-with point values clamped to per-dimension bounds before summation and
-noisy counts floored at 1. Assignment ties go to the lowest centroid
-index. An emptied centroid is reseeded to the point farthest from its
-nearest centroid, so k never shrinks.
+and noisy counts are floored at 1. The sums run over the points as
+given: clamping each run's points to its own sample's min/max would
+change none of them. Initial centroids are k distinct points, so k may
+not exceed the number of distinct points. Assignment ties go to the
+lowest centroid index. An emptied centroid is reseeded to the point
+farthest from its nearest centroid, so k never shrinks.
 """
 
 from __future__ import annotations
@@ -32,34 +34,6 @@ class KMeansModel:
     @property
     def dim(self) -> int:
         return self.centroids.shape[1]
-
-
-@dataclass(eq=False)
-class SulqParams:
-    """clamp is a (low, high) pair of per-dimension bounds; when None it
-    is derived from the observed min/max of the training points."""
-
-    sigma: float
-    clamp: tuple | None = None
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ContractError("sigma must be positive")
-        if self.clamp is not None:
-            low, high = self.clamp
-            low = np.asarray(low, dtype=np.float64)
-            high = np.asarray(high, dtype=np.float64)
-            if low.shape != high.shape or np.any(low >= high):
-                raise ContractError("clamp bounds must satisfy low < high per dimension")
-            self.clamp = (low, high)
-
-
-def clamp_from_points(points) -> tuple:
-    points = np.asarray(points, dtype=np.float64)
-    low = points.min(axis=0)
-    high = points.max(axis=0)
-    high = np.where(high > low, high, low + 1.0)
-    return low, high
 
 
 def _as_points(points) -> np.ndarray:
@@ -103,9 +77,9 @@ def within_cluster_ss(points: np.ndarray, centroids: np.ndarray,
 
 def _init_centroids(points: np.ndarray, k: int, rng: RandomSource) -> np.ndarray:
     distinct = np.unique(points, axis=0)
-    pool = distinct if len(distinct) >= k else points
-    idx = rng.choice(len(pool), size=k, replace=False)
-    return pool[idx].copy()
+    if k > len(distinct):
+        raise ContractError(f"k={k} exceeds the number of distinct points ({len(distinct)})")
+    return distinct[rng.choice(len(distinct), size=k, replace=False)]
 
 
 def _reseed_empty(cols, centroids, assignment, counts):
@@ -122,8 +96,6 @@ def _lloyd(points, k, max_iters, rng, noise=None):
     points = _as_points(points)
     if k < 1:
         raise ContractError("k must be >= 1")
-    if k > len(points):
-        raise ContractError(f"k={k} exceeds number of points ({len(points)})")
     centroids = _init_centroids(points, k, rng)
     cols = np.ascontiguousarray(points.T)
     trace = []
@@ -150,34 +122,25 @@ def _lloyd(points, k, max_iters, rng, noise=None):
     return KMeansModel(centroids, converged, iterations, trace)
 
 
-def kmeans_train(points, k: int, max_iters: int = 100,
-                 rng: RandomSource | None = None) -> KMeansModel:
+def kmeans_train(points, k: int, max_iters: int, rng: RandomSource) -> KMeansModel:
     """Plain Lloyd iterations until assignments stabilize or max_iters.
 
     Initial centroids are k distinct points sampled uniformly without
     replacement. The within-cluster sum of squared distances is recorded
     per iteration and checked to be non-increasing.
     """
-    if rng is None:
-        raise ContractError("kmeans_train requires a RandomSource")
     return _lloyd(points, k, max_iters, rng)
 
 
-def sulq_kmeans_train(points, k: int, max_iters: int, params: SulqParams,
-                      rng: RandomSource | None = None) -> KMeansModel:
-    """Lloyd iterations with noisy aggregate accesses in the update step."""
-    if rng is None:
-        raise ContractError("sulq_kmeans_train requires a RandomSource")
-    points = _as_points(points)
-    low, high = params.clamp if params.clamp is not None else clamp_from_points(points)
-    if low.shape != (points.shape[1],):
-        raise ContractError("clamp bounds must match point dimension")
-    clamped = np.clip(points, low, high)
-    sigma = params.sigma
+def sulq_kmeans_train(points, k: int, max_iters: int, sigma: float,
+                      rng: RandomSource) -> KMeansModel:
+    """Lloyd iterations with N(0, sigma) noise on every update-step sum and count."""
+    if not 0.0 < sigma < np.inf:
+        raise ContractError(f"sigma must be positive and finite, got {sigma!r}")
 
     def noisy_update(pts, assignment, counts):
         k_, d = len(counts), pts.shape[1]
-        sums = _cluster_sums(clamped, assignment, k_)
+        sums = _cluster_sums(pts, assignment, k_)
         sums += rng.normal(0.0, sigma, size=(k_, d))
         noisy_counts = np.maximum(counts + rng.normal(0.0, sigma, size=k_), 1.0)
         return sums / noisy_counts[:, None]

@@ -18,8 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import attack, datagen, dtree, hmm, metrics, serialize, svm
-from .attack import NOT_PROPERTY, PROPERTY
-from .core import ContractError, Dataset, RandomSource, numeric_matrix, round_half_up
+from .core import NOT_P, P, ContractError, Dataset, RandomSource, numeric_matrix, round_half_up
 from .dtree import TreeParams
 from .mlp import backprop_train, forward, init_mlp, total_squared_error
 from .svm import KernelSpec
@@ -122,7 +121,7 @@ class PipelineConfig:
             ("sigma", self.sigma > 0, "must be positive"),
             ("n_runs", self.n_runs >= 4, "must be >= 4"),
             # Only the pool's pool_size // 2 WEB rows become k-means points.
-            ("pool_size", self.pool_size >= 2 * self.k, "must be >= 2 * k"),
+            ("pool_size", self.pool_size >= 2 * self.sample_size, "must be >= 2 * sample_size"),
             ("min_leaf_size", self.min_leaf_size >= 1, "must be >= 1"),
             ("max_depth", self.max_depth is None or self.max_depth >= 0, "must be null or >= 0"),
             ("mlp_seeds", self.mlp_seeds >= 1, "must be >= 1"),
@@ -141,7 +140,7 @@ class PipelineConfig:
             n = getattr(self, count)
             n_p = round_half_up(0.5 * n)
             try:
-                attack.split_by_property([PROPERTY] * n_p + [NOT_PROPERTY] * (n - n_p),
+                attack.split_by_property([P] * n_p + [NOT_P] * (n - n_p),
                                          self.holdout_fraction)
             except ContractError as e:
                 raise ConfigError(f"{count}: {n} models cannot be split at holdout_fraction "
@@ -206,7 +205,7 @@ def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
         [(corpus, cfg.n_states, cfg.train_iters) for corpus, _ in shadows],
         cfg.jobs,
     )
-    labels = [pl.value for _, pl in shadows]
+    labels = [pl for _, pl in shadows]
 
     def evaluate(shadow_models, meta_rng):
         md, mc, verdicts, truths, votes = attack.holdout_attack(
@@ -259,9 +258,9 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     log.info("netflow: training %d shadow SVMs", len(shadows))
     models = _map_jobs(
         _train_svm_shadow, [(ds, kernel, cfg.C, cfg.tol) for ds, _ in shadows], cfg.jobs)
-    labels = [pl.value for _, pl in shadows]
+    labels = [pl for _, pl in shadows]
 
-    md = attack.build_meta_training_set(list(zip(models, [pl for _, pl in shadows])))
+    md = attack.build_meta_training_set(list(zip(models, labels)))
     mc = attack.train_meta(md, cfg.tree_params(), rng.child(2))
 
     def tree_trainer(train_ds: Dataset, fold_rng: RandomSource):
@@ -277,7 +276,7 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
                                             size=cfg.flows_per_shadow)
     targets = _map_jobs(
         _train_svm_shadow, [(ds, kernel, cfg.C, cfg.tol) for ds, _ in target_specs], cfg.jobs)
-    verdicts, _, _ = attack.judge(mc, targets, [pl.value for _, pl in target_specs])
+    verdicts, _, _ = attack.judge(mc, targets, [pl for _, pl in target_specs])
 
     return {
         "case": "netflow",
@@ -314,14 +313,19 @@ def run_dp_bypass_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     points_p = web_points(ds_p)
     points_notp = web_points(ds_notp)
     log.info("dp_bypass: %d runs per arm, k=%d, sigma=%g", cfg.n_runs, cfg.k, cfg.sigma)
-    report = attack.run_dp_bypass(
-        points_p, points_notp, cfg.k, cfg.sigma, cfg.n_runs,
-        rng.child(2), sample_size=cfg.sample_size,
-        holdout_fraction=cfg.holdout_fraction, tree_params=cfg.tree_params())
-    report["case"] = "dp_bypass"
-    report["config"].update(_echo(cfg, "seed pool_size signature_fraction",
-                                  points="WEB flows only"))
-    return report
+    result = attack.run_dp_bypass(points_p, points_notp, cfg.k, cfg.sigma, cfg.n_runs,
+                                  cfg.sample_size, cfg.holdout_fraction, cfg.tree_params(),
+                                  rng.child(2))
+    clamp_low, clamp_high = result.pop("clamp_low"), result.pop("clamp_high")
+    return {
+        "case": "dp_bypass",
+        "config": _echo(cfg, "seed pool_size signature_fraction k sample_size sigma "
+                             "holdout_fraction",
+                        n_runs_per_arm=cfg.n_runs, points="WEB flows only",
+                        clamp_source="per-run sample min/max", clamp_low=clamp_low,
+                        clamp_high=clamp_high, verdict_rule="majority_vote"),
+        **result,
+    }
 
 
 def _identity_state(net, pairs):
@@ -426,7 +430,7 @@ def _write_scatter_files(report: dict, out_dir: str) -> None:
         quadrants.setdefault(key, []).append(row)
     names = {}
     for (arm, prop), rows in sorted(quadrants.items()):
-        prop_tag = "with_property" if prop == PROPERTY else "without_property"
+        prop_tag = "with_property" if prop == P else "without_property"
         name = f"centroids_{arm}_{prop_tag}.csv"
         names[f"{arm}_{prop_tag}"] = name
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:

@@ -396,15 +396,16 @@ def _kmeans_distances_sq(points, centroids):
 
 
 def kmeans_reference(points, k, max_iters, rng, sigma=None):
-    """Lloyd iterations with boolean-mask means (or, when ``sigma`` is
-    given, SuLQ sums of the points clamped to their own min/max by
-    ``np.add.at`` plus Gaussian noise) and farthest-point reseeding of
-    emptied clusters: the loop the library's k-means must reproduce bit
-    for bit. Returns (centroids, converged, iterations, trace)."""
+    """Lloyd iterations from k distinct initial points with boolean-mask
+    means (or, when ``sigma`` is given, SuLQ sums of the points clamped
+    to their own min/max by ``np.add.at`` plus Gaussian noise) and
+    farthest-point reseeding of emptied clusters: the loop the library's
+    k-means must reproduce bit for bit. The library sums the points
+    unclamped, so matching it shows that the clamp changes no sum.
+    Returns (centroids, converged, iterations, trace)."""
     points = np.asarray(points, dtype=np.float64)
     distinct = np.unique(points, axis=0)
-    pool = distinct if len(distinct) >= k else points
-    centroids = pool[rng.choice(len(pool), size=k, replace=False)].copy()
+    centroids = distinct[rng.choice(len(distinct), size=k, replace=False)]
     if sigma is not None:
         low, high = points.min(axis=0), points.max(axis=0)
         clamped = np.clip(points, low, np.where(high > low, high, low + 1.0))

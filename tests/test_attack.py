@@ -13,7 +13,6 @@ from shadowprobe.core import (
 from shadowprobe.attack import (
     NOT_P,
     P,
-    PropertyLabel,
     build_meta_training_set,
     extract_features,
     holdout_attack,
@@ -134,7 +133,7 @@ class TestBuildMetaTrainingSet:
         i = 0
         for m, pl in shadows:
             for _ in range(extract_features(m).data.n_rows):
-                assert md.data.labels[i] == pl.value
+                assert md.data.labels[i] == pl
                 i += 1
 
     def test_mixed_kinds_rejected(self):
@@ -147,6 +146,11 @@ class TestBuildMetaTrainingSet:
         with pytest.raises(ContractError):
             build_meta_training_set([(svm_with(3, 4, seed=1), P),
                                      (svm_with(3, 4, seed=2), P)])
+
+    def test_stray_label_rejected(self):
+        with pytest.raises(ContractError, match="got 'Maybe'"):
+            build_meta_training_set([(svm_with(3, 4, seed=1), P),
+                                     (svm_with(3, 4, seed=2), "Maybe")])
 
 
 class TestTrainAndInfer:
@@ -217,7 +221,7 @@ class TestTrainAndInfer:
         verdicts, truths, votes = judge(mc, models, labels)
         for model, label, entry in zip(models, labels, verdicts):
             v = infer_property(mc, model)
-            assert entry == {"truth": label, "verdict": v.label.value, "votes_p": v.votes_p,
+            assert entry == {"truth": label, "verdict": v.label, "votes_p": v.votes_p,
                              "votes_notp": v.votes_notp, "tie": v.tie}
         assert len(verdicts) == len(models)
         assert truths == [l for m, l in zip(models, labels) for _ in range(m.n_support)]
@@ -389,9 +393,9 @@ class TestRunDpBypass:
 
     def test_report_shape_and_accuracy(self):
         p, n = self.pools()
-        rep = run_dp_bypass(p, n, 2, 0.5, 12, RandomSource(1),
-                            sample_size=200, holdout_fraction=0.3)
-        assert rep["config"]["n_runs_per_arm"] == 12
+        rep = run_dp_bypass(p, n, 2, 0.5, 12, 200, 0.3, TreeParams(min_leaf_size=2),
+                            RandomSource(1))
+        assert len(rep["clamp_low"]) == len(rep["clamp_high"]) == 2
         assert rep["noiseless"]["n_train_models"] + rep["noiseless"]["n_holdout_models"] == 12
         # 2 arms x 12 runs x k=2 centroids in the scatter
         assert len(rep["scatter"]) == 2 * 12 * 2
@@ -400,25 +404,27 @@ class TestRunDpBypass:
 
     def test_vanishing_noise_equalizes_arms(self):
         p, n = self.pools(seed=2)
-        rep = run_dp_bypass(p, n, 2, 1e-12, 8, RandomSource(3),
-                            sample_size=150)
+        rep = run_dp_bypass(p, n, 2, 1e-12, 8, 150, 0.3, TreeParams(min_leaf_size=2),
+                            RandomSource(3))
         assert rep["noiseless"]["verdict_accuracy"] == rep["sulq"]["verdict_accuracy"]
         assert rep["noiseless"]["row_accuracy"] == rep["sulq"]["row_accuracy"]
         assert rep["centroid_displacement_mean"] < 1e-6
 
     def test_deterministic(self):
         p, n = self.pools(seed=4)
-        a = run_dp_bypass(p, n, 2, 0.5, 8, RandomSource(5), sample_size=150)
-        b = run_dp_bypass(p, n, 2, 0.5, 8, RandomSource(5), sample_size=150)
+        a = run_dp_bypass(p, n, 2, 0.5, 8, 150, 0.3, TreeParams(min_leaf_size=2),
+                          RandomSource(5))
+        b = run_dp_bypass(p, n, 2, 0.5, 8, 150, 0.3, TreeParams(min_leaf_size=2),
+                          RandomSource(5))
         assert a == b
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ContractError):
-            run_dp_bypass(np.zeros((0, 2)), np.zeros((5, 2)), 2, 1.0,
-                          8, RandomSource(6))
+            run_dp_bypass(np.zeros((0, 2)), np.zeros((5, 2)), 2, 1.0, 8, 5, 0.3,
+                          TreeParams(min_leaf_size=2), RandomSource(6))
 
-
-def test_property_label_validation():
-    assert PropertyLabel("P").value == "P"
-    with pytest.raises(ContractError):
-        PropertyLabel("Maybe")
+    def test_sample_larger_than_pool_rejected(self):
+        p, n = self.pools(seed=7)
+        with pytest.raises(ContractError, match=r"sample_size must be in \[1, 600\]"):
+            run_dp_bypass(p, n, 2, 1.0, 8, 601, 0.3, TreeParams(min_leaf_size=2),
+                          RandomSource(8))

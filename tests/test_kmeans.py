@@ -4,13 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from shadowprobe import kmeans
 from shadowprobe.core import ContractError, RandomSource
-from shadowprobe.kmeans import (
-    SulqParams,
-    clamp_from_points,
-    kmeans_train,
-    sulq_kmeans_train,
-    within_cluster_ss,
-)
+from shadowprobe.kmeans import kmeans_train, sulq_kmeans_train, within_cluster_ss
 
 from oracles import kmeans_best_partition, kmeans_reference
 
@@ -24,13 +18,13 @@ def two_blobs(n_per=50, seed=1, centers=((0.0, 0.0), (5.0, 5.0)), spread=0.3):
 class TestKMeansTrain:
     def test_k_equals_n(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
-        m = kmeans_train(pts, 4, rng=RandomSource(2))
+        m = kmeans_train(pts, 4, 100, rng=RandomSource(2))
         assert m.k == 4
         assert m.objective_trace[-1] == 0.0
 
     def test_k_one_is_global_mean(self):
         pts = two_blobs()
-        m = kmeans_train(pts, 1, rng=RandomSource(3))
+        m = kmeans_train(pts, 1, 100, rng=RandomSource(3))
         assert np.allclose(m.centroids[0], pts.mean(axis=0), atol=1e-12)
 
     def test_eight_points_reach_enumeration_optimum(self):
@@ -40,19 +34,19 @@ class TestKMeansTrain:
         best = kmeans_best_partition(pts, 2)
         found = []
         for seed in range(10):
-            m = kmeans_train(pts, 2, rng=RandomSource(100 + seed))
+            m = kmeans_train(pts, 2, 100, rng=RandomSource(100 + seed))
             found.append(m.objective_trace[-1])
         assert min(found) <= best + 1e-9
 
     def test_objective_trace_non_increasing(self):
         pts = two_blobs(seed=5)
-        m = kmeans_train(pts, 3, rng=RandomSource(6))
+        m = kmeans_train(pts, 3, 100, rng=RandomSource(6))
         for a, b in zip(m.objective_trace, m.objective_trace[1:]):
             assert b <= a + 1e-8 * max(1.0, a)
 
     def test_convergence_flags(self):
         pts = two_blobs(seed=7)
-        m = kmeans_train(pts, 2, rng=RandomSource(8))
+        m = kmeans_train(pts, 2, 100, rng=RandomSource(8))
         assert m.converged
         m2 = kmeans_train(pts, 2, max_iters=1, rng=RandomSource(8))
         assert not m2.converged
@@ -60,27 +54,27 @@ class TestKMeansTrain:
 
     def test_k_larger_than_n(self):
         with pytest.raises(ContractError):
-            kmeans_train(np.zeros((3, 2)), 4, rng=RandomSource(0))
+            kmeans_train(np.zeros((3, 2)), 4, 100, rng=RandomSource(0))
 
     def test_deterministic(self):
         pts = two_blobs(seed=9)
-        a = kmeans_train(pts, 2, rng=RandomSource(10))
-        b = kmeans_train(pts, 2, rng=RandomSource(10))
+        a = kmeans_train(pts, 2, 100, rng=RandomSource(10))
+        b = kmeans_train(pts, 2, 100, rng=RandomSource(10))
         assert np.array_equal(a.centroids, b.centroids)
 
 
 class TestSulq:
     def test_vanishing_noise_matches_plain(self):
         pts = two_blobs(seed=12)
-        plain = kmeans_train(pts, 2, rng=RandomSource(13))
-        noisy = sulq_kmeans_train(pts, 2, 100, SulqParams(1e-12), rng=RandomSource(13))
+        plain = kmeans_train(pts, 2, 100, rng=RandomSource(13))
+        noisy = sulq_kmeans_train(pts, 2, 100, 1e-12, rng=RandomSource(13))
         assert np.max(np.abs(np.sort(plain.centroids, axis=0)
                              - np.sort(noisy.centroids, axis=0))) < 1e-6
 
     def test_same_seed_identical(self):
         pts = two_blobs(seed=14)
-        a = sulq_kmeans_train(pts, 2, 100, SulqParams(1.0), rng=RandomSource(15))
-        b = sulq_kmeans_train(pts, 2, 100, SulqParams(1.0), rng=RandomSource(15))
+        a = sulq_kmeans_train(pts, 2, 100, 1.0, rng=RandomSource(15))
+        b = sulq_kmeans_train(pts, 2, 100, 1.0, rng=RandomSource(15))
         assert np.array_equal(a.centroids, b.centroids)
         assert a.iterations_run == b.iterations_run
 
@@ -91,40 +85,30 @@ class TestSulq:
         pts = two_blobs(n_per=500, seed=16)
         hits = 0
         for seed in range(100):
-            plain = kmeans_train(pts, 2, rng=RandomSource(1000 + seed))
-            noisy = sulq_kmeans_train(pts, 2, 100, SulqParams(1.0),
+            plain = kmeans_train(pts, 2, 100, rng=RandomSource(1000 + seed))
+            noisy = sulq_kmeans_train(pts, 2, 100, 1.0,
                                       rng=RandomSource(1000 + seed))
             disp = np.linalg.norm(np.sort(noisy.centroids, axis=0)
                                   - np.sort(plain.centroids, axis=0), axis=1).max()
             hits += disp <= 0.5
         assert hits >= 95
 
-    def test_clamp_applied(self):
-        pts = np.vstack([np.zeros((20, 1)), np.full((20, 1), 10.0)])
-        low, high = clamp_from_points(pts)
-        assert low[0] == 0.0 and high[0] == 10.0
-        params = SulqParams(1e-9, (np.array([0.0]), np.array([1.0])))
-        m = sulq_kmeans_train(pts, 1, 5, params, rng=RandomSource(17))
-        # All values clamp to [0, 1] before summation: mean near 0.5.
-        assert abs(m.centroids[0, 0] - 0.5) < 1e-3
-
-    def test_invalid_params(self):
-        with pytest.raises(ContractError):
-            SulqParams(0.0)
-        with pytest.raises(ContractError):
-            SulqParams(1.0, (np.array([1.0]), np.array([1.0])))
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ContractError, match="sigma must be positive and finite"):
+            sulq_kmeans_train(two_blobs(seed=17), 2, 100, sigma, rng=RandomSource(17))
 
 
 class TestEmptyClusterHandling:
     def test_reseed_keeps_k_under_heavy_noise(self):
         pts = two_blobs(n_per=30, seed=18, spread=0.1)
-        m = sulq_kmeans_train(pts, 4, 40, SulqParams(50.0), rng=RandomSource(19))
+        m = sulq_kmeans_train(pts, 4, 40, 50.0, rng=RandomSource(19))
         assert m.k == 4
         assert np.all(np.isfinite(m.centroids))
 
     def test_duplicate_points_k_equals_unique(self):
         pts = np.array([[0.0, 0.0]] * 5 + [[3.0, 3.0]] * 5)
-        m = kmeans_train(pts, 2, rng=RandomSource(20))
+        m = kmeans_train(pts, 2, 100, rng=RandomSource(20))
         assert sorted(m.centroids[:, 0].tolist()) == [0.0, 3.0]
 
     def test_wcss_helper(self):
@@ -151,14 +135,29 @@ class TestMatchesReference:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), d=st.integers(2, 7),
            k=st.integers(1, 6), grid=st.booleans())
     def test_random_points(self, seed, n, d, k, grid):
-        k = min(k, n)
         points = np.random.default_rng(seed).normal(0, 3, size=(n, d))
         if grid:
             points = np.round(points)  # repeated points and exact distance ties
+        if k > len(np.unique(points, axis=0)):
+            with pytest.raises(ContractError, match="exceeds the number of distinct points"):
+                kmeans_train(points, k, 50, RandomSource(seed))
+            with pytest.raises(ContractError, match="exceeds the number of distinct points"):
+                sulq_kmeans_train(points, k, 20, 2.0, RandomSource(seed))
+            return
         m = kmeans_train(points, k, 50, RandomSource(seed))
         assert_matches_reference(m, points, k, 50, seed)
-        m = sulq_kmeans_train(points, k, 20, SulqParams(2.0), RandomSource(seed))
+        m = sulq_kmeans_train(points, k, 20, 2.0, RandomSource(seed))
         assert_matches_reference(m, points, k, 20, seed, sigma=2.0)
+
+    def test_k_above_distinct_points_rejected(self):
+        # Five rounded points, two of them equal: initialization used to
+        # fall back to duplicate points and end in a 0/0 centroid.
+        points = np.round(np.random.default_rng(2).normal(0, 3, size=(5, 2)))
+        assert len(np.unique(points, axis=0)) == 4
+        with pytest.raises(ContractError, match=r"k=5 exceeds the number of distinct points \(4\)"):
+            kmeans_train(points, 5, 50, RandomSource(2))
+        with pytest.raises(ContractError, match=r"k=5 exceeds the number of distinct points \(4\)"):
+            sulq_kmeans_train(points, 5, 20, 2.0, RandomSource(2))
 
     def test_empty_cluster_reseed(self, monkeypatch):
         emptied = []
@@ -173,6 +172,6 @@ class TestMatchesReference:
         pts = np.hstack([pts, pts[:, :1] * 0.5, pts[:, 1:] - 2.0, pts[:, :1] ** 2,
                          pts[:, :1] * pts[:, 1:], np.abs(pts[:, 1:] - 1.0)])
         for d in range(2, 8):
-            m = sulq_kmeans_train(pts[:, :d], 4, 40, SulqParams(50.0), rng=RandomSource(19))
+            m = sulq_kmeans_train(pts[:, :d], 4, 40, 50.0, rng=RandomSource(19))
             assert_matches_reference(m, pts[:, :d], 4, 40, 19, sigma=50.0)
         assert sum(emptied) > 0

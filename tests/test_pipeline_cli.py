@@ -232,6 +232,8 @@ class TestCli:
         {"case": "mlp_demo", "mlp_seeds": 1, "epochs": 10, "target_low": 0.0},
         {"case": "mlp_demo", "mlp_seeds": 1, "epochs": 10, "target_low": 0.9,
          "target_high": 0.1},
+        # Ran and exited 0, echoing sample_size 2000 while each run drew 50 points.
+        {"case": "dp_bypass", "pool_size": 100, "sample_size": 2000, "k": 3, "n_runs": 4},
     ])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
         cfg = tmp_path / "bad.json"
