@@ -12,9 +12,13 @@ Gain ties are broken deterministically: lowest attribute index first,
 then lowest threshold. Leaf-label ties are broken by the caller-supplied
 RandomSource and recorded on the leaf.
 
-Training reads the Dataset's columns directly, and :func:`classify`
-labels a whole Dataset in one descent. :func:`info_gain` is the scalar
-reference that ``debug=True`` checks the vectorised gains against.
+Numeric split search is presorted and batched (SLIQ-style; Mehta,
+Agrawal & Rissanen 1996): the numeric columns are sorted once per tree,
+each node's sort order is its parent's filtered to the node's rows, and
+one search per node scores the thresholds of every numeric attribute at
+once, a block of attributes at a time. :func:`classify` labels a whole
+Dataset in one descent. :func:`info_gain` is the scalar reference that
+``debug=True`` checks the batched gains against.
 """
 
 from __future__ import annotations
@@ -173,13 +177,22 @@ def info_gain(ds: Dataset, attribute: int, split) -> float:
     return h_parent - h_children
 
 
-def _entropy_from_count_matrix(counts: np.ndarray) -> np.ndarray:
-    """Row-wise entropy in bits of a (rows, classes) count matrix."""
-    totals = counts.sum(axis=1, keepdims=True).astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = counts / totals
-        term = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    return -term.sum(axis=1)
+def _entropy_rows(counts: np.ndarray, totals) -> np.ndarray:
+    """Entropy in bits of each count row along the last (class) axis.
+
+    ``totals`` holds the row sums as float64, shaped to broadcast
+    against ``counts``.
+    """
+    p = counts / totals
+    log_p = np.zeros_like(p)
+    np.log2(p, out=log_p, where=p > 0)
+    p *= log_p
+    return -p.sum(axis=-1)
+
+
+# Numeric split search scores the attributes in blocks of at most this
+# many (row, attribute) cells, which bounds its count arrays' memory.
+_BLOCK_CELLS = 1 << 15
 
 
 class _Trainer:
@@ -199,9 +212,13 @@ class _Trainer:
                 self.label_order.append(l)
         self.codes = np.array([seen[l] for l in labels], dtype=np.int64)
         self.n_classes = len(self.label_order)
-        kinds = [kind for _, kind in ds.schema]
-        self.num_cols = {j: c for j, c in enumerate(ds.columns) if kinds[j] == NUMERIC}
-        self.cat_cols = {j: c for j, c in enumerate(ds.columns) if kinds[j] == CATEGORICAL}
+        self.kinds = [kind for _, kind in ds.schema]
+        self.num_attrs = [j for j, kind in enumerate(self.kinds) if kind == NUMERIC]
+        # One (A, N) matrix of the numeric columns, sorted once: every
+        # node's order array is this order restricted to the node's rows.
+        self.num_matrix = np.array([ds.columns[j] for j in self.num_attrs],
+                                   dtype=np.float64).reshape(len(self.num_attrs), ds.n_rows)
+        self.root_order = np.argsort(self.num_matrix, axis=1, kind="stable")
 
     def majority_leaf(self, idx: np.ndarray) -> Leaf:
         counts = np.bincount(self.codes[idx], minlength=self.n_classes)
@@ -222,52 +239,67 @@ class _Trainer:
             pick = tied[0]
         return Leaf(self.label_order[pick], int(len(idx)), tie)
 
-    def _numeric_candidates(self, j: int, idx: np.ndarray):
-        """Best (gain, threshold) for attribute j at this node, or None."""
-        vals = self.num_cols[j][idx]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sc = self.codes[idx][order]
-        change = np.nonzero(sv[:-1] != sv[1:])[0]
-        if change.size == 0:
-            return None
+    def _numeric_splits(self, idx: np.ndarray, order: np.ndarray) -> list:
+        """Best (gain, threshold) of every numeric attribute at this node.
+
+        ``order`` holds each attribute's node rows in ascending value order
+        (ties by row index). Returns one entry per numeric attribute, None
+        where its values do not vary.
+        """
         n = len(idx)
-        onehot = np.zeros((n, self.n_classes), dtype=np.int64)
-        onehot[np.arange(n), sc] = 1
-        prefix = np.cumsum(onehot, axis=0)
-        left = prefix[change]                      # counts with value <= boundary
-        total = prefix[-1]
-        right = total[None, :] - left
-        nl = left.sum(axis=1).astype(np.float64)
+        total = np.bincount(self.codes[idx], minlength=self.n_classes)
+        h_parent = _entropy_rows(total, float(n))
+        classes = np.arange(self.n_classes)
+        # Sorted position i splits off the i + 1 lowest rows.
+        nl = np.arange(1, n, dtype=np.float64)
         nr = n - nl
-        h_parent = _entropy_from_count_matrix(total[None, :])[0]
-        gains = h_parent - (nl / n) * _entropy_from_count_matrix(left) \
-            - (nr / n) * _entropy_from_count_matrix(right)
-        thresholds = (sv[change] + sv[change + 1]) / 2.0
-        # Thresholds ascend and argmax takes the first maximum: the lowest
-        # threshold wins gain ties.
-        best_i = int(np.argmax(gains))
-        if self.debug:
-            sub = self.ds.subset(idx)
-            for g, t in zip(gains, thresholds):
-                ref = info_gain(sub, j, NumericSplit(float(t)))
-                if abs(g - ref) > 1e-9:
-                    raise AssertionError(f"fast gain {g} != reference {ref} at threshold {t}")
-                if g < -1e-12:
-                    raise AssertionError(f"negative gain {g} at threshold {t}")
-        return float(gains[best_i]), float(thresholds[best_i])
+        out = []
+        step = max(1, _BLOCK_CELLS // n)
+        for a0 in range(0, len(order), step):
+            block = order[a0:a0 + step]
+            sv = np.take_along_axis(self.num_matrix[a0:a0 + step], block, axis=1)
+            # left[a, i] counts the classes of the i + 1 lowest rows: the
+            # side with value <= the threshold after sorted position i.
+            onehot = self.codes[block[:, :-1]][:, :, None] == classes
+            left = np.cumsum(onehot, axis=1, dtype=np.int64)
+            gains = h_parent - (nl / n) * _entropy_rows(left, nl[:, None]) \
+                - (nr / n) * _entropy_rows(total - left, nr[:, None])
+            boundary = sv[:, :-1] != sv[:, 1:]
+            gains[~boundary] = -np.inf
+            # Thresholds ascend and argmax takes the first maximum: the
+            # lowest threshold wins gain ties.
+            best = np.argmax(gains, axis=1)
+            for a, i in enumerate(best.tolist()):
+                if not boundary[a, i]:
+                    out.append(None)
+                    continue
+                if self.debug:
+                    self._check_gains(idx, self.num_attrs[a0 + a], gains[a], sv[a], boundary[a])
+                out.append((float(gains[a, i]), float((sv[a, i] + sv[a, i + 1]) / 2.0)))
+        return out
+
+    def _check_gains(self, idx, j, gains, sv, boundary):
+        sub = self.ds.subset(idx)
+        for i in np.nonzero(boundary)[0]:
+            t = (sv[i] + sv[i + 1]) / 2.0
+            ref = info_gain(sub, j, NumericSplit(float(t)))
+            if abs(gains[i] - ref) > 1e-9:
+                raise AssertionError(f"fast gain {gains[i]} != reference {ref} at threshold {t}")
+            if gains[i] < -1e-12:
+                raise AssertionError(f"negative gain {gains[i]} at threshold {t}")
 
     def _categorical_candidate(self, j: int, idx: np.ndarray):
-        vals = self.cat_cols[j][idx]
+        vals = self.ds.columns[j][idx]
         uniq, inverse = np.unique(vals, return_inverse=True)
         if len(uniq) < 2:
             return None
-        counts = np.zeros((len(uniq), self.n_classes), dtype=np.int64)
-        np.add.at(counts, (inverse, self.codes[idx]), 1)
+        c = self.n_classes
+        counts = np.bincount(inverse.ravel() * c + self.codes[idx],
+                             minlength=len(uniq) * c).reshape(len(uniq), c)
         n = len(idx)
         sizes = counts.sum(axis=1).astype(np.float64)
-        h_parent = _entropy_from_count_matrix(counts.sum(axis=0)[None, :])[0]
-        gain = h_parent - np.sum(sizes / n * _entropy_from_count_matrix(counts))
+        h_parent = _entropy_rows(counts.sum(axis=0), float(n))
+        gain = h_parent - np.sum(sizes / n * _entropy_rows(counts, sizes[:, None]))
         if self.debug:
             ref = info_gain(self.ds.subset(idx), j, CategoricalSplit())
             if abs(gain - ref) > 1e-9:
@@ -276,7 +308,13 @@ class _Trainer:
                 raise AssertionError(f"negative categorical gain {gain}")
         return float(gain), [str(u) for u in uniq]
 
-    def build(self, idx: np.ndarray, used_cat: frozenset, depth: int):
+    def _restrict(self, order: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``order`` kept to ``rows``: a stable partition, never a new sort."""
+        member = np.zeros(self.ds.n_rows, dtype=bool)
+        member[rows] = True
+        return order[member[order]].reshape(len(order), len(rows))
+
+    def build(self, idx: np.ndarray, order: np.ndarray, used_cat: frozenset, depth: int):
         node_codes = self.codes[idx]
         if (node_codes == node_codes[0]).all():
             return Leaf(self.label_order[node_codes[0]], int(len(idx)))
@@ -285,33 +323,36 @@ class _Trainer:
         if self.params.max_depth is not None and depth >= self.params.max_depth:
             return self.majority_leaf(idx)
 
-        best = None  # (gain, attribute, kind, payload); strict > keeps earliest on ties
-        for j in range(self.ds.n_attributes):
-            if j in self.num_cols:
-                cand = self._numeric_candidates(j, idx)
-                if cand is not None and (best is None or cand[0] > best[0]):
-                    best = (cand[0], j, NUMERIC, cand[1])
+        numeric = iter(self._numeric_splits(idx, order))
+        best = None  # (gain, attribute, payload); strict > keeps earliest on ties
+        for j, kind in enumerate(self.kinds):
+            if kind == NUMERIC:
+                cand = next(numeric)
             elif j not in used_cat:
                 cand = self._categorical_candidate(j, idx)
-                if cand is not None and (best is None or cand[0] > best[0]):
-                    best = (cand[0], j, CATEGORICAL, cand[1])
+            else:
+                continue
+            if cand is not None and (best is None or cand[0] > best[0]):
+                best = (cand[0], j, cand[1])
         if best is None:
             return self.majority_leaf(idx)
 
-        _, j, kind, payload = best
-        if kind == NUMERIC:
+        _, j, payload = best
+        col = self.ds.columns[j][idx]
+        if self.kinds[j] == NUMERIC:
             t = payload
-            mask = self.num_cols[j][idx] <= t
-            low = self.build(idx[mask], used_cat, depth + 1)
-            high = self.build(idx[~mask], used_cat, depth + 1)
+            mask = col <= t
+            low, high = idx[mask], idx[~mask]
+            low = self.build(low, self._restrict(order, low), used_cat, depth + 1)
+            high = self.build(high, self._restrict(order, high), used_cat, depth + 1)
             return NumericNode(j, t, int(len(idx)), low, high)
         values = payload
         fallback = self.majority_leaf(idx)
         fallback = Leaf(fallback.label, 0, fallback.tie_broken)
         branches = {}
-        col = self.cat_cols[j][idx]
         for v in values:
-            branches[v] = self.build(idx[col == v], used_cat | {j}, depth + 1)
+            rows = idx[col == v]
+            branches[v] = self.build(rows, self._restrict(order, rows), used_cat | {j}, depth + 1)
         return CategoricalNode(j, int(len(idx)), branches, fallback)
 
 
@@ -329,7 +370,7 @@ def train_tree(ds: Dataset, params: TreeParams, rng: RandomSource,
     if not ds.fully_labeled:
         raise ContractError("training requires a fully labeled dataset")
     trainer = _Trainer(ds, params, rng, debug)
-    root = trainer.build(np.arange(ds.n_rows), frozenset(), 0)
+    root = trainer.build(np.arange(ds.n_rows), trainer.root_order, frozenset(), 0)
     return DecisionTree(root, ds.schema, params)
 
 

@@ -8,7 +8,8 @@ given: clamping each run's points to its own sample's min/max would
 change none of them. Initial centroids are k distinct points, so k may
 not exceed the number of distinct points. Assignment ties go to the
 lowest centroid index. An emptied centroid is reseeded to the point
-farthest from its nearest centroid, so k never shrinks.
+farthest from its nearest centroid, pass after pass until no cluster is
+empty, so k never shrinks. Points must be finite.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ContractError(f"points must be a non-empty (n, d) array, got shape {pts.shape}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ContractError(f"point {bad[0]} is not finite: {pts[bad[0]].tolist()}")
     return pts
 
 
@@ -83,12 +87,23 @@ def _init_centroids(points: np.ndarray, k: int, rng: RandomSource) -> np.ndarray
 
 
 def _reseed_empty(cols, centroids, assignment, counts):
-    for c in np.nonzero(counts == 0)[0]:
-        d = _distances_sq(cols, centroids).min(axis=1)
-        far = int(np.argmax(d))
-        centroids[c] = cols[:, far]
-        assignment = np.argmin(_distances_sq(cols, centroids), axis=1)
-        counts = np.bincount(assignment, minlength=len(centroids))
+    """Move each empty cluster's centroid to the point farthest from its
+    nearest centroid. A move can take another cluster's only member, so
+    passes repeat until no cluster is empty, at most k of them."""
+    k = len(centroids)
+    for _ in range(k):
+        empty = np.nonzero(counts == 0)[0]
+        if empty.size == 0:
+            return centroids, assignment, counts
+        for c in empty:
+            d = _distances_sq(cols, centroids).min(axis=1)
+            far = int(np.argmax(d))
+            centroids[c] = cols[:, far]
+            assignment = np.argmin(_distances_sq(cols, centroids), axis=1)
+            counts = np.bincount(assignment, minlength=k)
+    if np.any(counts == 0):
+        raise ArithmeticError(f"clusters {np.nonzero(counts == 0)[0].tolist()} "
+                              f"still empty after {k} reseeding passes")
     return centroids, assignment, counts
 
 

@@ -106,6 +106,129 @@ def greedy_tree_exact(rows, labels, min_leaf_size=1):
     return predict
 
 
+def _entropy_from_count_matrix(counts):
+    """Row-wise entropy in bits of a (rows, classes) count matrix."""
+    totals = counts.sum(axis=1, keepdims=True).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / totals
+        term = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    return -term.sum(axis=1)
+
+
+def train_tree_reference(kinds, columns, labels, min_leaf_size, max_depth, rng):
+    """Greedy information-gain tree grown one attribute at a time: each
+    node re-sorts its rows per numeric attribute and scores that
+    attribute's thresholds alone, and counts categorical values with
+    ``np.add.at``. The library's presorted, batched split search must
+    grow the same tree node for node. ``kinds`` are "numeric" or
+    "categorical", ``columns`` one array per attribute. Nodes are tuples:
+    ("leaf", label, count, tie_broken), ("numeric", attribute, threshold,
+    count, low, high) and ("categorical", attribute, count,
+    [(value, child), ...], fallback leaf)."""
+    labels = list(labels)
+    label_order = []
+    seen = {}
+    for l in labels:
+        if l not in seen:
+            seen[l] = len(label_order)
+            label_order.append(l)
+    codes = np.array([seen[l] for l in labels], dtype=np.int64)
+    n_classes = len(label_order)
+    num_cols = {j: np.asarray(c, dtype=np.float64) for j, c in enumerate(columns)
+                if kinds[j] == "numeric"}
+    cat_cols = {j: np.asarray(c, dtype=object) for j, c in enumerate(columns)
+                if kinds[j] == "categorical"}
+
+    def majority_leaf(idx):
+        counts = np.bincount(codes[idx], minlength=n_classes)
+        best = counts.max()
+        tied = [c for c in range(n_classes) if counts[c] == best]
+        tie = len(tied) > 1
+        if tie:
+            first_pos = {}
+            for i in idx:
+                c = codes[i]
+                if c not in first_pos:
+                    first_pos[c] = len(first_pos)
+            tied.sort(key=lambda c: first_pos[c])
+            pick = tied[rng.integers(0, len(tied))]
+        else:
+            pick = tied[0]
+        return ("leaf", label_order[pick], int(len(idx)), tie)
+
+    def numeric_candidates(j, idx):
+        vals = num_cols[j][idx]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sc = codes[idx][order]
+        change = np.nonzero(sv[:-1] != sv[1:])[0]
+        if change.size == 0:
+            return None
+        n = len(idx)
+        onehot = np.zeros((n, n_classes), dtype=np.int64)
+        onehot[np.arange(n), sc] = 1
+        prefix = np.cumsum(onehot, axis=0)
+        left = prefix[change]
+        total = prefix[-1]
+        right = total[None, :] - left
+        nl = left.sum(axis=1).astype(np.float64)
+        nr = n - nl
+        h_parent = _entropy_from_count_matrix(total[None, :])[0]
+        gains = h_parent - (nl / n) * _entropy_from_count_matrix(left) \
+            - (nr / n) * _entropy_from_count_matrix(right)
+        thresholds = (sv[change] + sv[change + 1]) / 2.0
+        best_i = int(np.argmax(gains))
+        return float(gains[best_i]), float(thresholds[best_i])
+
+    def categorical_candidate(j, idx):
+        vals = cat_cols[j][idx]
+        uniq, inverse = np.unique(vals, return_inverse=True)
+        if len(uniq) < 2:
+            return None
+        counts = np.zeros((len(uniq), n_classes), dtype=np.int64)
+        np.add.at(counts, (inverse, codes[idx]), 1)
+        n = len(idx)
+        sizes = counts.sum(axis=1).astype(np.float64)
+        h_parent = _entropy_from_count_matrix(counts.sum(axis=0)[None, :])[0]
+        gain = h_parent - np.sum(sizes / n * _entropy_from_count_matrix(counts))
+        return float(gain), [str(u) for u in uniq]
+
+    def build(idx, used_cat, depth):
+        node_codes = codes[idx]
+        if (node_codes == node_codes[0]).all():
+            return ("leaf", label_order[node_codes[0]], int(len(idx)), False)
+        if len(idx) < min_leaf_size:
+            return majority_leaf(idx)
+        if max_depth is not None and depth >= max_depth:
+            return majority_leaf(idx)
+        best = None
+        for j in range(len(kinds)):
+            if j in num_cols:
+                cand = numeric_candidates(j, idx)
+                if cand is not None and (best is None or cand[0] > best[0]):
+                    best = (cand[0], j, "numeric", cand[1])
+            elif j not in used_cat:
+                cand = categorical_candidate(j, idx)
+                if cand is not None and (best is None or cand[0] > best[0]):
+                    best = (cand[0], j, "categorical", cand[1])
+        if best is None:
+            return majority_leaf(idx)
+        _, j, kind, payload = best
+        if kind == "numeric":
+            t = payload
+            mask = num_cols[j][idx] <= t
+            low = build(idx[mask], used_cat, depth + 1)
+            high = build(idx[~mask], used_cat, depth + 1)
+            return ("numeric", j, t, int(len(idx)), low, high)
+        fallback = majority_leaf(idx)
+        fallback = ("leaf", fallback[1], 0, fallback[3])
+        col = cat_cols[j][idx]
+        branches = [(v, build(idx[col == v], used_cat | {j}, depth + 1)) for v in payload]
+        return ("categorical", j, int(len(idx)), branches, fallback)
+
+    return build(np.arange(len(labels)), frozenset(), 0)
+
+
 def svm_dual_objective(alpha, y, K):
     v = alpha * y
     return float(alpha.sum() - 0.5 * (v @ K @ v))
@@ -399,7 +522,8 @@ def kmeans_reference(points, k, max_iters, rng, sigma=None):
     """Lloyd iterations from k distinct initial points with boolean-mask
     means (or, when ``sigma`` is given, SuLQ sums of the points clamped
     to their own min/max by ``np.add.at`` plus Gaussian noise) and
-    farthest-point reseeding of emptied clusters: the loop the library's
+    farthest-point reseeding of emptied clusters, repeated until none is
+    empty: the loop the library's
     k-means must reproduce bit for bit. The library sums the points
     unclamped, so matching it shows that the clamp changes no sum.
     Returns (centroids, converged, iterations, trace)."""
@@ -416,11 +540,16 @@ def kmeans_reference(points, k, max_iters, rng, sigma=None):
     for _ in range(max_iters):
         new = np.argmin(_kmeans_distances_sq(points, centroids), axis=1)
         counts = np.bincount(new, minlength=k)
-        for c in np.nonzero(counts == 0)[0]:
-            far = int(np.argmax(_kmeans_distances_sq(points, centroids).min(axis=1)))
-            centroids[c] = points[far]
-            new = np.argmin(_kmeans_distances_sq(points, centroids), axis=1)
-            counts = np.bincount(new, minlength=k)
+        for _ in range(k):
+            if not np.any(counts == 0):
+                break
+            for c in np.nonzero(counts == 0)[0]:
+                far = int(np.argmax(_kmeans_distances_sq(points, centroids).min(axis=1)))
+                centroids[c] = points[far]
+                new = np.argmin(_kmeans_distances_sq(points, centroids), axis=1)
+                counts = np.bincount(new, minlength=k)
+        if np.any(counts == 0):
+            raise ArithmeticError("clusters still empty after k reseeding passes")
         diff = points - centroids[new]
         trace.append(float((diff * diff).sum()))
         if assignment is not None and np.array_equal(new, assignment):

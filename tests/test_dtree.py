@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shadowprobe import dtree
 from shadowprobe.core import (
     CATEGORICAL,
     NUMERIC,
@@ -25,7 +27,7 @@ from shadowprobe.dtree import (
     training_accuracy,
 )
 
-from oracles import entropy_bits_exact, greedy_tree_exact, info_gain_exact
+from oracles import entropy_bits_exact, greedy_tree_exact, info_gain_exact, train_tree_reference
 
 
 class TestEntropy:
@@ -313,3 +315,81 @@ class TestBatchClassify:
         tree = train_tree(ds, TreeParams(), RandomSource(0), debug=True)
         assert isinstance(tree.root, NumericNode)
         assert tree.root.threshold == 0.5
+
+
+def as_tuples(node):
+    """A tree in ``train_tree_reference``'s tuple form, branch order kept."""
+    if isinstance(node, Leaf):
+        return ("leaf", node.label, node.count, node.tie_broken)
+    if isinstance(node, NumericNode):
+        return ("numeric", node.attribute, node.threshold, node.count,
+                as_tuples(node.low), as_tuples(node.high))
+    return ("categorical", node.attribute, node.count,
+            [(v, as_tuples(c)) for v, c in node.branches.items()], as_tuples(node.fallback))
+
+
+def assert_matches_reference(ds, params, seed):
+    rng, ref_rng = RandomSource(seed), RandomSource(seed)
+    tree = train_tree(ds, params, rng)
+    ref = train_tree_reference([k for _, k in ds.schema], ds.columns, ds.labels,
+                               params.min_leaf_size, params.max_depth, ref_rng)
+    assert as_tuples(tree.root) == ref
+    assert rng.integers(0, 2**31) == ref_rng.integers(0, 2**31)  # same tie draws
+
+
+@st.composite
+def mixed_dataset(draw):
+    kinds = draw(st.lists(st.sampled_from([NUMERIC, NUMERIC, CATEGORICAL]),
+                          min_size=1, max_size=8))
+    n = draw(st.integers(10, 150))
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    n_classes = draw(st.integers(2, 4))
+    columns = []
+    for kind in kinds:
+        # Few distinct values per column: many duplicates and gain ties.
+        distinct = int(gen.integers(1, 9))
+        if kind == NUMERIC:
+            columns.append(np.round(gen.normal(0, 2, size=distinct), 1)[gen.integers(0, distinct, n)])
+        else:
+            columns.append(np.array(["u", "v", "w", "x", "y"], dtype=object)[
+                gen.integers(0, min(distinct, 5), n)])
+    # Labels follow a column's sort order on some rows and are random on
+    # the rest, so trees grow several levels deep.
+    codes = gen.integers(0, n_classes, n)
+    if kinds[0] == NUMERIC:
+        ranked = np.argsort(np.argsort(columns[0], kind="stable"), kind="stable")
+        follow = gen.random(n) < 0.6
+        codes[follow] = (ranked * n_classes // n)[follow]
+    labels = np.array(["p", "q", "r", "s"], dtype=object)[codes]
+    schema = [(f"a{j}", k) for j, k in enumerate(kinds)]
+    rows = list(zip(*[c.tolist() for c in columns]))
+    return make_dataset(schema, rows, labels.tolist())
+
+
+class TestMatchesReference:
+    """The presorted, batched split search against the per-attribute
+    trainer it replaced, node for node."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_dataset(), st.integers(1, 6), st.sampled_from([None, 1, 2, 4]),
+           st.sampled_from([1, 40, 300, 1 << 15]), st.integers(0, 2**32 - 1))
+    def test_random_datasets(self, ds, min_leaf, max_depth, block_cells, seed):
+        # Small block caps split even these datasets into several blocks.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dtree, "_BLOCK_CELLS", block_cells)
+            assert_matches_reference(ds, TreeParams(min_leaf, max_depth), seed)
+
+    def test_several_blocks_at_the_real_cap(self):
+        # 700 rows x 120 numeric attributes is about 2.6 blocks at the root.
+        gen = np.random.default_rng(7)
+        n, a = 700, 120
+        values = np.round(gen.normal(0, 1, size=(n, a)), 1)
+        score = values[:, 0] + values[:, 50] - values[:, 110] + gen.normal(0, 0.5, n)
+        labels = np.where(score > 0.8, "p", np.where(score < -0.8, "q", "r"))
+        schema = [(f"a{j}", NUMERIC) for j in range(a)] + [("c", CATEGORICAL)]
+        rows = [tuple(r) + (l if gen.random() < 0.3 else "z",)
+                for r, l in zip(values.tolist(), labels.tolist())]
+        ds = make_dataset(schema, rows, labels.tolist())
+        assert n * a > 2 * dtree._BLOCK_CELLS
+        assert_matches_reference(ds, TreeParams(min_leaf_size=3), 11)

@@ -111,6 +111,24 @@ class TestEmptyClusterHandling:
         m = kmeans_train(pts, 2, 100, rng=RandomSource(20))
         assert sorted(m.centroids[:, 0].tolist()) == [0.0, 3.0]
 
+    def test_reseed_refills_cluster_emptied_by_a_reseed(self):
+        # Counts go [0, 2, 3] -> [2, 0, 3]: moving centroid 0 to the
+        # farthest point takes centroid 1's only member, so a second pass
+        # must reseed centroid 1 before the update divides by its count.
+        points = np.array([[-1, -1], [4, 1], [0, -2], [-1, 0], [3, 1]], dtype=np.float64)
+        m = kmeans_train(points, 3, 50, RandomSource(66701))
+        assert np.all(np.isfinite(m.centroids))
+        assert_matches_reference(m, points, 3, 50, 66701)
+
+    @pytest.mark.parametrize("train", [
+        lambda pts: kmeans_train(pts, 2, 10, RandomSource(0)),
+        lambda pts: sulq_kmeans_train(pts, 2, 10, 1.0, RandomSource(0)),
+    ], ids=["plain", "sulq"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_points_rejected(self, train, bad):
+        with pytest.raises(ContractError, match=r"point 2 is not finite"):
+            train([[0.0, 0.0], [1.0, 1.0], [bad, 0.0], [5.0, 5.0]])
+
     def test_wcss_helper(self):
         pts = np.array([[0.0], [2.0]])
         cents = np.array([[1.0]])
