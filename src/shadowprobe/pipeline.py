@@ -111,6 +111,10 @@ class PipelineConfig:
             ("baseline_models", self.baseline_models >= 1, "must be >= 1"),
             ("holdout_fraction", 0 < self.holdout_fraction < 1, "must be in (0, 1)"),
             ("flows_per_shadow", self.flows_per_shadow >= 2, "must be >= 2"),
+            ("kernel_kind", self.kernel_kind in svm.KERNEL_KINDS,
+             f"must be one of {svm.KERNEL_KINDS}"),
+            ("gamma", self.gamma >= 0 or self.kernel_kind not in ("polynomial", "rbf"),
+             "must be >= 0 for polynomial and rbf kernels"),
             ("degree", self.degree >= 1, "must be >= 1"),
             ("C", self.C > 0, "must be positive"),
             ("tol", self.tol > 0, "must be positive"),

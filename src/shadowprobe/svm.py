@@ -7,11 +7,15 @@ solver: each iteration pairs the multiplier that violates its KKT
 condition most with the one of largest second-order gain, and solves
 the two-variable subproblem analytically, clipped onto the box [0, C].
 Training is deterministic and stops when the maximal-violating-pair gap
-falls below ``tol``. Feature scaling is the caller's responsibility.
+falls below ``tol``. It never holds the n x n Gram matrix: as in LIBSVM
+(Chang & Lin, ACM TIST 2011, section 4), each kernel column is computed
+the first time an iteration touches it, and the diagonal comes from the
+squared row norms. Feature scaling is the caller's responsibility.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,26 +39,36 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ContractError(f"unknown kernel kind {self.kind!r}")
+        if not (math.isfinite(self.gamma) and math.isfinite(self.r)):
+            raise ContractError(f"gamma and r must be finite (got {self.gamma!r}, {self.r!r})")
         if self.kind in ("polynomial", "rbf") and self.gamma < 0:
             raise ContractError("gamma must be >= 0 for polynomial and rbf kernels")
         if self.degree < 1 or int(self.degree) != self.degree:
             raise ContractError("degree must be a positive integer")
 
 
+def _kernel_values(spec: KernelSpec, dots, sq_x=None, sq_y=None):
+    """Kernel values from dot products x.y; rbf also takes the squared
+    norms |x|^2 and |y|^2, broadcast against ``dots``."""
+    if spec.kind == "linear":
+        return dots
+    if spec.kind == "polynomial":
+        return (spec.gamma * dots + spec.r) ** spec.degree
+    if spec.kind == "rbf":
+        return np.exp(-spec.gamma * np.maximum(sq_x + sq_y - 2.0 * dots, 0.0))
+    return np.tanh(spec.gamma * dots + spec.r)
+
+
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
-    """Gram matrix K[i, j] = K(X[i], Y[j]); used by training and decision."""
+    """Kernel matrix K[i, j] = K(X[i], Y[j]); training asks for one column
+    at a time, decision for all support vectors against a probe batch."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.shape[1] != Y.shape[1]:
         raise ContractError("kernel operands must share dimension")
-    if spec.kind == "linear":
-        return X @ Y.T
-    if spec.kind == "polynomial":
-        return (spec.gamma * (X @ Y.T) + spec.r) ** spec.degree
-    if spec.kind == "rbf":
-        sq = (X * X).sum(1)[:, None] + (Y * Y).sum(1)[None, :] - 2.0 * (X @ Y.T)
-        return np.exp(-spec.gamma * np.maximum(sq, 0.0))
-    return np.tanh(spec.gamma * (X @ Y.T) + spec.r)
+    if spec.kind != "rbf":
+        return _kernel_values(spec, X @ Y.T)
+    return _kernel_values(spec, X @ Y.T, (X * X).sum(1)[:, None], (Y * Y).sum(1)[None, :])
 
 
 @dataclass(eq=False)
@@ -111,6 +125,12 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
     the non-PSD sigmoid kernel still moves). Training stops with
     ``converged=True`` once m - M < tol, or with ``converged=False``
     after max(10^7, 100 |ds|) iterations.
+
+    K is never held whole: an iteration fetches column i before it
+    chooses j and column j for the gradient update, and each column is
+    computed once, so at most |ds| columns are computed and kept. A
+    non-finite kernel value, such as an overflow from huge features, is
+    a ``ContractError`` naming the example.
     """
     if C <= 0:
         raise ContractError("C must be positive")
@@ -123,8 +143,25 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
     y, label_map = _map_labels(ds.labels)
     n = len(y)
 
-    K = kernel_matrix(kernel, X, X)
-    kdiag = K.diagonal()
+    # Columns of K, each computed the first time an iteration touches it.
+    columns = {}
+
+    def column(t):
+        col = columns.get(t)
+        if col is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                col = kernel_matrix(kernel, X, X[t:t + 1])[:, 0]
+            if not np.isfinite(col).all():
+                raise ContractError(f"kernel column of example {t} is not finite")
+            columns[t] = col
+        return col
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (X * X).sum(1)
+        kdiag = _kernel_values(kernel, sq, sq, sq)
+    if not np.isfinite(kdiag).all():
+        t = int(np.flatnonzero(~np.isfinite(kdiag))[0])
+        raise ContractError(f"kernel value K(x, x) of example {t} is not finite")
     pos = y > 0
     alpha = np.zeros(n)
     G = np.full(n, -1.0)
@@ -141,7 +178,8 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
             break
         iters += 1
         b = m - F_low  # > 0 exactly where j can pair with i
-        a = kdiag[i] + kdiag - 2.0 * K[i]
+        K_i = column(i)
+        a = kdiag[i] + kdiag - 2.0 * K_i
         j = int(np.argmax(np.where(b > 0, b * b / np.where(a > 0, a, _TAU), -1.0)))
 
         # LIBSVM's analytic two-variable step, clipped onto the box.
@@ -176,7 +214,7 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
                     a_i, a_j = total, 0.0
                 if a_i < 0:
                     a_i, a_j = 0.0, total
-        G += y * ((y_i * (a_i - alpha.item(i))) * K[i] + (y_j * (a_j - alpha.item(j))) * K[j])
+        G += y * ((y_i * (a_i - alpha.item(i))) * K_i + (y_j * (a_j - alpha.item(j))) * column(j))
         alpha[i], alpha[j] = a_i, a_j
 
     # On a free vector y f(x) = 1 makes b = F; with none, LIBSVM's midpoint.

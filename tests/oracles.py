@@ -241,6 +241,12 @@ def svm_dual_pga(y, K, C, iters=200_000, seed=0):
     Euclidean projection: alpha = clip(v - lam * y, 0, C) where the
     residual g(lam) = y . alpha is piecewise linear and non-increasing
     in lam, so its root is found exactly from the sorted breakpoints.
+    The steps carry Nesterov momentum (Beck & Teboulle's FISTA), reset
+    whenever the gradient opposes it (O'Donoghue & Candes 2015): plain
+    steps at 1/L fell 1.5e-3 short of the optimum after 200,000
+    iterations on an ill-conditioned degree-3 polynomial problem. Every
+    iterate is a projection, so it is feasible and never exceeds the
+    optimum.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -263,10 +269,82 @@ def svm_dual_pga(y, K, C, iters=200_000, seed=0):
     lam_max = float(np.linalg.eigvalsh((y[:, None] * K * y[None, :])).max())
     step = 1.0 / max(lam_max, 1e-12)
     alpha = project(np.full(n, min(C / 2, 1.0)))
+    z, t = alpha, 1.0
     for _ in range(iters):
-        grad = 1.0 - (y * (K @ (alpha * y)))
-        alpha = project(alpha + step * grad)
+        grad = 1.0 - (y * (K @ (z * y)))
+        nxt = project(z + step * grad)
+        if grad @ (nxt - alpha) < 0:
+            z, t = nxt, 1.0
+        else:
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            z, t = nxt + ((t - 1.0) / t_next) * (nxt - alpha), t_next
+        alpha = nxt
     return alpha
+
+
+def smo_train_reference(y, K, C, tol, max_iters=None):
+    """Working-set SMO on a precomputed full Gram matrix ``K``, with the
+    library's second-order pair selection, clipped analytic step and
+    iteration cap; the library's solver, which computes kernel columns on
+    demand, must reach an equally good solution. Returns (alpha, bias,
+    converged)."""
+    y = np.asarray(y, dtype=np.float64)
+    n = len(y)
+    kdiag = K.diagonal()
+    pos = y > 0
+    alpha = np.zeros(n)
+    G = np.full(n, -1.0)
+    cap = max(10_000_000, 100 * n) if max_iters is None else max_iters
+    iters = 0
+    while True:
+        F = -y * G
+        above, below = alpha > 0, alpha < C
+        F_up = np.where(np.where(pos, below, above), F, -np.inf)
+        F_low = np.where(np.where(pos, above, below), F, np.inf)
+        i = int(np.argmax(F_up))
+        m, M = F_up[i], F_low.min()
+        if m - M < tol or iters == cap:
+            break
+        iters += 1
+        b = m - F_low
+        a = kdiag[i] + kdiag - 2.0 * K[i]
+        j = int(np.argmax(np.where(b > 0, b * b / np.where(a > 0, a, 1e-12), -1.0)))
+        y_i, y_j = y[i], y[j]
+        a_i, a_j = alpha[i], alpha[j]
+        quad = a[j] if a[j] > 0 else 1e-12
+        if y_i != y_j:
+            delta = (-G[i] - G[j]) / quad
+            diff = a_i - a_j
+            a_i, a_j = a_i + delta, a_j + delta
+            if diff > 0:
+                if a_j < 0:
+                    a_i, a_j = diff, 0.0
+                if a_i > C:
+                    a_i, a_j = C, C - diff
+            else:
+                if a_i < 0:
+                    a_i, a_j = 0.0, -diff
+                if a_j > C:
+                    a_i, a_j = C + diff, C
+        else:
+            delta = (G[i] - G[j]) / quad
+            total = a_i + a_j
+            a_i, a_j = a_i - delta, a_j + delta
+            if total > C:
+                if a_i > C:
+                    a_i, a_j = C, total - C
+                if a_j > C:
+                    a_i, a_j = total - C, C
+            else:
+                if a_j < 0:
+                    a_i, a_j = total, 0.0
+                if a_i < 0:
+                    a_i, a_j = 0.0, total
+        G += y * ((y_i * (a_i - alpha[i])) * K[i] + (y_j * (a_j - alpha[j])) * K[j])
+        alpha[i], alpha[j] = a_i, a_j
+    free = (alpha > 0) & (alpha < C)
+    bias = float(F[free].mean()) if free.any() else float(m + M) / 2.0
+    return alpha, bias, bool(m - M < tol)
 
 
 def enumerate_lr_paths(n_states, T):

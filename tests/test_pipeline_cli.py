@@ -234,6 +234,9 @@ class TestCli:
          "target_high": 0.1},
         # Ran and exited 0, echoing sample_size 2000 while each run drew 50 points.
         {"case": "dp_bypass", "pool_size": 100, "sample_size": 2000, "k": 3, "n_runs": 4},
+        # Both generated the shadows, then KernelSpec rejected them (exit 1).
+        {"case": "netflow", "kernel_kind": "foo"},
+        {"case": "netflow", "kernel_kind": "rbf", "gamma": -1},
     ])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
         cfg = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from shadowprobe.svm import (
     _map_labels,
 )
 
-from oracles import kernel_eval, svm_dual_objective, svm_dual_pga
+from oracles import kernel_eval, smo_train_reference, svm_dual_objective, svm_dual_pga
 
 
 def xy_dataset(X, y):
@@ -77,6 +79,25 @@ class TestKernels:
         with pytest.raises(ContractError):
             KernelSpec("spline")
 
+    @pytest.mark.parametrize("kind", svm.KERNEL_KINDS)
+    @pytest.mark.parametrize("field", ["gamma", "r"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_rejected(self, kind, field, value):
+        # A NaN gamma or an infinite r used to make every stopping test
+        # False, so smo_train ran toward its 10^7-iteration cap.
+        with pytest.raises(ContractError, match="must be finite"):
+            KernelSpec(kind, **{field: value})
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec("linear"), KernelSpec("polynomial", 0.7, 0.3, 3),
+        KernelSpec("rbf", 0.9), KernelSpec("sigmoid", 0.2, 0.1),
+    ], ids=lambda s: s.kind)
+    def test_diagonal_from_norms_matches_matrix(self, spec):
+        X = RandomSource(17).normal(0, 2, size=(30, 5))
+        sq = (X * X).sum(1)
+        np.testing.assert_allclose(svm._kernel_values(spec, sq, sq, sq),
+                                   kernel_matrix(spec, X, X).diagonal(), rtol=1e-12)
+
 
 class TestSmoTrain:
     def test_two_point_margin(self):
@@ -127,6 +148,20 @@ class TestSmoTrain:
         m = smo_train(ds, KernelSpec("linear"), C=10.0)
         assert m.label_map == {-1: "apple", 1: "pear"}
         assert [m.label_map[s] for s in signs(m, [[0.0], [2.2]])] == ["apple", "pear"]
+
+    @pytest.mark.parametrize("X,kernel,message", [
+        # K(x, x) = (1e240)^3 and, for rbf, |x|^2 overflow on the diagonal.
+        ([[0.0], [1e120]], KernelSpec("polynomial", 1.0, 0.0, 3),
+         "kernel value K(x, x) of example 1 is not finite"),
+        ([[0.0], [1e200]], KernelSpec("rbf", 1.0),
+         "kernel value K(x, x) of example 1 is not finite"),
+        # The diagonal is 0, but (x_0.x_1 - 1e200)^3 = (-2e200)^3 overflows.
+        ([[1e100], [-1e100]], KernelSpec("polynomial", 1.0, -1e200, 3),
+         "kernel column of example 1 is not finite"),
+    ])
+    def test_non_finite_kernel_values_rejected(self, X, kernel, message):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            smo_train(xy_dataset(X, [-1, 1]), kernel, C=1.0)
 
     def test_non_convergence_flagged(self, monkeypatch):
         # With the iteration cap at zero no pair is ever updated.
@@ -224,6 +259,73 @@ class TestSmoSolution:
         m = smo_train(ds, KernelSpec("polynomial", 1.0, 0.0, 3), C=1.0, tol=1e-3)
         assert m.converged and m.n_support > 0
         assert kkt_audit(m, ds, 1e-3)["passed"]
+
+
+def spy_columns(monkeypatch):
+    """Record the example index and result shape of every kernel_matrix
+    call; smo_train asks for column t as the row slice X[t:t + 1]."""
+    calls = []
+    real = svm.kernel_matrix
+
+    def spy(spec, X, Y):
+        K = real(spec, X, Y)
+        assert np.shares_memory(X, Y)
+        offset = Y.__array_interface__["data"][0] - X.__array_interface__["data"][0]
+        calls.append((offset // X.strides[0], K.shape))
+        return K
+
+    monkeypatch.setattr(svm, "kernel_matrix", spy)
+    return calls
+
+
+class TestColumnAccess:
+    @settings(max_examples=40, deadline=None)
+    @given(problem=svm_problems())
+    def test_each_touched_column_computed_once(self, problem):
+        X, y, kernel, C = problem
+        n = len(y)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_columns(mp)
+            m = smo_train(xy_dataset(X, y), kernel, C=C, tol=1e-3)
+        assert all(shape == (n, 1) for _, shape in calls)
+        touched = {t for t, _ in calls}
+        assert len(calls) <= len(touched) <= n
+        # Every support vector's multiplier moved, so its column was fetched.
+        assert set(m.sv_indices.tolist()) <= touched
+
+    def test_netflow_shadow_touches_few_columns(self, monkeypatch):
+        from shadowprobe import datagen
+        spec = datagen.default_flow_spec(1.0)
+        ds = datagen.gen_flow_dataset(spec, True, 300, RandomSource(5))
+        calls = spy_columns(monkeypatch)
+        m = smo_train(ds, KernelSpec("polynomial", 1.0, 0.0, 3), C=1.0, tol=1e-3)
+        assert m.converged
+        assert m.n_support <= len(calls) < len(ds.labels)
+
+
+class TestSmoMatchesFullGram:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=svm_problems(), tol=st.sampled_from([1e-3, 1e-5]))
+    def test_agrees_with_full_gram_reference(self, problem, tol):
+        X, y, kernel, C = problem
+        ds = xy_dataset(X, y)
+        m = smo_train(ds, kernel, C=C, tol=tol)
+        K = kernel_matrix(kernel, X, X)
+        ref_alpha, ref_bias, ref_converged = smo_train_reference(y, K, C, tol)
+        assert m.converged == ref_converged
+        sv = np.flatnonzero(ref_alpha > 0)
+        ref = SvmModel(sv_indices=sv, sv_y=y[sv], sv_x=X[sv], sv_alpha=ref_alpha[sv],
+                       bias=ref_bias, kernel=kernel, C=C, converged=ref_converged)
+        if m.converged:
+            assert kkt_audit(m, ds, tol)["passed"]
+            assert kkt_audit(ref, ds, tol)["passed"]
+        alpha = np.zeros(len(y))
+        alpha[m.sv_indices] = m.sv_alpha
+        # With a maximal-violating-pair gap below tol, a concave dual is
+        # within tol * C * n / 2 of its optimum, so two such points are too.
+        got = svm_dual_objective(alpha, y, K)
+        want = svm_dual_objective(ref_alpha, y, K)
+        assert abs(got - want) <= tol * C * len(y) / 2
 
 
 class TestDecision:
