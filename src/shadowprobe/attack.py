@@ -225,9 +225,12 @@ def kl_divergence_scores(reference: AcousticModel, baselines) -> dict:
     return scores
 
 
-def kl_filter(reference: AcousticModel, baselines, top_k: int) -> list:
-    """Names of the top_k phonemes by descending divergence (ties by name)."""
-    scores = kl_divergence_scores(reference, baselines)
+def kl_filter(scores: dict, top_k: int) -> list:
+    """Names of the top_k phonemes by descending score (ties by name).
+
+    ``scores`` maps each phoneme to its divergence, as
+    :func:`kl_divergence_scores` returns it.
+    """
     if not 1 <= top_k <= len(scores):
         raise ContractError(f"top_k must be in [1, {len(scores)}], got {top_k}")
     ranked = sorted(scores, key=lambda ph: (-scores[ph], ph))

@@ -181,7 +181,7 @@ def cmd_filter(args) -> int:
     reference = serialize.load_model(args.reference)
     baselines = [serialize.load_model(p) for p in args.baselines]
     scores = kl_divergence_scores(reference, baselines)
-    selected = kl_filter(reference, baselines, args.top_k or 5)
+    selected = kl_filter(scores, args.top_k)
     print(json.dumps({"selected": selected,
                       "scores": {ph: scores[ph] for ph in sorted(scores)}},
                      indent=2, sort_keys=True))

@@ -173,10 +173,6 @@ class Dataset:
         return len(self.columns[0])
 
     @property
-    def n_attributes(self) -> int:
-        return len(self.schema)
-
-    @property
     def fully_labeled(self) -> bool:
         return self.labels is not None and self.n_rows > 0
 

@@ -17,13 +17,12 @@ Agrawal & Rissanen 1996): the numeric columns are sorted once per tree,
 each node's sort order is its parent's filtered to the node's rows, and
 one search per node scores the thresholds of every numeric attribute at
 once, a block of attributes at a time. :func:`classify` labels a whole
-Dataset in one descent. :func:`info_gain` is the scalar reference that
-``debug=True`` checks the batched gains against.
+Dataset in one descent. :func:`entropy`, :func:`info_gain` and the
+categorical split search share one entropy kernel and one gain formula.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,66 +116,6 @@ def _count_leaves(node) -> int:
     return sum(_count_leaves(c) for c in node.branches.values()) + 1
 
 
-def entropy(label_counts) -> float:
-    """Shannon entropy in bits of a label-count mapping.
-
-    H = -sum p_i log2 p_i over classes with nonzero count.
-    """
-    counts = list(label_counts.values())
-    if any(c < 0 for c in counts):
-        raise DomainError("label counts must be non-negative")
-    total = sum(counts)
-    if total <= 0:
-        raise DomainError("total count must be positive")
-    h = 0.0
-    for c in counts:
-        if c > 0:
-            p = c / total
-            h -= p * math.log2(p)
-    return h
-
-
-def _entropy_of_labels(labels) -> float:
-    counts = {}
-    for l in labels:
-        counts[l] = counts.get(l, 0) + 1
-    return entropy(counts)
-
-
-def info_gain(ds: Dataset, attribute: int, split) -> float:
-    """Information gain of a split of ``ds`` on one attribute.
-
-    Gain(S, A) = H(S) - sum_v (|S_v| / |S|) * H(S_v) over the branches
-    of the split. Non-negative up to rounding.
-    """
-    if ds.n_rows == 0:
-        raise DomainError("information gain of an empty dataset is undefined")
-    if not ds.fully_labeled:
-        raise ContractError("information gain requires a fully labeled dataset")
-    kind = ds.attribute_kind(attribute)
-    values = ds.columns[attribute].tolist()
-    labels = ds.labels.tolist()
-    if isinstance(split, NumericSplit):
-        if kind != NUMERIC:
-            raise ContractError(f"numeric split on categorical attribute {attribute}")
-        low = [l for v, l in zip(values, labels) if v <= split.threshold]
-        high = [l for v, l in zip(values, labels) if v > split.threshold]
-        parts = [p for p in (low, high) if p]
-    elif isinstance(split, CategoricalSplit):
-        if kind != CATEGORICAL:
-            raise ContractError(f"categorical split on numeric attribute {attribute}")
-        groups = {}
-        for v, l in zip(values, labels):
-            groups.setdefault(v, []).append(l)
-        parts = list(groups.values())
-    else:
-        raise ContractError(f"unknown split spec {split!r}")
-    h_parent = _entropy_of_labels(labels)
-    n = ds.n_rows
-    h_children = sum(len(p) / n * _entropy_of_labels(p) for p in parts)
-    return h_parent - h_children
-
-
 def _entropy_rows(counts: np.ndarray, totals) -> np.ndarray:
     """Entropy in bits of each count row along the last (class) axis.
 
@@ -190,34 +129,88 @@ def _entropy_rows(counts: np.ndarray, totals) -> np.ndarray:
     return -p.sum(axis=-1)
 
 
+def _label_codes(labels: np.ndarray) -> tuple:
+    """Each label's int code, numbered in first-occurrence order, and the
+    distinct labels in that order."""
+    seen = {}
+    codes = np.array([seen.setdefault(l, len(seen)) for l in labels.tolist()], dtype=np.int64)
+    return codes, list(seen)
+
+
+def _split_gain(counts: np.ndarray) -> float:
+    """Information gain of a split from its (branch, class) count table.
+
+    Gain = H(parent) - sum_v (n_v / n) * H(branch v); every branch must
+    be non-empty.
+    """
+    sizes = counts.sum(axis=1).astype(np.float64)
+    n = sizes.sum()
+    h_parent = _entropy_rows(counts.sum(axis=0), n)
+    return float(h_parent - np.sum(sizes / n * _entropy_rows(counts, sizes[:, None])))
+
+
+def entropy(label_counts) -> float:
+    """Shannon entropy in bits of a label-count mapping.
+
+    H = -sum p_i log2 p_i over classes with nonzero count.
+    """
+    counts = list(label_counts.values())
+    if any(c < 0 for c in counts):
+        raise DomainError("label counts must be non-negative")
+    total = sum(counts)
+    if total <= 0:
+        raise DomainError("total count must be positive")
+    return float(_entropy_rows(np.array(counts, dtype=np.float64), float(total)))
+
+
+def info_gain(ds: Dataset, attribute: int, split) -> float:
+    """Information gain of a split of ``ds`` on one attribute.
+
+    Gain(S, A) = H(S) - sum_v (|S_v| / |S|) * H(S_v) over the non-empty
+    branches of the split. Non-negative up to rounding.
+    """
+    if ds.n_rows == 0:
+        raise DomainError("information gain of an empty dataset is undefined")
+    if not ds.fully_labeled:
+        raise ContractError("information gain requires a fully labeled dataset")
+    kind = ds.attribute_kind(attribute)
+    col = ds.columns[attribute]
+    if isinstance(split, NumericSplit):
+        if kind != NUMERIC:
+            raise ContractError(f"numeric split on categorical attribute {attribute}")
+        branch = (col > split.threshold).astype(np.int64)
+    elif isinstance(split, CategoricalSplit):
+        if kind != CATEGORICAL:
+            raise ContractError(f"categorical split on numeric attribute {attribute}")
+        branch = np.unique(col, return_inverse=True)[1]
+    else:
+        raise ContractError(f"unknown split spec {split!r}")
+    codes, order = _label_codes(ds.labels)
+    c = len(order)
+    counts = np.bincount(branch * c + codes, minlength=(branch.max() + 1) * c).reshape(-1, c)
+    return _split_gain(counts[counts.sum(axis=1) > 0])
+
+
 # Numeric split search scores the attributes in blocks of at most this
 # many (row, attribute) cells, which bounds its count arrays' memory.
 _BLOCK_CELLS = 1 << 15
 
 
 class _Trainer:
-    def __init__(self, ds: Dataset, params: TreeParams, rng: RandomSource, debug: bool):
+    def __init__(self, ds: Dataset, params: TreeParams, rng: RandomSource):
         self.ds = ds
         self.params = params
         self.rng = rng
-        self.debug = debug
-        labels = ds.labels.tolist()
         # Label codes in first-occurrence order so relabeling by a
         # bijection leaves every decision (including tie-breaks) intact.
-        self.label_order = []
-        seen = {}
-        for l in labels:
-            if l not in seen:
-                seen[l] = len(self.label_order)
-                self.label_order.append(l)
-        self.codes = np.array([seen[l] for l in labels], dtype=np.int64)
+        self.codes, self.label_order = _label_codes(ds.labels)
         self.n_classes = len(self.label_order)
         self.kinds = [kind for _, kind in ds.schema]
-        self.num_attrs = [j for j, kind in enumerate(self.kinds) if kind == NUMERIC]
+        num_attrs = [j for j, kind in enumerate(self.kinds) if kind == NUMERIC]
         # One (A, N) matrix of the numeric columns, sorted once: every
         # node's order array is this order restricted to the node's rows.
-        self.num_matrix = np.array([ds.columns[j] for j in self.num_attrs],
-                                   dtype=np.float64).reshape(len(self.num_attrs), ds.n_rows)
+        self.num_matrix = np.array([ds.columns[j] for j in num_attrs],
+                                   dtype=np.float64).reshape(len(num_attrs), ds.n_rows)
         self.root_order = np.argsort(self.num_matrix, axis=1, kind="stable")
 
     def majority_leaf(self, idx: np.ndarray) -> Leaf:
@@ -273,20 +266,8 @@ class _Trainer:
                 if not boundary[a, i]:
                     out.append(None)
                     continue
-                if self.debug:
-                    self._check_gains(idx, self.num_attrs[a0 + a], gains[a], sv[a], boundary[a])
                 out.append((float(gains[a, i]), float((sv[a, i] + sv[a, i + 1]) / 2.0)))
         return out
-
-    def _check_gains(self, idx, j, gains, sv, boundary):
-        sub = self.ds.subset(idx)
-        for i in np.nonzero(boundary)[0]:
-            t = (sv[i] + sv[i + 1]) / 2.0
-            ref = info_gain(sub, j, NumericSplit(float(t)))
-            if abs(gains[i] - ref) > 1e-9:
-                raise AssertionError(f"fast gain {gains[i]} != reference {ref} at threshold {t}")
-            if gains[i] < -1e-12:
-                raise AssertionError(f"negative gain {gains[i]} at threshold {t}")
 
     def _categorical_candidate(self, j: int, idx: np.ndarray):
         vals = self.ds.columns[j][idx]
@@ -296,17 +277,7 @@ class _Trainer:
         c = self.n_classes
         counts = np.bincount(inverse.ravel() * c + self.codes[idx],
                              minlength=len(uniq) * c).reshape(len(uniq), c)
-        n = len(idx)
-        sizes = counts.sum(axis=1).astype(np.float64)
-        h_parent = _entropy_rows(counts.sum(axis=0), float(n))
-        gain = h_parent - np.sum(sizes / n * _entropy_rows(counts, sizes[:, None]))
-        if self.debug:
-            ref = info_gain(self.ds.subset(idx), j, CategoricalSplit())
-            if abs(gain - ref) > 1e-9:
-                raise AssertionError(f"fast categorical gain {gain} != reference {ref}")
-            if gain < -1e-12:
-                raise AssertionError(f"negative categorical gain {gain}")
-        return float(gain), [str(u) for u in uniq]
+        return _split_gain(counts), [str(u) for u in uniq]
 
     def _restrict(self, order: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """``order`` kept to ``rows``: a stable partition, never a new sort."""
@@ -356,20 +327,17 @@ class _Trainer:
         return CategoricalNode(j, int(len(idx)), branches, fallback)
 
 
-def train_tree(ds: Dataset, params: TreeParams, rng: RandomSource,
-               debug: bool = False) -> DecisionTree:
+def train_tree(ds: Dataset, params: TreeParams, rng: RandomSource) -> DecisionTree:
     """Grow a tree top-down, choosing the maximal-gain split at each node.
 
     Recursion stops when a node is pure, no candidate splits remain, the
     node is smaller than ``min_leaf_size``, or ``max_depth`` is reached.
-    With ``debug=True`` every evaluated gain is cross-checked against the
-    scalar :func:`info_gain` path and checked for non-negativity.
     """
     if ds.n_rows < 1:
         raise ContractError("cannot train on an empty dataset")
     if not ds.fully_labeled:
         raise ContractError("training requires a fully labeled dataset")
-    trainer = _Trainer(ds, params, rng, debug)
+    trainer = _Trainer(ds, params, rng)
     root = trainer.build(np.arange(ds.n_rows), trainer.root_order, frozenset(), 0)
     return DecisionTree(root, ds.schema, params)
 

@@ -170,13 +170,6 @@ def _emissions(means: np.ndarray, vars_: np.ndarray, seq: np.ndarray) -> np.ndar
     return const[None, :] + quad
 
 
-def log_emissions(model: GaussianHmm, seq: np.ndarray) -> np.ndarray:
-    """(T, n_states) log-density matrix under each state's diagonal Gaussian."""
-    if seq.shape[1] != model.dim:
-        raise ContractError(f"sequence dim {seq.shape[1]} != model dim {model.dim}")
-    return _emissions(model.means, model.vars, seq)
-
-
 def _log_trans(trans: np.ndarray):
     """Log self-loop (..., n) and advance (..., n - 1) probabilities."""
     with np.errstate(divide="ignore"):
@@ -307,7 +300,9 @@ def forward_loglik(model: GaussianHmm, seq) -> float:
     T = seq.shape[0]
     if T < n:
         raise InfeasiblePathError(f"sequence length {T} < minimum path length {n}")
-    logb = log_emissions(model, seq)
+    if seq.shape[1] != model.dim:
+        raise ContractError(f"sequence dim {seq.shape[1]} != model dim {model.dim}")
+    logb = _emissions(model.means, model.vars, seq)
     stay, adv = _log_trans(model.trans)
     alpha = np.full(n, -np.inf)
     alpha[0] = logb[0, 0]

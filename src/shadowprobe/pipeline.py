@@ -127,7 +127,7 @@ class PipelineConfig:
             # Only the pool's pool_size // 2 WEB rows become k-means points.
             ("pool_size", self.pool_size >= 2 * self.sample_size, "must be >= 2 * sample_size"),
             ("min_leaf_size", self.min_leaf_size >= 1, "must be >= 1"),
-            ("max_depth", self.max_depth is None or self.max_depth >= 0, "must be null or >= 0"),
+            ("max_depth", self.max_depth is None or self.max_depth >= 1, "must be null or >= 1"),
             ("mlp_seeds", self.mlp_seeds >= 1, "must be >= 1"),
             ("learning_rate", self.learning_rate > 0, "must be positive"),
             ("epochs", self.epochs >= 0, "must be >= 0"),
@@ -232,7 +232,7 @@ def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
         cfg.jobs,
     )
     scores = attack.kl_divergence_scores(reference, baselines)
-    selected = attack.kl_filter(reference, baselines, cfg.top_k)
+    selected = attack.kl_filter(scores, cfg.top_k)
 
     filtered, _, _ = evaluate(
         [hmm.AcousticModel({ph: m.hmms[ph] for ph in selected}) for m in models], rng.child(4))

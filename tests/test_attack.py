@@ -311,13 +311,13 @@ class TestKlFilter:
         twin = acoustic_with(["cc", "aa", "bb"], 3, 4, seed=1)
         scores = kl_divergence_scores(am, [twin])
         assert all(v == 0.0 for v in scores.values())
-        assert kl_filter(am, [twin], 2) == ["aa", "bb"]
+        assert kl_filter(scores, 2) == ["aa", "bb"]
 
     def test_shifted_phoneme_ranks_first(self):
         phonemes = [f"p{i}" for i in range(8)]
         base = acoustic_with(phonemes, 3, 4, seed=2)
         shifted = acoustic_with(phonemes, 3, 4, seed=2, mean_shift={"p3": 5.0})
-        top = kl_filter(shifted, [base], 1)
+        top = kl_filter(kl_divergence_scores(shifted, [base]), 1)
         assert top == ["p3"]
 
     def test_scores_monotone_in_rank(self):
@@ -325,7 +325,7 @@ class TestKlFilter:
         base = acoustic_with(phonemes, 3, 4, seed=3)
         ref = acoustic_with(phonemes, 3, 4, seed=4)
         scores = kl_divergence_scores(ref, [base])
-        ranked = kl_filter(ref, [base], 5)
+        ranked = kl_filter(scores, 5)
         vals = [scores[ph] for ph in ranked]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
@@ -333,12 +333,12 @@ class TestKlFilter:
         a = acoustic_with(["aa", "bb"], 3, 4)
         b = acoustic_with(["aa", "cc"], 3, 4)
         with pytest.raises(ContractError):
-            kl_filter(a, [b], 1)
+            kl_filter(kl_divergence_scores(a, [b]), 1)
 
     def test_top_k_bounds(self):
         a = acoustic_with(["aa", "bb"], 3, 4)
         with pytest.raises(ContractError):
-            kl_filter(a, [a], 3)
+            kl_filter(kl_divergence_scores(a, [a]), 3)
 
     def test_restricted_models_give_masked_meta_set(self):
         # The speech filter trains on models cut down to the selected

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shadowprobe.core import ContractError, RandomSource, numeric_matrix
-from shadowprobe.attack import NOT_P, P, kl_filter
+from shadowprobe.attack import NOT_P, P, kl_divergence_scores, kl_filter
 from shadowprobe.datagen import (
     DNS,
     FLOW_COLUMNS,
@@ -104,7 +104,7 @@ class TestSpeechCorpus:
                                  n_states=3, iters=4)
             for i in range(4)
         ]
-        top = kl_filter(ref, baselines, 5)
+        top = kl_filter(kl_divergence_scores(ref, baselines), 5)
         assert len(set(top) & set(spec.boosted)) >= 4
 
     def test_single_sequence_trainable(self):

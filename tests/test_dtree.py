@@ -128,7 +128,8 @@ class TestTrainTree:
             [(1.0, "u"), (2.0, "u"), (3.0, "v"), (4.0, "v"), (2.5, "w"), (0.5, "w")],
             ["a", "a", "b", "b", "c", "c"],
         )
-        tree = train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(0), debug=True)
+        tree = train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(0))
+        assert_matches_reference(ds, TreeParams(min_leaf_size=1), 0)
         assert training_accuracy(tree, ds) == 1.0
         assert not isinstance(tree.root, Leaf)
         for child in tree.root.branches.values():
@@ -146,7 +147,8 @@ class TestTrainTree:
         rows = [tuple(rng.uniform(0, 10, size=2)) for _ in range(20)]
         labels = ["pos" if x + y > 10 else "neg" for x, y in rows]
         ds = make_dataset([("x", NUMERIC), ("y", NUMERIC)], rows, labels)
-        tree = train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(1), debug=True)
+        tree = train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(1))
+        assert_matches_reference(ds, TreeParams(min_leaf_size=1), 1)
         oracle = greedy_tree_exact(rows, labels)
         assert classify(tree, ds) == [oracle(r) for r in rows]
 
@@ -292,7 +294,8 @@ class TestBatchClassify:
     def test_matches_per_row_descent(self, case, min_leaf):
         schema, rows, labels, probe = case
         ds = make_dataset(schema, rows, labels)
-        tree = train_tree(ds, TreeParams(min_leaf_size=min_leaf), RandomSource(4), debug=True)
+        tree = train_tree(ds, TreeParams(min_leaf_size=min_leaf), RandomSource(4))
+        assert_matches_reference(ds, TreeParams(min_leaf_size=min_leaf), 4)
         assert classify(tree, ds) == [descend(tree, r) for r in rows]
         probe_ds = make_dataset(schema, probe)
         assert classify(tree, probe_ds) == [descend(tree, r) for r in probe]
@@ -312,7 +315,8 @@ class TestBatchClassify:
         # Splits at 0.5 and 2.5 have exactly equal gain; 0.5 must win.
         ds = make_dataset([("x", NUMERIC)], [(0.0,), (1.0,), (2.0,), (3.0,)],
                           ["a", "b", "b", "a"])
-        tree = train_tree(ds, TreeParams(), RandomSource(0), debug=True)
+        tree = train_tree(ds, TreeParams(), RandomSource(0))
+        assert_matches_reference(ds, TreeParams(), 0)
         assert isinstance(tree.root, NumericNode)
         assert tree.root.threshold == 0.5
 

@@ -78,7 +78,7 @@ class TestConfig:
     def test_boundary_values_accepted(self):
         cfg = PipelineConfig(case="dp_bypass", k=5, sample_size=5, pool_size=10, n_targets=1,
                              baseline_models=1, epochs=0, degree=1, min_leaf_size=1,
-                             max_depth=0)
+                             max_depth=1)
         assert cfg.k == cfg.sample_size == 5
 
     def test_boosted_may_equal_phonemes(self):
@@ -237,6 +237,8 @@ class TestCli:
         # Both generated the shadows, then KernelSpec rejected them (exit 1).
         {"case": "netflow", "kernel_kind": "foo"},
         {"case": "netflow", "kernel_kind": "rbf", "gamma": -1},
+        # Passed validation, trained every shadow, then TreeParams rejected it (exit 1).
+        {"case": "netflow", "max_depth": 0},
     ])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
         cfg = tmp_path / "bad.json"
@@ -267,7 +269,7 @@ class TestCli:
         cfg.write_text('{"case": "speech",')
         assert main(["run", "--config", str(cfg)]) == 2
 
-    def test_filter_command(self, tmp_path):
+    def test_filter_command(self, tmp_path, capsys):
         gen_cfg = tmp_path / "gen.json"
         gen_cfg.write_text(json.dumps({
             "case": "speech", "n_phonemes": 6, "dim": 4, "n_states": 3,
@@ -278,10 +280,13 @@ class TestCli:
             assert main(["train", "--config", str(gen_cfg), "--seed", "3", "--out",
                          os.path.join(out, tag),
                          "--data", os.path.join(out, f"corpus_{tag}.json")]) == 0
-        assert main(["filter",
-                     "--reference", os.path.join(out, "with_property", "acoustic_model.json"),
-                     "--baselines", os.path.join(out, "without_property", "acoustic_model.json"),
-                     "--top-k", "2"]) == 0
+        models = ["--reference", os.path.join(out, "with_property", "acoustic_model.json"),
+                  "--baselines", os.path.join(out, "without_property", "acoustic_model.json")]
+        assert main(["filter", *models, "--top-k", "2"]) == 0
+        # --top-k 0 used to be replaced by the default 5 before the range check.
+        capsys.readouterr()
+        assert main(["filter", *models, "--top-k", "0"]) == 1
+        assert "got 0" in capsys.readouterr().err
 
     def test_evaluate_command(self, tmp_path):
         out = str(tmp_path)
