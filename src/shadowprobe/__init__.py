@@ -55,7 +55,6 @@ from .metrics import (
 from .attack import (
     FeatureVectorSet,
     MetaClassifier,
-    MetaDataset,
     PropertyVerdict,
     build_meta_training_set,
     extract_features,

@@ -46,13 +46,7 @@ _KMEANS_MAX_ITERS = 100  # Lloyd iteration budget of every dp_bypass k-means run
 
 @dataclass(eq=False)
 class FeatureVectorSet:
-    data: Dataset  # unlabeled rows
-    source_kind: str
-
-
-@dataclass(eq=False)
-class MetaDataset:
-    data: Dataset  # labels in {P, NotP}
+    data: Dataset  # a meta-training set labels its rows P or NotP
     source_kind: str
 
 
@@ -60,8 +54,11 @@ class MetaDataset:
 class MetaClassifier:
     tree: DecisionTree
     source_kind: str
-    schema: tuple
     train_accuracy: float
+
+    @property
+    def schema(self) -> tuple:
+        return self.tree.schema
 
 
 @dataclass(eq=False)
@@ -98,7 +95,7 @@ def extract_features(model) -> FeatureVectorSet:
     raise ContractError(f"cannot extract features from {type(model).__name__}")
 
 
-def build_meta_training_set(shadows) -> MetaDataset:
+def build_meta_training_set(shadows) -> FeatureVectorSet:
     """Label every extracted row with its shadow's property label.
 
     Each label must be P or NOT_P. All shadows must be the same model
@@ -125,13 +122,12 @@ def build_meta_training_set(shadows) -> MetaDataset:
     if seen != {P, NOT_P}:
         raise ContractError(f"meta-training needs both property labels, got {sorted(seen)}")
     columns = [np.concatenate(col) for col in zip(*parts)]
-    return MetaDataset(Dataset(schema, columns, labels), kind)
+    return FeatureVectorSet(Dataset(schema, columns, labels), kind)
 
 
-def train_meta(md: MetaDataset, params: TreeParams, rng: RandomSource) -> MetaClassifier:
+def train_meta(md: FeatureVectorSet, params: TreeParams, rng: RandomSource) -> MetaClassifier:
     tree = dtree.train_tree(md.data, params, rng)
-    acc = dtree.training_accuracy(tree, md.data)
-    return MetaClassifier(tree, md.source_kind, md.data.schema, acc)
+    return MetaClassifier(tree, md.source_kind, dtree.training_accuracy(tree, md.data))
 
 
 def infer_property(mc: MetaClassifier, target) -> PropertyVerdict:

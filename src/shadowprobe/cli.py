@@ -17,10 +17,10 @@ import logging
 import os
 import sys
 
-from . import datagen, dtree, hmm, metrics, serialize, svm
+from . import datagen, hmm, metrics, serialize, svm
 from .attack import infer_property, kl_divergence_scores, kl_filter
 from .core import (ContractError, RandomSource, ShadowprobeError, StructuralError,
-                   load_dataset, save_dataset)
+                   load_dataset, read_text, save_dataset)
 from .pipeline import CASES, ConfigError, PipelineConfig, run_pipeline
 from .svm import KernelSpec
 
@@ -33,14 +33,16 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_config(args) -> dict:
+def _load_config(args, default_case=None) -> PipelineConfig:
+    """The config file's fields, overridden by the flags given."""
     cfg = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                cfg = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"config file is not valid JSON ({e})") from e
+        try:
+            cfg = json.loads(read_text(args.config))
+        except (OSError, StructuralError) as e:
+            raise ConfigError(f"cannot read config file: {e}") from e
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"config file is not valid JSON ({e})") from e
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
     overrides = {
@@ -55,7 +57,9 @@ def _load_config(args) -> dict:
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    return cfg
+    if default_case is not None:
+        cfg.setdefault("case", default_case)
+    return PipelineConfig.from_dict(cfg)
 
 
 def _add_common(sp):
@@ -70,7 +74,7 @@ def _add_common(sp):
 
 
 def cmd_run(args) -> int:
-    cfg = PipelineConfig.from_dict(_load_config(args))
+    cfg = _load_config(args)
     try:
         report = run_pipeline(cfg)
     except ShadowprobeError:
@@ -97,9 +101,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    d = _load_config(args)
-    d.setdefault("case", "netflow")
-    cfg = PipelineConfig.from_dict(d)
+    cfg = _load_config(args, default_case="netflow")
     os.makedirs(cfg.out_dir, exist_ok=True)
     rng = RandomSource(cfg.seed)
     if cfg.case in ("netflow", "dp_bypass"):
@@ -110,9 +112,7 @@ def cmd_generate(args) -> int:
             save_dataset(ds, path)
             print(f"wrote {path} ({ds.n_rows} rows)")
     elif cfg.case == "speech":
-        spec = datagen.default_speech_spec(
-            rng.child(0), n_phonemes=cfg.n_phonemes, n_states=cfg.n_states, dim=cfg.dim,
-            n_boosted=cfg.n_boosted, boost_shift=cfg.boost_shift, base_shift=cfg.base_shift)
+        spec = cfg.speech_spec(rng.child(0))
         for tag, with_p in (("with_property", True), ("without_property", False)):
             corpus = datagen.gen_speech_corpus(spec, with_p, cfg.n_sequences, rng.child(10 + with_p))
             path = os.path.join(cfg.out_dir, f"corpus_{tag}.json")
@@ -127,11 +127,7 @@ def cmd_generate(args) -> int:
 
 def _load_corpus(path) -> dict:
     """A JSON object mapping each phoneme to a list of (T, dim) frame lists."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise StructuralError(f"{path}: not valid JSON ({e})") from e
+    raw = serialize.load_json(path)
     if not isinstance(raw, dict):
         raise StructuralError(f"{path}: a corpus must be a JSON object of phoneme sequences")
     corpus = {}
@@ -146,9 +142,7 @@ def _load_corpus(path) -> dict:
 
 
 def cmd_train(args) -> int:
-    d = _load_config(args)
-    d.setdefault("case", "netflow")
-    cfg = PipelineConfig.from_dict(d)
+    cfg = _load_config(args, default_case="netflow")
     os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.case == "netflow":
         ds = load_dataset(args.data, has_header=True,
@@ -189,17 +183,9 @@ def cmd_filter(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    d = _load_config(args)
-    d.setdefault("case", "netflow")
-    cfg = PipelineConfig.from_dict(d)
+    cfg = _load_config(args, default_case="netflow")
     ds = load_dataset(args.data, has_header=True, label_column=args.label_column)
-    rng = RandomSource(cfg.seed)
-
-    def tree_trainer(train_ds, fold_rng):
-        tree = dtree.train_tree(train_ds, cfg.tree_params(), fold_rng)
-        return lambda test_ds: dtree.classify(tree, test_ds)
-
-    cv = metrics.k_fold_cross_validate(ds, args.folds, tree_trainer, rng)
+    cv = metrics.k_fold_cross_validate(ds, args.folds, cfg.tree_trainer(), RandomSource(cfg.seed))
     pra = metrics.precision_recall_accuracy(cv.pooled)
     print(json.dumps({
         "folds": args.folds,
@@ -262,7 +248,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except ShadowprobeError as e:
+    except (ShadowprobeError, OSError) as e:  # an OSError names the file it failed on
         print(f"error: {e}", file=sys.stderr)
         return 1
 

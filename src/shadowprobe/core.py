@@ -10,6 +10,7 @@ Every stochastic operation in the package takes an explicit
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -220,6 +221,16 @@ def _parse_numeric(cell: str):
         return None
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, line endings untranslated; other bytes are
+    a StructuralError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise StructuralError(f"{path}: not UTF-8 text ({e})") from None
+
+
 def load_dataset(path, has_header: bool = True, label_column: int | None = None,
                  schema=None) -> Dataset:
     """Load a comma-separated UTF-8 file into a Dataset.
@@ -231,8 +242,7 @@ def load_dataset(path, has_header: bool = True, label_column: int | None = None,
     labels rather than attribute values. A numeric cell that parses as
     a non-finite float (``nan``, ``inf``, ``1e999``) is a StructuralError.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        raw = list(csv.reader(fh))
+    raw = list(csv.reader(io.StringIO(read_text(path), newline="")))
     if not raw:
         raise StructuralError(f"{path}: empty file")
     header = None

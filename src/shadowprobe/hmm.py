@@ -5,11 +5,13 @@ is forced to enter at the first state and exit from the last one.
 Observation sequences are plain (T, dim) float arrays. All sequence
 arithmetic runs in the log domain.
 
-Viterbi alignment and hard-EM training run several models in lockstep:
-the sequences of every model are padded into one (time, sequence,
-state) array and advanced one time step at a time, so an acoustic
-model's phoneme HMMs train together. A single model is the one-model
-case of the same code.
+Viterbi alignment, hard-EM training and the forward likelihood share
+one trellis that runs several models in lockstep: the sequences of
+every model are padded into one (time, sequence, state) array and
+advanced one time step at a time, so an acoustic model's phoneme HMMs
+train together. The forward likelihood is the same recurrence with
+log-sum-exp in place of max, and a single model or sequence is the
+one-model case of the same code.
 
 Defaults follow common phoneme-model practice: five emitting states and
 25-dimensional frames; one Gaussian per state (no mixtures) with a
@@ -170,19 +172,13 @@ def _emissions(means: np.ndarray, vars_: np.ndarray, seq: np.ndarray) -> np.ndar
     return const[None, :] + quad
 
 
-def _log_trans(trans: np.ndarray):
-    """Log self-loop (..., n) and advance (..., n - 1) probabilities."""
-    with np.errstate(divide="ignore"):
-        lt = np.log(trans)
-    return np.diagonal(lt, axis1=-2, axis2=-1), np.diagonal(lt, 1, axis1=-2, axis2=-1)
-
-
 class _Batch:
     """The sequences of several models, packed for lockstep alignment.
 
     Sequences are numbered model by model; frames are numbered the same
-    way (model, then sequence, then time), and frame f of that order sits
-    at row (t_of[f], seq_of[f]) of a padded (time, sequence) array.
+    way (model, then sequence, then time) and stacked into one
+    (frames, dim) array, and frame f of that order sits at row
+    (t_of[f], seq_of[f]) of a padded (time, sequence) array.
     """
 
     def __init__(self, groups: list, n_states: int, dim: int, names=None):
@@ -195,9 +191,10 @@ class _Batch:
                 if seq.shape[1] != dim:
                     raise ContractError(_who(names, p)
                                         + f"sequence dim {seq.shape[1]} != model dim {dim}")
-        self.groups = groups
-        per_model = [len(seqs) for seqs in groups]
-        self.lengths = np.array([seq.shape[0] for seqs in groups for seq in seqs], dtype=np.intp)
+        seqs = [seq for group in groups for seq in group]
+        self.frames = np.concatenate(seqs) if seqs else np.empty((0, dim))
+        per_model = [len(group) for group in groups]
+        self.lengths = np.array([seq.shape[0] for seq in seqs], dtype=np.intp)
         self.owner = np.repeat(np.arange(len(groups)), per_model)
         self.seq_bounds = np.concatenate([[0], np.cumsum(per_model)])
         self.frame_bounds = np.concatenate([[0], np.cumsum(self.lengths)])[self.seq_bounds]
@@ -205,45 +202,46 @@ class _Batch:
         self.t_of = np.arange(len(self.seq_of)) - np.repeat(
             np.cumsum(self.lengths) - self.lengths, self.lengths)
 
-    def frames(self, p: int) -> np.ndarray:
-        """All frames of model p, in frame order."""
-        return np.concatenate(self.groups[p], axis=0)
 
-
-def _align(trans, means, vars_, batch: _Batch, names=None, backtrack=True):
+def _align(trans, means, vars_, batch: _Batch, names=None, sum_paths=False):
     """Viterbi-align every sequence of the batch under its own model.
 
     trans, means and vars_ stack the models' parameters along axis 0.
-    Returns each sequence's best-path log-probability and, with
-    ``backtrack``, the best path's state for every frame in frame order.
+    Returns each sequence's best-path log-probability and the best path's
+    state for every frame in frame order; with ``sum_paths``, each
+    sequence's log-probability summed over all paths and no states.
     """
     n = trans.shape[-1]
     lengths = batch.lengths
     B, T = len(lengths), int(lengths.max())
-    # delta[t] starts as the emissions at time t and becomes the best
-    # score of a path ending there; padding past a sequence's end is 0.
+    # delta[t] starts as the emissions at time t and becomes the score of
+    # the paths ending there; padding past a sequence's end is 0.
     delta = np.zeros((T, B, n))
-    for p in range(len(batch.groups)):
+    for p in range(len(batch.seq_bounds) - 1):
         lo, hi = batch.frame_bounds[p], batch.frame_bounds[p + 1]
         delta[batch.t_of[lo:hi], batch.seq_of[lo:hi]] = _emissions(means[p], vars_[p],
-                                                                    batch.frames(p))
-    stay, adv = _log_trans(trans)
-    stay, adv = stay[batch.owner], adv[batch.owner]
+                                                                    batch.frames[lo:hi])
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(trans)[batch.owner]
+    stay = np.diagonal(log_trans, axis1=-2, axis2=-1)  # self-loops, (B, n)
+    adv = np.diagonal(log_trans, 1, axis1=-2, axis2=-1)  # advances, (B, n - 1)
     delta[0, :, 1:] = -np.inf
     from_adv = np.full((B, n), -np.inf)
-    choice = np.zeros((T, B, n), dtype=bool)  # True = arrived by advance
+    combine = np.logaddexp if sum_paths else np.maximum
+    choice = None if sum_paths else np.zeros((T, B, n), dtype=bool)  # True = advanced
     for t in range(1, T):
         from_stay = delta[t - 1] + stay
         np.add(delta[t - 1, :, :-1], adv, out=from_adv[:, 1:])
-        np.greater(from_adv, from_stay, out=choice[t])
-        delta[t] += np.maximum(from_stay, from_adv)
+        if not sum_paths:
+            np.greater(from_adv, from_stay, out=choice[t])
+        delta[t] += combine(from_stay, from_adv)
     rows = np.arange(B)
     scores = delta[lengths - 1, rows, n - 1]
     infeasible = ~np.isfinite(scores)
     if infeasible.any():
         raise InfeasiblePathError(_who(names, batch.owner[np.argmax(infeasible)])
                                   + "no feasible path reaches the final state")
-    if not backtrack:
+    if sum_paths:
         return scores, None
     state = np.full(B, n - 1, dtype=np.intp)
     states = np.empty((T, B), dtype=np.intp)
@@ -295,29 +293,8 @@ def viterbi(model: GaussianHmm, seq) -> tuple[list, float]:
 
 def forward_loglik(model: GaussianHmm, seq) -> float:
     """Log-probability of the sequence summed over all feasible paths."""
-    seq = as_sequence(seq)
-    n = model.n_states
-    T = seq.shape[0]
-    if T < n:
-        raise InfeasiblePathError(f"sequence length {T} < minimum path length {n}")
-    if seq.shape[1] != model.dim:
-        raise ContractError(f"sequence dim {seq.shape[1]} != model dim {model.dim}")
-    logb = _emissions(model.means, model.vars, seq)
-    stay, adv = _log_trans(model.trans)
-    alpha = np.full(n, -np.inf)
-    alpha[0] = logb[0, 0]
-    for t in range(1, T):
-        from_adv = np.full(n, -np.inf)
-        from_adv[1:] = alpha[:-1] + adv
-        alpha = logb[t] + np.logaddexp(alpha + stay, from_adv)
-    if not np.isfinite(alpha[n - 1]):
-        raise InfeasiblePathError("no feasible path reaches the final state")
-    return float(alpha[n - 1])
-
-
-def _check_monotone(name: str, prev: float | None, new: float) -> None:
-    if prev is not None and new < prev - 1e-8 * max(1.0, abs(prev)):
-        raise ArithmeticError(f"{name} log-likelihood decreased: {prev} -> {new}")
+    batch = _Batch([[as_sequence(seq)]], model.n_states, model.dim)
+    return float(_align(*_stack([model]), batch, sum_paths=True)[0][0])
 
 
 def _reestimate_trans(trans, stays, advances):
@@ -358,8 +335,9 @@ def _train_lockstep(models: list, groups: list, iters: int, names=None) -> list:
 
     def check(prev, new):
         for p in range(P):
-            _check_monotone(_who(names, p) + "viterbi", None if prev is None else prev[p],
-                            new[p])
+            if prev is not None and new[p] < prev[p] - 1e-8 * max(1.0, abs(prev[p])):
+                raise ArithmeticError(_who(names, p) + "viterbi log-likelihood decreased: "
+                                      f"{prev[p]} -> {new[p]}")
 
     prev = None
     for _ in range(iters):
@@ -372,16 +350,12 @@ def _train_lockstep(models: list, groups: list, iters: int, names=None) -> list:
         moved = path[1:] != path[:-1]
         steps = np.bincount((2 * cell[:-1] + moved)[continues], minlength=2 * P * n)
         steps = steps.reshape(P, n, 2).astype(np.float64)
-        sums = np.empty((P, n, d))
-        sqs = np.empty((P, n, d))
-        for p in range(P):
-            # bincount adds to each (state, dim) cell frame by frame, in
-            # the order a sequence-by-sequence accumulation would.
-            frames = batch.frames(p)
-            at = path[batch.frame_bounds[p]:batch.frame_bounds[p + 1]]
-            cells = (at[:, None] * d + np.arange(d)).ravel()
-            sums[p] = np.bincount(cells, frames.ravel(), n * d).reshape(n, d)
-            sqs[p] = np.bincount(cells, (frames * frames).ravel(), n * d).reshape(n, d)
+        # bincount adds to each (model, state, dim) cell frame by frame,
+        # in the order a sequence-by-sequence accumulation would.
+        cells = (cell[:, None] * d + np.arange(d)).ravel()
+        x = batch.frames.ravel()
+        sums = np.bincount(cells, x, P * n * d).reshape(P, n, d)
+        sqs = np.bincount(cells, x * x, P * n * d).reshape(P, n, d)
         # States without frames keep their emission parameters.
         hit = counts > 0
         means[hit] = sums[hit] / counts[hit][:, None]
@@ -389,7 +363,7 @@ def _train_lockstep(models: list, groups: list, iters: int, names=None) -> list:
         trans = _reestimate_trans(trans, steps[..., 0], steps[..., 1])
         check_params(trans, means, vars_, names)
     if iters > 0:
-        check(prev, totals(_align(trans, means, vars_, batch, names, backtrack=False)[0]))
+        check(prev, totals(_align(trans, means, vars_, batch, names)[0]))
     return [GaussianHmm(trans[p], means[p], vars_[p]) for p in range(P)]
 
 

@@ -5,7 +5,9 @@ to a linear combination of its inputs; each layer's weight matrix
 carries the bias as column 0, with the corresponding input pinned to 1.
 Training is per-presentation stochastic gradient descent on the squared
 error E = 0.5 * ||target - output||^2; same-shaped nets train side by
-side on stacked weights, each exactly as it would alone.
+side on stacked weights, each exactly as it would alone. One stacked
+forward pass and one stacked backward pass serve the trainer, and
+:func:`forward` and :func:`gradients` run them on a stack of one net.
 """
 
 from __future__ import annotations
@@ -55,16 +57,45 @@ def init_mlp(layer_sizes, rng: RandomSource) -> Mlp:
     return Mlp(sizes, weights)
 
 
-def forward(net: Mlp, x) -> tuple[np.ndarray, list]:
-    """Output vector plus the activation of every non-input layer."""
+def _forward(weights: list, ext: list, a: np.ndarray) -> list:
+    """Activations of every non-input layer of a stack of nets: weights[l]
+    is (nets, out, in + 1), a is (nets, n_in), and ext[l], a (nets, in + 1)
+    buffer with 1 in column 0, receives layer l's input."""
+    acts = []
+    for w, e in zip(weights, ext):
+        e[:, 1:] = a
+        a = sigmoid((w @ e[..., None])[..., 0])
+        acts.append(a)
+    return acts
+
+
+def _backward(weights: list, ext: list, acts: list, target: np.ndarray) -> list:
+    """dE/dW of every layer of a stack of nets after :func:`_forward`."""
+    grads = [None] * len(weights)
+    out = acts[-1]
+    delta = (out - target) * out * (1.0 - out)
+    for l in range(len(weights) - 1, -1, -1):
+        grads[l] = delta[..., None] * ext[l][..., None, :]
+        if l > 0:
+            back = (weights[l].transpose(0, 2, 1) @ delta[..., None])[..., 0]
+            below = acts[l - 1]
+            delta = below * (1.0 - below) * back[:, 1:]  # drop the bias row
+    return grads
+
+
+def _forward_one(net: Mlp, x):
+    """The stack of one net, its layer inputs and its forward pass on x."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.layer_sizes[0],):
         raise ContractError(f"input has shape {x.shape}, network expects ({net.layer_sizes[0]},)")
-    activations = []
-    a = x
-    for w in net.weights:
-        a = sigmoid(w @ np.concatenate(([1.0], a)))
-        activations.append(a)
+    weights = [w[None] for w in net.weights]
+    ext = [np.ones((1, w.shape[2])) for w in weights]
+    return weights, ext, _forward(weights, ext, x[None])
+
+
+def forward(net: Mlp, x) -> tuple[np.ndarray, list]:
+    """Output vector plus the activation of every non-input layer."""
+    activations = [a[0] for a in _forward_one(net, x)[2]]
     return activations[-1], activations
 
 
@@ -74,17 +105,7 @@ def gradients(net: Mlp, x, target) -> list:
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (net.layer_sizes[-1],):
         raise ContractError(f"target has shape {target.shape}, network outputs ({net.layer_sizes[-1]},)")
-    out, activations = forward(net, x)
-    grads = [None] * len(net.weights)
-    delta = (out - target) * out * (1.0 - out)
-    for l in range(len(net.weights) - 1, -1, -1):
-        below = x if l == 0 else activations[l - 1]
-        grads[l] = np.outer(delta, np.concatenate(([1.0], below)))
-        if l > 0:
-            back = net.weights[l].T @ delta
-            a = activations[l - 1]
-            delta = a * (1.0 - a) * back[1:]  # drop the bias row
-    return grads
+    return [g[0] for g in _backward(*_forward_one(net, x), target[None])]
 
 
 def total_squared_error(net: Mlp, pairs) -> float:
@@ -113,7 +134,7 @@ def backprop_train(nets, pairs, lr: float, epochs: int, rngs) -> list[Mlp]:
 
     Each net draws a fresh presentation order from its own RandomSource
     every epoch, and each presentation applies ``w -= lr * dE/dW`` with
-    the gradients of that single pair (same math as :func:`gradients`).
+    the gradients of that single pair (the same code as :func:`gradients`).
     Layer l of all nets is one ``(nets, out, in + 1)`` stack, so one
     presentation step is a handful of stacked numpy calls for every net;
     each net's products are the same matrix-vector products as when it
@@ -133,24 +154,11 @@ def backprop_train(nets, pairs, lr: float, epochs: int, rngs) -> list[Mlp]:
         raise ContractError(f"epochs must be >= 0, got {epochs!r}")
     xs, ts = _training_pairs(pairs, sizes[0], sizes[-1])
     weights = [np.stack([net.weights[l] for net in nets]) for l in range(len(sizes) - 1)]
-    n_layers = len(weights)
-    ext = [np.empty((len(nets), w.shape[2])) for w in weights]  # [1, layer input] per net
-    for e in ext:
-        e[:, 0] = 1.0
-    acts = [None] * n_layers
+    ext = [np.ones((len(nets), w.shape[2])) for w in weights]
     for _ in range(epochs):
         orders = np.stack([rng.permutation(len(xs)) for rng in rngs], axis=1)
         for pick in orders:  # one pair index per net
-            a = xs[pick]
-            for l, w in enumerate(weights):
-                ext[l][:, 1:] = a
-                a = sigmoid((w @ ext[l][..., None])[..., 0])
-                acts[l] = a
-            delta = (a - ts[pick]) * a * (1.0 - a)
-            for l in range(n_layers - 1, 0, -1):
-                back = (weights[l].transpose(0, 2, 1) @ delta[..., None])[..., 0]
-                weights[l] -= lr * (delta[..., None] * ext[l][..., None, :])
-                below = acts[l - 1]
-                delta = below * (1.0 - below) * back[:, 1:]  # drop the bias row
-            weights[0] -= lr * (delta[..., None] * ext[0][..., None, :])
+            acts = _forward(weights, ext, xs[pick])
+            for w, g in zip(weights, _backward(weights, ext, acts, ts[pick])):
+                w -= lr * g
     return [Mlp(sizes, [w[s] for w in weights]) for s in range(len(nets))]

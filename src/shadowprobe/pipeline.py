@@ -162,6 +162,18 @@ class PipelineConfig:
     def tree_params(self) -> TreeParams:
         return TreeParams(self.min_leaf_size, self.max_depth)
 
+    def tree_trainer(self):
+        """k_fold_cross_validate's trainer: a fold's tree, as a classifier."""
+        def train(train_ds: Dataset, fold_rng: RandomSource):
+            tree = dtree.train_tree(train_ds, self.tree_params(), fold_rng)
+            return lambda test_ds: dtree.classify(tree, test_ds)
+        return train
+
+    def speech_spec(self, rng: RandomSource) -> datagen.SpeechSpec:
+        return datagen.default_speech_spec(
+            rng, n_phonemes=self.n_phonemes, n_states=self.n_states, dim=self.dim,
+            n_boosted=self.n_boosted, boost_shift=self.boost_shift, base_shift=self.base_shift)
+
 
 def _echo(cfg: PipelineConfig, names: str, **extras) -> dict:
     """Report config block: the named fields (space-separated) plus extras
@@ -198,9 +210,7 @@ def _metrics_block(cm: metrics.ConfusionMatrix) -> dict:
 
 
 def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
-    spec = datagen.default_speech_spec(
-        rng.child(0), n_phonemes=cfg.n_phonemes, n_states=cfg.n_states, dim=cfg.dim,
-        n_boosted=cfg.n_boosted, boost_shift=cfg.boost_shift, base_shift=cfg.base_shift)
+    spec = cfg.speech_spec(rng.child(0))
     shadows = datagen.gen_shadow_array(spec, cfg.shadows, 0.5, rng.child(1),
                                        size=cfg.n_sequences)
     log.info("speech: training %d shadow acoustic models", len(shadows))
@@ -267,13 +277,9 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     md = attack.build_meta_training_set(list(zip(models, labels)))
     mc = attack.train_meta(md, cfg.tree_params(), rng.child(2))
 
-    def tree_trainer(train_ds: Dataset, fold_rng: RandomSource):
-        tree = dtree.train_tree(train_ds, cfg.tree_params(), fold_rng)
-        return lambda test_ds: dtree.classify(tree, test_ds)
-
     log.info("netflow: %d-fold cross-validation on %d support-vector rows",
              cfg.folds, md.data.n_rows)
-    cv = metrics.k_fold_cross_validate(md.data, cfg.folds, tree_trainer, rng.child(3))
+    cv = metrics.k_fold_cross_validate(md.data, cfg.folds, cfg.tree_trainer(), rng.child(3))
 
     log.info("netflow: evaluating %d held-out target classifiers", cfg.n_targets)
     target_specs = datagen.gen_shadow_array(spec, cfg.n_targets, 0.5, rng.child(4),

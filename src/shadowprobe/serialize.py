@@ -9,11 +9,12 @@ loading a saved model reproduces its parameters exactly.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .attack import MetaClassifier
-from .core import ContractError, FormatError, StructuralError
+from .core import NUMERIC, ContractError, FormatError, StructuralError, read_text
 from .dtree import CategoricalNode, DecisionTree, Leaf, NumericNode, TreeParams
 from .hmm import AcousticModel, GaussianHmm
 from .kmeans import KMeansModel
@@ -41,16 +42,32 @@ def _node_to_payload(node):
     }
 
 
-def _node_from_payload(d):
+def _node_from_payload(d, schema: tuple):
+    """Rebuild a subtree whose tests must fit ``schema``."""
     if "leaf_label" in d:
         return Leaf(d["leaf_label"], d["count"], d.get("tie_broken", False))
-    test = d["test"]
-    if test["kind"] == "numeric":
-        low, high = (_node_from_payload(c) for c in d["children"])
-        return NumericNode(test["attribute"], test["threshold"], d["count"], low, high)
-    branches = {v: _node_from_payload(c) for v, c in zip(test["values"], d["children"])}
-    return CategoricalNode(test["attribute"], d["count"], branches,
-                           _node_from_payload(d["fallback"]))
+    test, children = d["test"], d["children"]
+    attr, kind = test["attribute"], test["kind"]
+    if type(attr) is not int or not 0 <= attr < len(schema):
+        raise StructuralError(f"tree test attribute {attr!r} is outside the "
+                              f"{len(schema)}-attribute schema")
+    if kind != schema[attr][1]:
+        raise StructuralError(f"tree test on attribute {attr} is {kind!r} but the schema "
+                              f"says {schema[attr][1]!r}")
+    want = 2 if kind == NUMERIC else len(test["values"])
+    if len(children) != want:
+        raise StructuralError(f"{kind} tree test has {len(children)} children, expected {want}")
+    if kind == NUMERIC:
+        threshold = test["threshold"]
+        if type(threshold) not in (int, float) or not math.isfinite(threshold):
+            raise StructuralError(f"tree threshold {threshold!r} is not a finite number")
+        low, high = (_node_from_payload(c, schema) for c in children)
+        return NumericNode(attr, threshold, d["count"], low, high)
+    values = test["values"]
+    if not all(isinstance(v, str) for v in values):
+        raise StructuralError(f"categorical tree test values must be strings, got {values!r}")
+    branches = {v: _node_from_payload(c, schema) for v, c in zip(values, children)}
+    return CategoricalNode(attr, d["count"], branches, _node_from_payload(d["fallback"], schema))
 
 
 def _tree_body(tree: DecisionTree) -> dict:
@@ -65,7 +82,7 @@ def _tree_body(tree: DecisionTree) -> dict:
 def _tree_from_body(d) -> DecisionTree:
     params = TreeParams(d["params"]["min_leaf_size"], d["params"]["max_depth"])
     schema = tuple((n, k) for n, k in d["schema"])
-    return DecisionTree(_node_from_payload(d["root"]), schema, params)
+    return DecisionTree(_node_from_payload(d["root"], schema), schema, params)
 
 
 def to_payload(model) -> dict:
@@ -173,12 +190,10 @@ def _decode(kind, payload: dict):
     if kind == "dtree":
         return _tree_from_body(payload)
     if kind == "meta":
-        return MetaClassifier(
-            tree=_tree_from_body(payload["tree"]),
-            source_kind=payload["source_kind"],
-            schema=tuple((n, k) for n, k in payload["schema"]),
-            train_accuracy=payload["train_accuracy"],
-        )
+        tree = _tree_from_body(payload["tree"])
+        if tuple((n, k) for n, k in payload["schema"]) != tree.schema:
+            raise StructuralError("meta payload schema differs from its tree's schema")
+        return MetaClassifier(tree, payload["source_kind"], payload["train_accuracy"])
     raise FormatError(f"unknown model kind {kind!r}")
 
 
@@ -188,13 +203,16 @@ def save_model(model, path) -> None:
         fh.write("\n")
 
 
+def load_json(path):
+    """The JSON value in a UTF-8 file; bad JSON is a StructuralError."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise StructuralError(f"{path}: not valid JSON ({e})") from e
+
+
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise StructuralError(f"{path}: not valid JSON ({e})") from e
-    return from_payload(payload)
+    return from_payload(load_json(path))
 
 
 def save_report(report: dict, path) -> None:

@@ -137,6 +137,21 @@ class TestForward:
             seq = RandomSource(300 + seed).normal(0, 2, size=(7, 2))
             assert forward_loglik(m, seq) >= viterbi(m, seq)[1] - 1e-12
 
+    def test_too_short_sequence(self):
+        with pytest.raises(InfeasiblePathError,
+                           match="^sequence length 2 < minimum path length 3$"):
+            forward_loglik(small_model(n=3), np.zeros((2, 2)))
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ContractError, match="^sequence dim 3 != model dim 2$"):
+            forward_loglik(small_model(n=2, dim=2), np.zeros((4, 3)))
+
+    def test_blocked_advance(self):
+        m = GaussianHmm(np.eye(2), np.zeros((2, 1)), np.ones((2, 1)))
+        with pytest.raises(InfeasiblePathError,
+                           match="^no feasible path reaches the final state$"):
+            forward_loglik(m, np.zeros((4, 1)))
+
 
 def generate_from(model, n_seqs, frames_per_state, rng):
     seqs = []
@@ -358,6 +373,15 @@ class TestLockstep:
                 assert path == [0] * len(seq)
                 want = sum(log_gauss_diag(f, m.means[0], m.vars[0]) for f in seq)
                 assert abs(lp - want) < 1e-9
+
+    def test_groups_without_sequences(self):
+        m = small_model(n=2)
+        assert viterbi_batch([m, m], [[], []]) == [[], []]
+
+    def test_one_group_without_sequences(self):
+        m = small_model(n=2)
+        seq = np.zeros((3, 2))
+        assert viterbi_batch([m, m], [[], [seq]]) == [[], [viterbi(m, seq)]]
 
     def test_models_must_share_shape(self):
         with pytest.raises(ContractError):

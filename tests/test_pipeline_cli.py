@@ -269,6 +269,59 @@ class TestCli:
         cfg.write_text('{"case": "speech",')
         assert main(["run", "--config", str(cfg)]) == 2
 
+    @staticmethod
+    def unreadable(tmp_path, how):
+        """A path that is missing, a directory, or a file that is not UTF-8."""
+        if how == "missing":
+            return tmp_path / "missing.json"
+        if how == "directory":
+            (tmp_path / "somedir").mkdir()
+            return tmp_path / "somedir"
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"case": "speech", "out_dir": "caf\xe9"}'.encode("latin-1"))
+        return path
+
+    @pytest.mark.parametrize("how", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, how):
+        # Each used to end in a FileNotFoundError, IsADirectoryError or
+        # UnicodeDecodeError traceback with exit 1.
+        path = self.unreadable(tmp_path, how)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert str(path) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["missing", "directory", "not_utf8"])
+    @pytest.mark.parametrize("command", ["attack", "evaluate", "train"])
+    def test_unreadable_input_file_exit_1(self, tmp_path, capsys, how, command):
+        path = str(self.unreadable(tmp_path, how))
+        argv = {
+            "attack": ["attack", "--meta", path, "--target", path],
+            "evaluate": ["evaluate", "--data", path, "--label-column", "1"],
+            "train": ["train", "--case", "speech", "--data", path,
+                      "--out", str(tmp_path / "out")],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert path in err
+
+    @pytest.mark.parametrize("key,value", [("attribute", 99), ("threshold", "0.5")])
+    def test_attack_rejects_tree_outside_schema(self, tmp_path, capsys, key, value):
+        meta, target = tmp_path / "meta.json", tmp_path / "target.json"
+        payload = to_payload(svm_meta_classifier())
+        root = payload["tree"]["root"]
+        assert root["test"]["kind"] == "numeric"
+        root["test"][key] = value
+        meta.write_text(json.dumps(payload))
+        save_model(svm_model(9), target)
+        # Used to crash inside classify with IndexError / UFuncNoLoopError.
+        assert main(["attack", "--meta", str(meta), "--target", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_filter_command(self, tmp_path, capsys):
         gen_cfg = tmp_path / "gen.json"
         gen_cfg.write_text(json.dumps({

@@ -10,8 +10,9 @@ from shadowprobe.core import (
     StructuralError,
     make_dataset,
 )
-from shadowprobe.attack import NOT_P, P, build_meta_training_set, train_meta
-from shadowprobe.dtree import TreeParams, classify, train_tree
+from shadowprobe.attack import NOT_P, P, MetaClassifier, build_meta_training_set, train_meta
+from shadowprobe.dtree import (CategoricalNode, DecisionTree, Leaf, NumericNode, TreeParams,
+                               classify, train_tree)
 from shadowprobe.hmm import AcousticModel, GaussianHmm
 from shadowprobe.kmeans import KMeansModel
 from shadowprobe.mlp import init_mlp
@@ -135,6 +136,73 @@ class TestErrors:
         body["weights"][1][2][1] = float("nan")
         with pytest.raises(ContractError, match="weight matrix 1 has non-finite"):
             from_payload(body)
+
+
+def mixed_tree():
+    """A hand-built tree with a numeric root and a categorical child."""
+    schema = (("x", NUMERIC), ("c", CATEGORICAL))
+    cat = CategoricalNode(1, 3, {"b": Leaf("q", 2), "c": Leaf("p", 1)}, Leaf("q", 0))
+    return DecisionTree(NumericNode(0, 1.0, 5, Leaf("p", 2), cat), schema, TreeParams())
+
+
+def _set(path, value):
+    def edit(tree_body):
+        node = tree_body
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+class TestTreeSchema:
+    """A tree payload's tests must fit its schema; each of these used to
+    load and then crash inside classify, or classify silently."""
+
+    @pytest.mark.parametrize("edit,match", [
+        pytest.param(_set(("root", "test", "attribute"), 99), "outside the 2-attribute schema",
+                     id="attribute-99"),
+        pytest.param(_set(("root", "test", "attribute"), -1), "outside", id="attribute-neg"),
+        pytest.param(_set(("root", "test", "attribute"), 0.0), "outside", id="attribute-float"),
+        pytest.param(_set(("root", "test", "attribute"), True), "outside", id="attribute-bool"),
+        pytest.param(_set(("root", "test", "attribute"), 1), "schema says 'categorical'",
+                     id="numeric-test-on-categorical"),
+        pytest.param(_set(("root", "children", 1, "test", "attribute"), 0),
+                     "schema says 'numeric'", id="categorical-test-on-numeric"),
+        pytest.param(_set(("root", "test", "threshold"), "0.5"), "not a finite number",
+                     id="threshold-str"),
+        pytest.param(_set(("root", "test", "threshold"), float("nan")), "not a finite number",
+                     id="threshold-nan"),
+        pytest.param(_set(("root", "test", "threshold"), float("inf")), "not a finite number",
+                     id="threshold-inf"),
+        pytest.param(_set(("root", "test", "threshold"), None), "not a finite number",
+                     id="threshold-null"),
+        pytest.param(_set(("root", "children", 1, "test", "values"), ["b", 3]),
+                     "must be strings", id="value-int"),
+        pytest.param(_set(("root", "children", 1, "test", "values"), ["b"]),
+                     "2 children, expected 1", id="categorical-children"),
+        pytest.param(_set(("root", "children"), []), "0 children, expected 2",
+                     id="numeric-children"),
+    ])
+    @pytest.mark.parametrize("kind", ["dtree", "meta"])
+    def test_rejected(self, kind, edit, match):
+        tree = mixed_tree()
+        model = tree if kind == "dtree" else MetaClassifier(tree, "hmm", 1.0)
+        payload = to_payload(model)
+        edit(payload if kind == "dtree" else payload["tree"])
+        with pytest.raises(StructuralError, match=match):
+            from_payload(payload)
+
+    def test_valid_tree_roundtrips(self):
+        tree = mixed_tree()
+        back = from_payload(to_payload(tree))
+        ds = make_dataset(tree.schema, [(0.5, "b"), (2.0, "b"), (2.0, "c"), (2.0, "z")])
+        assert classify(back, ds) == classify(tree, ds) == ["p", "q", "p", "q"]
+
+    def test_meta_schema_must_match_tree(self):
+        payload = to_payload(MetaClassifier(mixed_tree(), "hmm", 1.0))
+        payload["schema"] = [["x", NUMERIC], ["d", CATEGORICAL]]
+        with pytest.raises(StructuralError, match="schema differs"):
+            from_payload(payload)
 
 
 def sample_payloads():
