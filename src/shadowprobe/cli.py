@@ -102,6 +102,8 @@ def cmd_run(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args, default_case="netflow")
+    if cfg.case not in ("netflow", "dp_bypass", "speech"):
+        raise ConfigError(f"generate does not apply to case {cfg.case!r}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     rng = RandomSource(cfg.seed)
     if cfg.case in ("netflow", "dp_bypass"):
@@ -111,7 +113,7 @@ def cmd_generate(args) -> int:
             path = os.path.join(cfg.out_dir, f"flows_{tag}.csv")
             save_dataset(ds, path)
             print(f"wrote {path} ({ds.n_rows} rows)")
-    elif cfg.case == "speech":
+    else:
         spec = cfg.speech_spec(rng.child(0))
         for tag, with_p in (("with_property", True), ("without_property", False)):
             corpus = datagen.gen_speech_corpus(spec, with_p, cfg.n_sequences, rng.child(10 + with_p))
@@ -120,8 +122,6 @@ def cmd_generate(args) -> int:
                 json.dump({ph: [s.tolist() for s in seqs] for ph, seqs in corpus.items()},
                           fh, sort_keys=True)
             print(f"wrote {path} ({len(corpus)} phonemes)")
-    else:
-        raise ConfigError(f"generate does not apply to case {cfg.case!r}")
     return 0
 
 
@@ -143,7 +143,6 @@ def _load_corpus(path) -> dict:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args, default_case="netflow")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.case == "netflow":
         ds = load_dataset(args.data, has_header=True,
                           label_column=len(datagen.FLOW_COLUMNS))
@@ -156,6 +155,7 @@ def cmd_train(args) -> int:
         out = os.path.join(cfg.out_dir, "acoustic_model.json")
     else:
         raise ConfigError(f"train does not apply to case {cfg.case!r}")
+    os.makedirs(cfg.out_dir, exist_ok=True)
     serialize.save_model(model, out)
     print(f"wrote {out}")
     return 0

@@ -350,12 +350,11 @@ def _train_lockstep(models: list, groups: list, iters: int, names=None) -> list:
         moved = path[1:] != path[:-1]
         steps = np.bincount((2 * cell[:-1] + moved)[continues], minlength=2 * P * n)
         steps = steps.reshape(P, n, 2).astype(np.float64)
-        # bincount adds to each (model, state, dim) cell frame by frame,
-        # in the order a sequence-by-sequence accumulation would.
-        cells = (cell[:, None] * d + np.arange(d)).ravel()
-        x = batch.frames.ravel()
-        sums = np.bincount(cells, x, P * n * d).reshape(P, n, d)
-        sqs = np.bincount(cells, x * x, P * n * d).reshape(P, n, d)
+        # bincount adds to each (model, state) cell frame by frame, in the
+        # order a sequence-by-sequence accumulation would; one dim at a time.
+        dims = batch.frames.T
+        sums = np.stack([np.bincount(cell, x, P * n) for x in dims], axis=1).reshape(P, n, d)
+        sqs = np.stack([np.bincount(cell, x * x, P * n) for x in dims], axis=1).reshape(P, n, d)
         # States without frames keep their emission parameters.
         hit = counts > 0
         means[hit] = sums[hit] / counts[hit][:, None]

@@ -129,6 +129,21 @@ class TestEmptyClusterHandling:
         with pytest.raises(ContractError, match=r"point 2 is not finite"):
             train([[0.0, 0.0], [1.0, 1.0], [bad, 0.0], [5.0, 5.0]])
 
+    @pytest.mark.parametrize("train", [
+        lambda pts, k: kmeans_train(pts, k, 20, RandomSource(0)),
+        lambda pts, k: sulq_kmeans_train(pts, k, 20, 1.0, RandomSource(0)),
+    ], ids=["plain", "sulq"])
+    @pytest.mark.parametrize("points,k,match", [
+        # Used to return converged=True with objective_trace [inf, inf].
+        ([[1e308, 0], [1.5e308, 1], [-1e308, 2], [-1.7e308, 3]], 2,
+         r"objective is not finite at iteration 1: inf"),
+        ([[1e308, 0], [1e308, 1], [1e308, 2], [1e308, 3]], 1,
+         r"centroid 0 is not finite after iteration 1: \[inf, "),
+    ], ids=["objective", "centroid"])
+    def test_overflow_rejected(self, train, points, k, match):
+        with pytest.raises(ContractError, match=match):
+            train(points, k)
+
     def test_wcss_helper(self):
         pts = np.array([[0.0], [2.0]])
         cents = np.array([[1.0]])
@@ -193,3 +208,27 @@ class TestMatchesReference:
             m = sulq_kmeans_train(pts[:, :d], 4, 40, 50.0, rng=RandomSource(19))
             assert_matches_reference(m, pts[:, :d], 4, 40, 19, sigma=50.0)
         assert sum(emptied) > 0
+
+
+class TestKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6), n=st.integers(1, 40),
+           grid=st.booleans(), inf_share=st.sampled_from([0.0, 0.2, 1.0]))
+    def test_nearest_is_first_argmin(self, seed, k, n, grid, inf_share):
+        rng = np.random.default_rng(seed)
+        dist = rng.exponential(2.0, size=(k, n))
+        if grid:
+            dist = np.round(dist)  # exact ties between centroids
+        dist[rng.random((k, n)) < inf_share] = np.inf
+        assert np.array_equal(kmeans._nearest(dist), np.argmin(dist, axis=0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 7),
+           scale=st.sampled_from([0.3, 1.0, 3.0]))
+    def test_distinct_rows_match_unique(self, seed, n, d, scale):
+        # Rounding repeats rows and mixes 0.0 with -0.0; == ignores the sign.
+        points = np.round(np.random.default_rng(seed).normal(0, scale, size=(n, d)))
+        distinct = kmeans._distinct_rows(points)
+        expected = np.unique(points, axis=0)
+        assert distinct.shape == expected.shape
+        assert np.array_equal(distinct, expected)

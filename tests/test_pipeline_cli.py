@@ -263,6 +263,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "must be finite" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_not_json_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -307,6 +308,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert path in err
+        # train used to create --out before it read --data.
+        assert not (tmp_path / "out").exists()
+
+    def test_generate_rejects_case_before_creating_out(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["generate", "--case", "mlp_demo", "--out", str(out)]) == 2
+        assert "generate does not apply to case 'mlp_demo'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [("attribute", 99), ("threshold", "0.5")])
     def test_attack_rejects_tree_outside_schema(self, tmp_path, capsys, key, value):
