@@ -32,6 +32,7 @@ from .core import (
     Dataset,
     DomainError,
     RandomSource,
+    property_labels,
     round_half_up,
 )
 from . import dtree
@@ -325,8 +326,7 @@ def run_dp_bypass(points_p, points_notp, k: int, sigma: float, n_runs: int,
                             f"got {sample_size}")
     if n_runs < 2:
         raise ContractError("n_runs must be >= 2")
-    n_p = round_half_up(0.5 * n_runs)
-    labels = [P] * n_p + [NOT_P] * (n_runs - n_p)
+    labels = property_labels(n_runs)
 
     plain_models, noisy_models = [], []
     scatter = []

@@ -4,9 +4,11 @@ Subcommands: ``generate`` (emit synthetic data), ``train`` (fit one
 target model from a data file), ``attack`` (apply a saved
 meta-classifier to a saved target model), ``filter`` (rank phonemes by
 divergence), ``evaluate`` (cross-validate a labeled CSV), and ``run``
-(full pipeline for a case). Every parameter can come from a JSON config
-file; flags override config values. The SHADOWPROBE_LOG environment
-variable sets the log level.
+(full pipeline for a case). ``run``, ``generate``, ``train`` and
+``evaluate`` read a PipelineConfig from ``--config`` (a JSON object);
+each takes only the override flags of the config fields it reads
+(``CONFIG_FLAGS``), and a flag overrides the file. The SHADOWPROBE_LOG
+environment variable sets the log level.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ import logging
 import os
 import sys
 
-from . import datagen, hmm, metrics, serialize, svm
+from . import datagen, hmm, metrics, serialize
 from .attack import infer_property, kl_divergence_scores, kl_filter
 from .core import (ContractError, RandomSource, ShadowprobeError, StructuralError,
                    load_dataset, read_text, save_dataset)
 from .pipeline import CASES, ConfigError, PipelineConfig, run_pipeline
-from .svm import KernelSpec
 
 log = logging.getLogger("shadowprobe")
 
@@ -33,8 +34,30 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+# Override flag -> (PipelineConfig field, argparse keywords).
+CONFIG_FLAGS = {
+    "seed": ("seed", {"type": int, "help": "master seed"}),
+    "out": ("out_dir", {"help": "output directory"}),
+    "case": ("case", {"choices": CASES, "help": "case study"}),
+    "shadows": ("shadows", {"type": int, "help": "number of shadow classifiers"}),
+    "top-k": ("top_k", {"type": int, "help": "phonemes kept by the filter"}),
+    "sigma": ("sigma", {"type": float, "help": "SuLQ noise scale"}),
+    "jobs": ("jobs", {"type": int, "help": "parallel workers for shadow training"}),
+    "folds": ("folds", {"type": int, "help": "cross-validation folds"}),
+}
+
+
+def _add_config(sp, *flags):
+    """--config plus the named override flags; a flag's default is the config's."""
+    sp.add_argument("--config", help="JSON config file")
+    for flag in flags:
+        field, kwargs = CONFIG_FLAGS[flag]
+        sp.add_argument(f"--{flag}", dest=field, **kwargs)
+    sp.set_defaults(config_fields=[CONFIG_FLAGS[flag][0] for flag in flags])
+
+
 def _load_config(args, default_case=None) -> PipelineConfig:
-    """The config file's fields, overridden by the flags given."""
+    """The config file's fields, overridden by the subcommand's flags given."""
     cfg = {}
     if args.config:
         try:
@@ -45,32 +68,13 @@ def _load_config(args, default_case=None) -> PipelineConfig:
             raise ConfigError(f"config file is not valid JSON ({e})") from e
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-    overrides = {
-        "case": getattr(args, "case", None),
-        "seed": getattr(args, "seed", None),
-        "out_dir": getattr(args, "out", None),
-        "shadows": getattr(args, "shadows", None),
-        "top_k": getattr(args, "top_k", None),
-        "sigma": getattr(args, "sigma", None),
-        "jobs": getattr(args, "jobs", None),
-    }
-    for key, value in overrides.items():
+    for field in args.config_fields:
+        value = getattr(args, field)
         if value is not None:
-            cfg[key] = value
+            cfg[field] = value
     if default_case is not None:
         cfg.setdefault("case", default_case)
     return PipelineConfig.from_dict(cfg)
-
-
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--seed", type=int, help="master seed (overrides config)")
-    sp.add_argument("--out", help="output directory")
-    sp.add_argument("--case", choices=CASES, help="case study")
-    sp.add_argument("--shadows", type=int, help="number of shadow classifiers")
-    sp.add_argument("--top-k", dest="top_k", type=int, help="phonemes kept by the filter")
-    sp.add_argument("--sigma", type=float, help="SuLQ noise scale")
-    sp.add_argument("--jobs", type=int, help="parallel workers for shadow training")
 
 
 def cmd_run(args) -> int:
@@ -144,17 +148,14 @@ def _load_corpus(path) -> dict:
 def cmd_train(args) -> int:
     cfg = _load_config(args, default_case="netflow")
     if cfg.case == "netflow":
-        ds = load_dataset(args.data, has_header=True,
-                          label_column=len(datagen.FLOW_COLUMNS))
-        kernel = KernelSpec(cfg.kernel_kind, cfg.gamma, cfg.r, cfg.degree)
-        model = svm.smo_train(ds, kernel, C=cfg.C, tol=cfg.tol)
+        data = load_dataset(args.data, has_header=True, label_column=len(datagen.FLOW_COLUMNS))
         out = os.path.join(cfg.out_dir, "svm_model.json")
     elif cfg.case == "speech":
-        corpus = _load_corpus(args.data)
-        model = hmm.train_acoustic_model(corpus, n_states=cfg.n_states, iters=cfg.train_iters)
+        data = _load_corpus(args.data)
         out = os.path.join(cfg.out_dir, "acoustic_model.json")
     else:
         raise ConfigError(f"train does not apply to case {cfg.case!r}")
+    model = cfg.train_model(data)
     os.makedirs(cfg.out_dir, exist_ok=True)
     serialize.save_model(model, out)
     print(f"wrote {out}")
@@ -185,10 +186,10 @@ def cmd_filter(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args, default_case="netflow")
     ds = load_dataset(args.data, has_header=True, label_column=args.label_column)
-    cv = metrics.k_fold_cross_validate(ds, args.folds, cfg.tree_trainer(), RandomSource(cfg.seed))
+    cv = metrics.k_fold_cross_validate(ds, cfg.folds, cfg.tree_trainer(), RandomSource(cfg.seed))
     pra = metrics.precision_recall_accuracy(cv.pooled)
     print(json.dumps({
-        "folds": args.folds,
+        "folds": cfg.folds,
         "fold_accuracies": cv.fold_accuracies,
         "mean_accuracy": cv.mean_accuracy,
         "labels": list(cv.pooled.labels),
@@ -205,15 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("run", help="run a full case pipeline")
-    _add_common(sp)
+    _add_config(sp, "seed", "out", "case", "shadows", "top-k", "sigma", "jobs")
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("generate", help="emit synthetic datasets or corpora")
-    _add_common(sp)
+    _add_config(sp, "seed", "out", "case")
     sp.set_defaults(fn=cmd_generate)
 
     sp = sub.add_parser("train", help="train one target model from a data file")
-    _add_common(sp)
+    _add_config(sp, "case", "out")
     sp.add_argument("--data", required=True, help="CSV flow file or JSON corpus")
     sp.set_defaults(fn=cmd_train)
 
@@ -230,10 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_filter)
 
     sp = sub.add_parser("evaluate", help="cross-validate a labeled CSV with the tree engine")
-    _add_common(sp)
+    _add_config(sp, "seed", "folds")
     sp.add_argument("--data", required=True)
     sp.add_argument("--label-column", dest="label_column", type=int, required=True)
-    sp.add_argument("--folds", type=int, default=10)
     sp.set_defaults(fn=cmd_evaluate)
 
     return parser

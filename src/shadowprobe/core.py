@@ -107,6 +107,12 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def property_labels(n: int) -> list:
+    """Labels of n shadows or runs: the first round_half_up(n / 2) carry P."""
+    n_p = round_half_up(n / 2)
+    return [P] * n_p + [NOT_P] * (n - n_p)
+
+
 def _column(name: str, kind: str, values) -> np.ndarray:
     """One attribute's values as a read-only array, validated whole."""
     if kind not in KINDS:

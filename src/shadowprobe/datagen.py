@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NOT_P, NUMERIC, P, ContractError, Dataset, RandomSource, round_half_up
+from .core import NUMERIC, P, ContractError, Dataset, RandomSource, property_labels, round_half_up
 
 WEB = "WEB"
 DNS = "DNS"
@@ -221,15 +221,12 @@ class SpeechSpec:
 
 
 def default_speech_spec(rng: RandomSource, n_phonemes: int = 40, n_states: int = 5,
-                        dim: int = 25, n_boosted: int | None = None,
-                        boost_shift: float = 1.5, base_shift: float = 0.4,
-                        frames_per_state: tuple = (4, 9)) -> SpeechSpec:
+                        dim: int = 25, *, n_boosted: int, boost_shift: float = 1.5,
+                        base_shift: float, frames_per_state: tuple = (4, 9)) -> SpeechSpec:
     """Random inventory where an accent perturbs every phoneme a little
-    and ``n_boosted`` phonemes (default up to 5) much more."""
+    (``base_shift``) and the first ``n_boosted`` phonemes much more."""
     if not 1 <= n_phonemes <= len(PHONEME_INVENTORY):
         raise ContractError(f"n_phonemes must be in [1, {len(PHONEME_INVENTORY)}]")
-    if n_boosted is None:
-        n_boosted = min(5, n_phonemes)
     if n_boosted > n_phonemes:
         raise ContractError("n_boosted cannot exceed n_phonemes")
     phonemes = PHONEME_INVENTORY[:n_phonemes]
@@ -272,30 +269,21 @@ def gen_speech_corpus(spec: SpeechSpec, with_property: bool, n_sequences: int,
     return corpus
 
 
-def gen_shadow_array(spec, n_shadows: int, balance: float, rng: RandomSource,
-                     size: int | None = None) -> list:
-    """Labeled shadow training inputs: round(balance * n) carry the property.
+def gen_shadow_array(spec, n_shadows: int, rng: RandomSource, size: int) -> list:
+    """(training input, label) pairs, labeled by ``property_labels(n_shadows)``.
 
-    For a FlowSpec each entry is a flow Dataset of ``size`` rows
-    (default 2000); for a SpeechSpec each entry is a corpus with
-    ``size`` sequences per phoneme (default 8). Every shadow draws from
-    an independently seeded child source, so shadows can be generated in
-    parallel.
+    For a FlowSpec each entry is a flow Dataset of ``size`` rows; for a
+    SpeechSpec each entry is a corpus with ``size`` sequences per
+    phoneme. Every shadow draws from an independently seeded child
+    source, so shadows can be generated in parallel.
     """
     if n_shadows < 2:
         raise ContractError("need at least 2 shadows")
-    if not 0.0 < balance < 1.0:
-        raise ContractError(f"balance must be in (0, 1), got {balance}")
-    n_p = round_half_up(balance * n_shadows)
-    out = []
-    for i in range(n_shadows):
-        with_property = i < n_p
-        child = rng.child(i)
-        if isinstance(spec, FlowSpec):
-            data = gen_flow_dataset(spec, with_property, size or 2000, child)
-        elif isinstance(spec, SpeechSpec):
-            data = gen_speech_corpus(spec, with_property, size or 8, child)
-        else:
-            raise ContractError(f"unknown spec type {type(spec).__name__}")
-        out.append((data, P if with_property else NOT_P))
-    return out
+    if isinstance(spec, FlowSpec):
+        gen = gen_flow_dataset
+    elif isinstance(spec, SpeechSpec):
+        gen = gen_speech_corpus
+    else:
+        raise ContractError(f"unknown spec type {type(spec).__name__}")
+    return [(gen(spec, label == P, size, rng.child(i)), label)
+            for i, label in enumerate(property_labels(n_shadows))]

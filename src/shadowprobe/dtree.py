@@ -41,7 +41,7 @@ from .core import (
 class TreeParams:
     """Growth limits standing in for post-hoc pruning."""
 
-    min_leaf_size: int = 2
+    min_leaf_size: int
     max_depth: int | None = None
 
     def __post_init__(self):

@@ -13,9 +13,8 @@ train together. The forward likelihood is the same recurrence with
 log-sum-exp in place of max, and a single model or sequence is the
 one-model case of the same code.
 
-Defaults follow common phoneme-model practice: five emitting states and
-25-dimensional frames; one Gaussian per state (no mixtures) with a
-variance floor of 1e-4.
+Defaults follow common phoneme-model practice: five emitting states,
+one Gaussian per state (no mixtures) and a variance floor of 1e-4.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .core import ContractError, InfeasiblePathError
 
 VAR_FLOOR = 1e-4
 DEFAULT_STATES = 5
-DEFAULT_DIM = 25
 
 _LOG2PI = math.log(2.0 * math.pi)
 
@@ -380,8 +378,8 @@ def viterbi_train(model: GaussianHmm, sequences, iters: int) -> GaussianHmm:
     return _train_lockstep([model], [seqs], iters)[0]
 
 
-def train_acoustic_model(corpus: dict, n_states: int = DEFAULT_STATES,
-                         iters: int = 5) -> AcousticModel:
+def train_acoustic_model(corpus: dict, n_states: int = DEFAULT_STATES, *,
+                         iters: int) -> AcousticModel:
     """Flat-start one HMM per phoneme, then Viterbi-train all of them in
     lockstep for ``iters`` hard-EM iterations."""
     phonemes = sorted(corpus)

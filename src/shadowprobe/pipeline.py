@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import attack, datagen, dtree, hmm, metrics, serialize, svm
-from .core import NOT_P, P, ContractError, Dataset, RandomSource, numeric_matrix, round_half_up
+from .core import P, ContractError, Dataset, RandomSource, numeric_matrix, property_labels
 from .dtree import TreeParams
 from .mlp import backprop_train, forward, init_mlp, total_squared_error
 from .svm import KernelSpec
@@ -137,15 +137,12 @@ class PipelineConfig:
         for name, ok, msg in validate:
             if not ok:
                 raise ConfigError(f"{name}: {msg} (got {getattr(self, name)!r})")
-        # speech holds out some of its shadows, dp_bypass some of its runs;
-        # the first round_half_up(n / 2) of them carry the property.
+        # speech holds out some of its shadows, dp_bypass some of its runs.
         count = {"speech": "shadows", "dp_bypass": "n_runs"}.get(self.case)
         if count is not None:
             n = getattr(self, count)
-            n_p = round_half_up(0.5 * n)
             try:
-                attack.split_by_property([P] * n_p + [NOT_P] * (n - n_p),
-                                         self.holdout_fraction)
+                attack.split_by_property(property_labels(n), self.holdout_fraction)
             except ContractError as e:
                 raise ConfigError(f"{count}: {n} models cannot be split at holdout_fraction "
                                   f"{self.holdout_fraction} ({e})") from None
@@ -174,6 +171,16 @@ class PipelineConfig:
             rng, n_phonemes=self.n_phonemes, n_states=self.n_states, dim=self.dim,
             n_boosted=self.n_boosted, boost_shift=self.boost_shift, base_shift=self.base_shift)
 
+    def train_model(self, data):
+        """One shadow or target model: an SVM from a flow Dataset (netflow)
+        or an acoustic model from a phoneme corpus (speech)."""
+        if self.case == "netflow":
+            kernel = KernelSpec(self.kernel_kind, self.gamma, self.r, self.degree)
+            return svm.smo_train(data, kernel, C=self.C, tol=self.tol)
+        if self.case == "speech":
+            return hmm.train_acoustic_model(data, n_states=self.n_states, iters=self.train_iters)
+        raise ConfigError(f"case {self.case!r} trains no shadow models")
+
 
 def _echo(cfg: PipelineConfig, names: str, **extras) -> dict:
     """Report config block: the named fields (space-separated) plus extras
@@ -189,16 +196,6 @@ def _map_jobs(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def _train_acoustic_shadow(args):
-    corpus, n_states, iters = args
-    return hmm.train_acoustic_model(corpus, n_states=n_states, iters=iters)
-
-
-def _train_svm_shadow(args):
-    ds, kernel, C, tol = args
-    return svm.smo_train(ds, kernel, C=C, tol=tol)
-
-
 def _metrics_block(cm: metrics.ConfusionMatrix) -> dict:
     pra = metrics.precision_recall_accuracy(cm)
     return {
@@ -211,14 +208,9 @@ def _metrics_block(cm: metrics.ConfusionMatrix) -> dict:
 
 def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     spec = cfg.speech_spec(rng.child(0))
-    shadows = datagen.gen_shadow_array(spec, cfg.shadows, 0.5, rng.child(1),
-                                       size=cfg.n_sequences)
+    shadows = datagen.gen_shadow_array(spec, cfg.shadows, rng.child(1), cfg.n_sequences)
     log.info("speech: training %d shadow acoustic models", len(shadows))
-    models = _map_jobs(
-        _train_acoustic_shadow,
-        [(corpus, cfg.n_states, cfg.train_iters) for corpus, _ in shadows],
-        cfg.jobs,
-    )
+    models = _map_jobs(cfg.train_model, [corpus for corpus, _ in shadows], cfg.jobs)
     labels = [pl for _, pl in shadows]
 
     def evaluate(shadow_models, meta_rng):
@@ -234,11 +226,11 @@ def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     log.info("speech: building reference and %d baseline models for the divergence filter",
              cfg.baseline_models)
     ref_corpus = datagen.gen_speech_corpus(spec, True, cfg.n_sequences, rng.child(3))
-    reference = hmm.train_acoustic_model(ref_corpus, n_states=cfg.n_states, iters=cfg.train_iters)
+    reference = cfg.train_model(ref_corpus)
     baselines = _map_jobs(
-        _train_acoustic_shadow,
-        [(datagen.gen_speech_corpus(spec, False, cfg.n_sequences, rng.child(100 + i)),
-          cfg.n_states, cfg.train_iters) for i in range(cfg.baseline_models)],
+        cfg.train_model,
+        [datagen.gen_speech_corpus(spec, False, cfg.n_sequences, rng.child(100 + i))
+         for i in range(cfg.baseline_models)],
         cfg.jobs,
     )
     scores = attack.kl_divergence_scores(reference, baselines)
@@ -266,12 +258,9 @@ def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
 
 def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     spec = datagen.default_flow_spec(cfg.signature_fraction)
-    kernel = KernelSpec(cfg.kernel_kind, cfg.gamma, cfg.r, cfg.degree)
-    shadows = datagen.gen_shadow_array(spec, cfg.shadows, 0.5, rng.child(1),
-                                       size=cfg.flows_per_shadow)
+    shadows = datagen.gen_shadow_array(spec, cfg.shadows, rng.child(1), cfg.flows_per_shadow)
     log.info("netflow: training %d shadow SVMs", len(shadows))
-    models = _map_jobs(
-        _train_svm_shadow, [(ds, kernel, cfg.C, cfg.tol) for ds, _ in shadows], cfg.jobs)
+    models = _map_jobs(cfg.train_model, [ds for ds, _ in shadows], cfg.jobs)
     labels = [pl for _, pl in shadows]
 
     md = attack.build_meta_training_set(list(zip(models, labels)))
@@ -282,10 +271,9 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     cv = metrics.k_fold_cross_validate(md.data, cfg.folds, cfg.tree_trainer(), rng.child(3))
 
     log.info("netflow: evaluating %d held-out target classifiers", cfg.n_targets)
-    target_specs = datagen.gen_shadow_array(spec, cfg.n_targets, 0.5, rng.child(4),
-                                            size=cfg.flows_per_shadow)
-    targets = _map_jobs(
-        _train_svm_shadow, [(ds, kernel, cfg.C, cfg.tol) for ds, _ in target_specs], cfg.jobs)
+    target_specs = datagen.gen_shadow_array(spec, cfg.n_targets, rng.child(4),
+                                            cfg.flows_per_shadow)
+    targets = _map_jobs(cfg.train_model, [ds for ds, _ in target_specs], cfg.jobs)
     verdicts, _, _ = attack.judge(mc, targets, [pl for _, pl in target_specs])
 
     return {
@@ -330,7 +318,7 @@ def run_dp_bypass_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     return {
         "case": "dp_bypass",
         "config": _echo(cfg, "seed pool_size signature_fraction k sample_size sigma "
-                             "holdout_fraction",
+                             "holdout_fraction min_leaf_size max_depth",
                         n_runs_per_arm=cfg.n_runs, points="WEB flows only",
                         clamp_source="per-run sample min/max", clamp_low=clamp_low,
                         clamp_high=clamp_high, verdict_rule="majority_vote"),

@@ -218,7 +218,7 @@ def _speech_null_accuracy(seed):
     rng = RandomSource(seed)
     spec = default_speech_spec(rng.child(0), n_phonemes=8, n_states=3, dim=4,
                                n_boosted=3, boost_shift=0.0, base_shift=0.0)
-    shadows = gen_shadow_array(spec, 8, 0.5, rng.child(1), size=3)
+    shadows = gen_shadow_array(spec, 8, rng.child(1), size=3)
     models = [train_acoustic_model(c, n_states=3, iters=2) for c, _ in shadows]
     labels = [pl for _, pl in shadows]
     return _holdout_row_accuracy(models, labels, rng)
@@ -227,7 +227,7 @@ def _speech_null_accuracy(seed):
 def _netflow_null_accuracy(seed):
     rng = RandomSource(seed)
     spec = default_flow_spec(signature_fraction=0.0)  # property knob disabled
-    shadows = gen_shadow_array(spec, 8, 0.5, rng.child(1), size=200)
+    shadows = gen_shadow_array(spec, 8, rng.child(1), size=200)
     kernel = KernelSpec("polynomial", 1.0, 0.0, 3)
     models = [smo_train(ds, kernel, C=1.0, tol=1e-3) for ds, _ in shadows]
     labels = [pl for _, pl in shadows]

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from shadowprobe.core import (
     CATEGORICAL,
+    NOT_P,
     NUMERIC,
+    P,
     ContractError,
     Dataset,
     RandomSource,
@@ -14,6 +16,7 @@ from shadowprobe.core import (
     load_dataset,
     make_dataset,
     numeric_matrix,
+    property_labels,
     round_half_up,
     save_dataset,
 )
@@ -134,6 +137,10 @@ class TestRandomSource:
         assert round_half_up(0.5) == 1
         assert round_half_up(1.5) == 2
         assert round_half_up(1.49) == 1
+
+    @pytest.mark.parametrize("n,n_p", [(2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 4)])
+    def test_property_labels_first_half_rounded_up(self, n, n_p):
+        assert property_labels(n) == [P] * n_p + [NOT_P] * (n - n_p)
 
 
 class TestValidation:

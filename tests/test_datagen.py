@@ -109,7 +109,8 @@ class TestSpeechCorpus:
 
     def test_single_sequence_trainable(self):
         rng = RandomSource(14)
-        spec = default_speech_spec(rng, n_phonemes=3, n_states=3, dim=4)
+        spec = default_speech_spec(rng, n_phonemes=3, n_states=3, dim=4,
+                                   n_boosted=3, base_shift=0.4)
         corpus = gen_speech_corpus(spec, False, 1, RandomSource(15))
         for ph, seqs in corpus.items():
             assert len(seqs) == 1
@@ -119,8 +120,8 @@ class TestSpeechCorpus:
 
     def test_sequence_lengths_within_spec(self):
         rng = RandomSource(16)
-        spec = default_speech_spec(rng, n_phonemes=2, n_states=4, dim=3,
-                                   frames_per_state=(2, 5))
+        spec = default_speech_spec(rng, n_phonemes=2, n_states=4, dim=3, n_boosted=2,
+                                   base_shift=0.4, frames_per_state=(2, 5))
         corpus = gen_speech_corpus(spec, False, 5, RandomSource(17))
         for seqs in corpus.values():
             for s in seqs:
@@ -136,7 +137,7 @@ class TestShadowArray:
     def test_seventy_balanced(self):
         rng = RandomSource(18)
         spec = default_flow_spec()
-        shadows = gen_shadow_array(spec, 70, 0.5, rng, size=10)
+        shadows = gen_shadow_array(spec, 70, rng, size=10)
         labels = [pl for _, pl in shadows]
         assert labels.count(P) == 35
         assert labels.count(NOT_P) == 35
@@ -145,26 +146,29 @@ class TestShadowArray:
     def test_two_shadows_one_each(self):
         rng = RandomSource(19)
         spec = default_flow_spec()
-        shadows = gen_shadow_array(spec, 2, 0.5, rng, size=10)
+        shadows = gen_shadow_array(spec, 2, rng, size=10)
         assert [pl for _, pl in shadows] == [P, NOT_P]
 
-    def test_balance_bounds(self):
-        spec = default_flow_spec()
-        with pytest.raises(ContractError):
-            gen_shadow_array(spec, 10, 0.0, RandomSource(20))
-        with pytest.raises(ContractError):
-            gen_shadow_array(spec, 10, 1.0, RandomSource(20))
+    def test_empty_shadows_rejected(self):
+        # size=0 used to stand for the default, 2000 flows or 8 sequences.
+        with pytest.raises(ContractError, match="need at least 2 flows"):
+            gen_shadow_array(default_flow_spec(), 2, RandomSource(1), size=0)
+        spec = default_speech_spec(RandomSource(20), n_phonemes=2, n_states=2, dim=2,
+                                   n_boosted=2, base_shift=0.4)
+        with pytest.raises(ContractError, match="need at least one sequence"):
+            gen_shadow_array(spec, 2, RandomSource(1), size=0)
 
     def test_speech_spec_dispatch(self):
         rng = RandomSource(21)
-        spec = default_speech_spec(rng, n_phonemes=2, n_states=2, dim=2)
-        shadows = gen_shadow_array(spec, 2, 0.5, RandomSource(22), size=2)
+        spec = default_speech_spec(rng, n_phonemes=2, n_states=2, dim=2,
+                                   n_boosted=2, base_shift=0.4)
+        shadows = gen_shadow_array(spec, 2, RandomSource(22), size=2)
         corpus, _ = shadows[0]
         assert set(corpus) == set(spec.phonemes)
 
     def test_independent_child_seeds(self):
         spec = default_flow_spec()
-        shadows = gen_shadow_array(spec, 4, 0.5, RandomSource(23), size=20)
+        shadows = gen_shadow_array(spec, 4, RandomSource(23), size=20)
         first = numeric_matrix(shadows[0][0])
         third = numeric_matrix(shadows[2][0])
         assert not np.array_equal(first, third)  # same label arm, different draws

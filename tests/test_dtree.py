@@ -137,7 +137,7 @@ class TestTrainTree:
 
     def test_identical_rows_mixed_labels(self):
         ds = make_dataset([("x", NUMERIC)], [(1.0,)] * 5, ["a", "a", "a", "b", "b"])
-        tree = train_tree(ds, TreeParams(), RandomSource(0))
+        tree = train_tree(ds, TreeParams(min_leaf_size=2), RandomSource(0))
         assert isinstance(tree.root, Leaf)
         assert tree.root.label == "a"
         assert tree.root.count == 5
@@ -189,8 +189,8 @@ class TestTrainTree:
         mapping = {"y": "YES", "n": "NO"}
         ds2 = make_dataset([("temp", NUMERIC), ("outlook", CATEGORICAL)],
                            TOY_ROWS, [mapping[l] for l in TOY_LABELS])
-        t1 = train_tree(ds, TreeParams(), RandomSource(5))
-        t2 = train_tree(ds2, TreeParams(), RandomSource(5))
+        t1 = train_tree(ds, TreeParams(min_leaf_size=2), RandomSource(5))
+        t2 = train_tree(ds2, TreeParams(min_leaf_size=2), RandomSource(5))
         assert [mapping[p] for p in classify(t1, ds)] == classify(t2, ds2)
         assert t1.n_nodes == t2.n_nodes
 
@@ -203,9 +203,9 @@ class TestTrainTree:
     def test_unlabeled_rejected(self):
         ds = make_dataset([("x", NUMERIC)], [(1.0,), (2.0,)])
         with pytest.raises(ContractError):
-            train_tree(ds, TreeParams(), RandomSource(0))
-        tree = train_tree(make_dataset([("x", NUMERIC)], [(1.0,)], ["a"]), TreeParams(),
-                          RandomSource(0))
+            train_tree(ds, TreeParams(min_leaf_size=2), RandomSource(0))
+        tree = train_tree(make_dataset([("x", NUMERIC)], [(1.0,)], ["a"]),
+                          TreeParams(min_leaf_size=2), RandomSource(0))
         with pytest.raises(ContractError):
             training_accuracy(tree, ds)
 
@@ -236,7 +236,7 @@ class TestClassify:
         assert classify(tree, probe) == ["a", "b", "c"]
 
     def test_schema_mismatch(self):
-        tree = train_tree(toy_dataset(), TreeParams(), RandomSource(0))
+        tree = train_tree(toy_dataset(), TreeParams(min_leaf_size=2), RandomSource(0))
         with pytest.raises(ContractError):
             classify(tree, make_dataset([("temp", NUMERIC)], [(1.0,)]))
         with pytest.raises(ContractError):
@@ -247,7 +247,7 @@ class TestClassify:
                                         [(1.0, "sunny")]))
 
     def test_empty_dataset(self):
-        tree = train_tree(toy_dataset(), TreeParams(), RandomSource(0))
+        tree = train_tree(toy_dataset(), TreeParams(min_leaf_size=2), RandomSource(0))
         empty = make_dataset([("temp", NUMERIC), ("outlook", CATEGORICAL)], [])
         assert classify(tree, empty) == []
 
@@ -315,8 +315,8 @@ class TestBatchClassify:
         # Splits at 0.5 and 2.5 have exactly equal gain; 0.5 must win.
         ds = make_dataset([("x", NUMERIC)], [(0.0,), (1.0,), (2.0,), (3.0,)],
                           ["a", "b", "b", "a"])
-        tree = train_tree(ds, TreeParams(), RandomSource(0))
-        assert_matches_reference(ds, TreeParams(), 0)
+        tree = train_tree(ds, TreeParams(min_leaf_size=2), RandomSource(0))
+        assert_matches_reference(ds, TreeParams(min_leaf_size=2), 0)
         assert isinstance(tree.root, NumericNode)
         assert tree.root.threshold == 0.5
 

@@ -277,7 +277,8 @@ class TestValidation:
 def speech_corpus(seed, n_phonemes=6, n_states=3, dim=4, n_sequences=5):
     rng = RandomSource(seed)
     spec = datagen.default_speech_spec(rng.child(0), n_phonemes=n_phonemes,
-                                       n_states=n_states, dim=dim)
+                                       n_states=n_states, dim=dim,
+                                       n_boosted=min(5, n_phonemes), base_shift=0.4)
     return datagen.gen_speech_corpus(spec, seed % 2 == 0, n_sequences, rng.child(1))
 
 

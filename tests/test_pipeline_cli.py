@@ -7,7 +7,7 @@ import pytest
 
 from shadowprobe.attack import NOT_P, P, build_meta_training_set, train_meta
 from shadowprobe.cli import main
-from shadowprobe.core import RandomSource
+from shadowprobe.core import RandomSource, load_dataset
 from shadowprobe.dtree import TreeParams
 from shadowprobe.pipeline import ConfigError, PipelineConfig, run_pipeline
 from shadowprobe.serialize import load_model, save_model, to_payload
@@ -173,7 +173,7 @@ class TestCli:
         assert main(["generate", "--case", "netflow", "--seed", "3", "--out", out]) == 0
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"case": "netflow"}))
-        assert main(["train", "--config", str(cfg), "--seed", "4", "--out", out,
+        assert main(["train", "--config", str(cfg), "--out", out,
                      "--data", os.path.join(out, "flows_with_property.csv")]) == 0
         run_cfg = tmp_path / "run.json"
         run_cfg.write_text(json.dumps({"case": "netflow", **NETFLOW_SMALL}))
@@ -339,7 +339,7 @@ class TestCli:
         out = str(tmp_path)
         assert main(["generate", "--config", str(gen_cfg), "--seed", "2", "--out", out]) == 0
         for tag in ("with_property", "without_property"):
-            assert main(["train", "--config", str(gen_cfg), "--seed", "3", "--out",
+            assert main(["train", "--config", str(gen_cfg), "--out",
                          os.path.join(out, tag),
                          "--data", os.path.join(out, f"corpus_{tag}.json")]) == 0
         models = ["--reference", os.path.join(out, "with_property", "acoustic_model.json"),
@@ -355,6 +355,57 @@ class TestCli:
         assert main(["generate", "--case", "netflow", "--seed", "3", "--out", out]) == 0
         assert main(["evaluate", "--data", os.path.join(out, "flows_with_property.csv"),
                      "--label-column", "7", "--folds", "3", "--seed", "1"]) == 0
+
+    def test_evaluate_reads_folds_from_config(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert main(["generate", "--case", "netflow", "--seed", "3", "--out", out]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"folds": 3}))
+        capsys.readouterr()
+        # The config's folds used to be ignored for the flag's own default, 10.
+        assert main(["evaluate", "--config", str(cfg), "--label-column", "7",
+                     "--data", os.path.join(out, "flows_with_property.csv")]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["folds"] == 3 and len(result["fold_accuracies"]) == 3
+
+    def test_train_matches_pipeline_trainer(self, tmp_path):
+        settings = {"case": "netflow", "flows_per_shadow": 200}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(settings))
+        out = str(tmp_path)
+        assert main(["generate", "--config", str(cfg_path), "--seed", "4", "--out", out]) == 0
+        data = os.path.join(out, "flows_with_property.csv")
+        assert main(["train", "--config", str(cfg_path), "--out", out, "--data", data]) == 0
+        cfg = PipelineConfig.from_dict(settings)
+        save_model(cfg.train_model(load_dataset(data, has_header=True, label_column=7)),
+                   tmp_path / "expected.json")
+        assert filecmp.cmp(tmp_path / "svm_model.json", tmp_path / "expected.json",
+                           shallow=False)
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag)
+        for command, flags in (
+            ("generate", ["--shadows", "--top-k", "--sigma", "--jobs"]),
+            ("train", ["--seed", "--shadows", "--top-k", "--sigma", "--jobs"]),
+            ("evaluate", ["--out", "--case", "--shadows", "--top-k", "--sigma", "--jobs"]),
+        )
+        for flag in flags
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, flag):
+        # These flags were accepted and ignored, or failed validation of a
+        # field the command never uses (train --sigma -5, generate --top-k 0).
+        value = "mlp_demo" if flag == "--case" else "3"
+        argv = {
+            "generate": ["generate", "--out", str(tmp_path / "out")],
+            "train": ["train", "--data", str(tmp_path / "flows.csv")],
+            "evaluate": ["evaluate", "--data", str(tmp_path / "flows.csv"),
+                         "--label-column", "7"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_evaluate_rejects_non_finite_cells(self, tmp_path, capsys):
         data = tmp_path / "flows.csv"

@@ -104,7 +104,8 @@ class TestRoundTrips:
                 bias=0.0, kernel=KernelSpec("linear"), C=1.0, converged=True,
             )
             shadows.append((m, P if i < 2 else NOT_P))
-        mc = train_meta(build_meta_training_set(shadows), TreeParams(), RandomSource(5))
+        mc = train_meta(build_meta_training_set(shadows), TreeParams(min_leaf_size=2),
+                        RandomSource(5))
         back = roundtrip(mc, tmp_path)
         assert back.source_kind == "svm"
         assert back.schema == mc.schema
@@ -142,7 +143,8 @@ def mixed_tree():
     """A hand-built tree with a numeric root and a categorical child."""
     schema = (("x", NUMERIC), ("c", CATEGORICAL))
     cat = CategoricalNode(1, 3, {"b": Leaf("q", 2), "c": Leaf("p", 1)}, Leaf("q", 0))
-    return DecisionTree(NumericNode(0, 1.0, 5, Leaf("p", 2), cat), schema, TreeParams())
+    return DecisionTree(NumericNode(0, 1.0, 5, Leaf("p", 2), cat), schema,
+                        TreeParams(min_leaf_size=2))
 
 
 def _set(path, value):
@@ -216,7 +218,7 @@ def sample_payloads():
         KMeansModel(np.zeros((2, 2)), True, 3, [2.0, 1.0]),
         init_mlp((3, 2, 3), RandomSource(1)),
         train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(2)),
-        train_meta(build_meta_training_set(shadows), TreeParams(), RandomSource(3)),
+        train_meta(build_meta_training_set(shadows), TreeParams(min_leaf_size=2), RandomSource(3)),
     ]
     return {to_payload(m)["kind"]: to_payload(m) for m in models}
 
