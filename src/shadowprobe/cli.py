@@ -1,14 +1,17 @@
 """Batch command-line front-end.
 
-Subcommands: ``generate`` (emit synthetic data), ``train`` (fit one
-target model from a data file), ``attack`` (apply a saved
-meta-classifier to a saved target model), ``filter`` (rank phonemes by
-divergence), ``evaluate`` (cross-validate a labeled CSV), and ``run``
-(full pipeline for a case). ``run``, ``generate``, ``train`` and
-``evaluate`` read a PipelineConfig from ``--config`` (a JSON object);
-each takes only the override flags of the config fields it reads
-(``CONFIG_FLAGS``), and a flag overrides the file. The SHADOWPROBE_LOG
-environment variable sets the log level.
+Subcommands: ``generate`` (emit netflow or speech synthetic data),
+``train`` (fit one target model from a data file), ``attack`` (apply a
+saved meta-classifier to a saved target model), ``filter`` (rank
+phonemes by divergence), ``evaluate`` (cross-validate a labeled CSV),
+and ``run`` (full pipeline for a case). ``run``, ``generate``, ``train``
+and ``evaluate`` read a PipelineConfig from ``--config`` (a JSON
+object); each takes only the override flags of the config fields it
+reads (``CONFIG_FLAGS``), and a flag overrides the file. The config
+itself may set only the fields its case reads
+(``pipeline.CASE_FIELDS``), so ``run --case mlp_demo --sigma 3`` is a
+config error. The SHADOWPROBE_LOG environment variable sets the log
+level.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import os
 import sys
 
 from . import datagen, hmm, metrics, serialize
-from .attack import infer_property, kl_divergence_scores, kl_filter
+from .attack import MetaClassifier, infer_property, kl_divergence_scores, kl_filter
 from .core import (ContractError, RandomSource, ShadowprobeError, StructuralError,
                    load_dataset, read_text, save_dataset)
 from .pipeline import CASES, ConfigError, PipelineConfig, run_pipeline
@@ -106,11 +109,11 @@ def cmd_run(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args, default_case="netflow")
-    if cfg.case not in ("netflow", "dp_bypass", "speech"):
+    if cfg.case not in ("netflow", "speech"):
         raise ConfigError(f"generate does not apply to case {cfg.case!r}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     rng = RandomSource(cfg.seed)
-    if cfg.case in ("netflow", "dp_bypass"):
+    if cfg.case == "netflow":
         spec = datagen.default_flow_spec(cfg.signature_fraction)
         for tag, with_p in (("with_property", True), ("without_property", False)):
             ds = datagen.gen_flow_dataset(spec, with_p, cfg.flows_per_shadow, rng.child(with_p))
@@ -148,7 +151,7 @@ def _load_corpus(path) -> dict:
 def cmd_train(args) -> int:
     cfg = _load_config(args, default_case="netflow")
     if cfg.case == "netflow":
-        data = load_dataset(args.data, has_header=True, label_column=len(datagen.FLOW_COLUMNS))
+        data = load_dataset(args.data, label_column=len(datagen.FLOW_COLUMNS))
         out = os.path.join(cfg.out_dir, "svm_model.json")
     elif cfg.case == "speech":
         data = _load_corpus(args.data)
@@ -162,8 +165,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_model_of(path, cls):
+    """A saved model that must be a ``cls``; another kind is a ContractError."""
+    model = serialize.load_model(path)
+    if not isinstance(model, cls):
+        raise ContractError(f"{path}: holds {type(model).__name__}, not {cls.__name__}")
+    return model
+
+
 def cmd_attack(args) -> int:
-    mc = serialize.load_model(args.meta)
+    mc = _load_model_of(args.meta, MetaClassifier)
     target = serialize.load_model(args.target)
     verdict = infer_property(mc, target)
     result = {"verdict": verdict.label, "votes_p": verdict.votes_p,
@@ -173,8 +184,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    reference = serialize.load_model(args.reference)
-    baselines = [serialize.load_model(p) for p in args.baselines]
+    reference = _load_model_of(args.reference, hmm.AcousticModel)
+    baselines = [_load_model_of(p, hmm.AcousticModel) for p in args.baselines]
     scores = kl_divergence_scores(reference, baselines)
     selected = kl_filter(scores, args.top_k)
     print(json.dumps({"selected": selected,
@@ -185,7 +196,7 @@ def cmd_filter(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args, default_case="netflow")
-    ds = load_dataset(args.data, has_header=True, label_column=args.label_column)
+    ds = load_dataset(args.data, label_column=args.label_column)
     cv = metrics.k_fold_cross_validate(ds, cfg.folds, cfg.tree_trainer(), RandomSource(cfg.seed))
     pra = metrics.precision_recall_accuracy(cv.pooled)
     print(json.dumps({

@@ -237,13 +237,11 @@ def read_text(path) -> str:
         raise StructuralError(f"{path}: not UTF-8 text ({e})") from None
 
 
-def load_dataset(path, has_header: bool = True, label_column: int | None = None,
-                 schema=None) -> Dataset:
-    """Load a comma-separated UTF-8 file into a Dataset.
+def load_dataset(path, label_column: int | None = None) -> Dataset:
+    """Load a comma-separated UTF-8 file with a header line into a Dataset.
 
-    Column kinds are inferred (numeric iff every cell parses as a
-    decimal real, categorical otherwise) unless an explicit ``schema``
-    is supplied, which wins over inference. ``label_column`` names the
+    Column kinds are inferred: numeric iff every cell parses as a
+    decimal real, categorical otherwise. ``label_column`` names the
     0-based column (counted before removal) whose cells become row
     labels rather than attribute values. A numeric cell that parses as
     a non-finite float (``nan``, ``inf``, ``1e999``) is a StructuralError.
@@ -251,13 +249,8 @@ def load_dataset(path, has_header: bool = True, label_column: int | None = None,
     raw = list(csv.reader(io.StringIO(read_text(path), newline="")))
     if not raw:
         raise StructuralError(f"{path}: empty file")
-    header = None
-    if has_header:
-        header = raw[0]
-        data = raw[1:]
-    else:
-        data = raw
-    width = len(header) if header is not None else len(data[0])
+    header, data = raw[0], raw[1:]
+    width = len(header)
     for i, row in enumerate(data, start=1):
         if len(row) != width:
             raise StructuralError(f"{path}: ragged row at row {i} ({len(row)} cells, expected {width})")
@@ -269,43 +262,25 @@ def load_dataset(path, has_header: bool = True, label_column: int | None = None,
     if label_column is not None:
         labels = [row[label_column] for row in data]
 
-    if schema is not None:
-        schema = tuple((str(n), str(k)) for n, k in schema)
-        if len(schema) != len(keep):
-            raise ContractError(
-                f"explicit schema has {len(schema)} attributes, file provides {len(keep)}"
-            )
-        kinds = [k for _, k in schema]
-    else:
-        kinds = []
-        for j in keep:
-            cells = [row[j] for row in data]
-            is_num = len(cells) > 0 and all(_parse_numeric(c) is not None for c in cells)
-            kinds.append(NUMERIC if is_num else CATEGORICAL)
-        if header is not None:
-            names = [header[j] for j in keep]
-        else:
-            names = [f"col{j}" for j in keep]
-        schema = tuple(zip(names, kinds))
-
-    columns = []
-    for j, kind in zip(keep, kinds):
+    schema, columns = [], []
+    for j in keep:
         cells = [row[j] for row in data]
-        if kind == NUMERIC:
-            values = [_parse_numeric(c) for c in cells]
-            for i, v in enumerate(values, start=1):
-                if v is None:
-                    raise StructuralError(f"{path}: row {i}, column {j}: {cells[i - 1]!r} is not numeric")
-                if not math.isfinite(v):
-                    raise StructuralError(f"{path}: row {i}, column {j}: {cells[i - 1]!r} is not finite")
-            columns.append(values)
-        else:
+        values = [_parse_numeric(c) for c in cells]
+        if not cells or None in values:
+            schema.append((header[j], CATEGORICAL))
             columns.append(cells)
+            continue
+        for i, v in enumerate(values, start=1):
+            if not math.isfinite(v):
+                raise StructuralError(f"{path}: row {i}, column {j}: {cells[i - 1]!r} is not finite")
+        schema.append((header[j], NUMERIC))
+        columns.append(values)
     return Dataset(schema, columns, labels)
 
 
-def save_dataset(ds: Dataset, path, include_header: bool = True) -> None:
-    """Write a Dataset as CSV; floats use repr so values round-trip exactly.
+def save_dataset(ds: Dataset, path) -> None:
+    """Write a Dataset as CSV with a header line; floats use repr so values
+    round-trip exactly.
 
     Row labels, when present, are appended as a final ``label`` column.
     """
@@ -315,9 +290,8 @@ def save_dataset(ds: Dataset, path, include_header: bool = True) -> None:
         cells.append([str(l) for l in ds.labels.tolist()])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        if include_header:
-            names = [n for n, _ in ds.schema]
-            if ds.labels is not None:
-                names.append("label")
-            writer.writerow(names)
+        names = [n for n, _ in ds.schema]
+        if ds.labels is not None:
+            names.append("label")
+        writer.writerow(names)
         writer.writerows(zip(*cells))

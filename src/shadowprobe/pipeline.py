@@ -1,10 +1,13 @@
 """Config-driven experiment pipelines for the four case studies.
 
 Each case consumes a PipelineConfig and produces a JSON report plus
-serialized artifacts. Reports echo every tunable that matters for
-reproduction (kernel gamma/r, SuLQ sigma, verdict aggregation rule,
-variance floor) and are byte-identical across runs with the same
-config and seed.
+serialized artifacts. ``CASE_FIELDS`` names the config fields each case
+reads: a config may set only those and the common ``case``, ``seed``,
+``out_dir`` and ``jobs``, and the report's ``config`` block echoes the
+seed and exactly those fields (a few under a report name), together
+with the fixed tunables that matter for reproduction (verdict
+aggregation rule, variance floor).
+Reports are byte-identical across runs with the same config and seed.
 """
 
 from __future__ import annotations
@@ -25,7 +28,19 @@ from .svm import KernelSpec
 
 log = logging.getLogger("shadowprobe")
 
-CASES = ("speech", "netflow", "dp_bypass", "mlp_demo")
+# The config fields each case reads (space-separated), besides the
+# common ones that every case may set.
+CASE_FIELDS = {
+    "speech": "shadows n_phonemes n_states dim n_sequences n_boosted boost_shift base_shift "
+              "train_iters top_k baseline_models holdout_fraction min_leaf_size max_depth",
+    "netflow": "shadows flows_per_shadow signature_fraction kernel_kind gamma r degree C tol "
+               "folds n_targets min_leaf_size max_depth",
+    "dp_bypass": "pool_size signature_fraction k sample_size sigma n_runs holdout_fraction "
+                 "min_leaf_size max_depth",
+    "mlp_demo": "mlp_seeds learning_rate epochs target_low target_high",
+}
+CASES = tuple(CASE_FIELDS)
+_COMMON_FIELDS = ("case", "seed", "out_dir", "jobs")
 
 
 class ConfigError(ContractError):
@@ -44,11 +59,12 @@ _FIELD_TYPES = {
 
 @dataclass
 class PipelineConfig:
+    """One run's parameters; ``CASE_FIELDS`` says which fields each case reads."""
+
     case: str
     seed: int = 7
     out_dir: str = "out"
     jobs: int = 1
-    # speech case
     n_phonemes: int = 40
     n_states: int = 5
     dim: int = 25
@@ -60,7 +76,6 @@ class PipelineConfig:
     top_k: int = 5
     baseline_models: int = 8
     holdout_fraction: float = 0.25
-    # netflow case
     flows_per_shadow: int = 2000
     signature_fraction: float = 1.0
     kernel_kind: str = "polynomial"
@@ -71,18 +86,14 @@ class PipelineConfig:
     tol: float = 1e-3
     folds: int = 10
     n_targets: int = 20
-    # shared shadow count
     shadows: int = 40
-    # dp_bypass case
     k: int = 3
     sigma: float = 8.0
     n_runs: int = 70
     pool_size: int = 24000
     sample_size: int = 2000
-    # meta-classifier growth limits
     min_leaf_size: int = 5
     max_depth: int | None = None
-    # mlp_demo case
     mlp_seeds: int = 10
     learning_rate: float = 0.3
     epochs: int = 60000
@@ -96,8 +107,15 @@ class PipelineConfig:
             if (not isinstance(value, types) or isinstance(value, bool)
                     or (isinstance(value, float) and not math.isfinite(value))):
                 raise ConfigError(f"{f.name}: must be {what} (got {value!r})")
+        if self.case not in CASES:
+            raise ConfigError(f"case: must be one of {CASES} (got {self.case!r})")
+        # Every bound below pairs fields of one case, so once the fields a
+        # case does not read hold their defaults, only its own bounds fire.
+        reads = {*_COMMON_FIELDS, *CASE_FIELDS[self.case].split()}
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{f.name}: case {self.case!r} does not read it")
         validate = [
-            ("case", self.case in CASES, f"must be one of {CASES}"),
             ("seed", self.seed >= 0, "must be a non-negative integer"),
             ("jobs", self.jobs >= 1, "must be >= 1"),
             ("shadows", self.shadows >= 2, "must be >= 2"),
@@ -119,7 +137,7 @@ class PipelineConfig:
             ("C", self.C > 0, "must be positive"),
             ("tol", self.tol > 0, "must be positive"),
             ("folds", self.folds >= 2, "must be >= 2"),
-            ("n_targets", self.n_targets >= 1, "must be >= 1"),
+            ("n_targets", self.n_targets >= 2, "must be >= 2"),
             ("sample_size", self.sample_size >= 1, "must be >= 1"),
             ("k", 1 <= self.k <= self.sample_size, "must be in [1, sample_size]"),
             ("sigma", self.sigma > 0, "must be positive"),
@@ -182,10 +200,12 @@ class PipelineConfig:
         raise ConfigError(f"case {self.case!r} trains no shadow models")
 
 
-def _echo(cfg: PipelineConfig, names: str, **extras) -> dict:
-    """Report config block: the named fields (space-separated) plus extras
-    for renamed or derived entries."""
-    return {**{n: getattr(cfg, n) for n in names.split()}, **extras}
+def _echo(cfg: PipelineConfig, renamed: str = "", **extras) -> dict:
+    """Report config block: the seed and every field the case reads, less
+    those ``renamed`` names (space-separated), plus extras for renamed or
+    derived entries."""
+    names = ["seed", *CASE_FIELDS[cfg.case].split()]
+    return {**{n: getattr(cfg, n) for n in names if n not in renamed.split()}, **extras}
 
 
 def _map_jobs(fn, items, jobs: int):
@@ -241,10 +261,7 @@ def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
 
     return {
         "case": "speech",
-        "config": _echo(cfg, "seed shadows n_phonemes n_states dim n_sequences n_boosted "
-                             "boost_shift base_shift train_iters top_k baseline_models "
-                             "holdout_fraction min_leaf_size max_depth",
-                        variance_floor=hmm.VAR_FLOOR, verdict_rule="majority_vote"),
+        "config": _echo(cfg, variance_floor=hmm.VAR_FLOOR, verdict_rule="majority_vote"),
         "shadow_summary": [{"label": l, "phonemes": cfg.n_phonemes} for l in labels],
         "unfiltered": unfiltered,
         "filter": {"scores": {ph: scores[ph] for ph in sorted(scores)},
@@ -278,8 +295,7 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
 
     return {
         "case": "netflow",
-        "config": _echo(cfg, "seed shadows flows_per_shadow signature_fraction C tol folds "
-                             "n_targets min_leaf_size max_depth",
+        "config": _echo(cfg, "kernel_kind gamma r degree",
                         kernel={"kind": cfg.kernel_kind, "gamma": cfg.gamma, "r": cfg.r,
                                 "degree": cfg.degree},
                         verdict_rule="majority_vote"),
@@ -317,9 +333,7 @@ def run_dp_bypass_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     clamp_low, clamp_high = result.pop("clamp_low"), result.pop("clamp_high")
     return {
         "case": "dp_bypass",
-        "config": _echo(cfg, "seed pool_size signature_fraction k sample_size sigma "
-                             "holdout_fraction min_leaf_size max_depth",
-                        n_runs_per_arm=cfg.n_runs, points="WEB flows only",
+        "config": _echo(cfg, "n_runs", n_runs_per_arm=cfg.n_runs, points="WEB flows only",
                         clamp_source="per-run sample min/max", clamp_low=clamp_low,
                         clamp_high=clamp_high, verdict_rule="majority_vote"),
         **result,
@@ -391,7 +405,7 @@ def run_mlp_demo_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     n_ok = sum(1 for r in runs if r["identity_learned"] and r["distinct_codes"] == 8)
     return {
         "case": "mlp_demo",
-        "config": _echo(cfg, "seed learning_rate epochs", seeds=cfg.mlp_seeds,
+        "config": _echo(cfg, "mlp_seeds target_low target_high", seeds=cfg.mlp_seeds,
                         layer_sizes=[8, 3, 8],
                         target_encoding=[cfg.target_low, cfg.target_high]),
         "runs": runs,

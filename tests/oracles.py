@@ -235,7 +235,16 @@ def svm_dual_objective(alpha, y, K):
 
 
 def svm_dual_pga(y, K, C, iters=200_000, seed=0):
-    """Projected gradient ascent on the SVM dual, run to tight convergence.
+    """Projected gradient ascent on the SVM dual, run until certified optimal.
+
+    It stops once the duality gap of its iterate alpha is at most
+    1e-10 * max(1, |D(alpha)|), and raises if ``iters`` iterations pass
+    first. The gap is the primal value of w = sum_i alpha_i y_i phi(x_i)
+    at the best bias, less D(alpha). The hinge sum is convex and piecewise
+    linear in b, so its minimum lies at one of the n breakpoints
+    b = y_i - f_i, where f = K (alpha * y). The primal bounds the optimum
+    from above and D(alpha) from below, so the returned alpha is within
+    the gap of the optimal dual objective.
 
     The feasible set {0 <= a <= C, sum a_i y_i = 0} is handled by exact
     Euclidean projection: alpha = clip(v - lam * y, 0, C) where the
@@ -266,11 +275,21 @@ def svm_dual_pga(y, K, C, iters=200_000, seed=0):
             lam = lo if ghi == glo else lo + (hi - lo) * glo / (glo - ghi)
         return np.clip(v - lam * y, 0.0, C)
 
+    def certified(alpha):
+        v = alpha * y
+        f = K @ v
+        quad = float(v @ f)
+        dual = float(alpha.sum()) - 0.5 * quad
+        hinge = np.maximum(0.0, 1.0 - y[None, :] * (f[None, :] + (y - f)[:, None])).sum(axis=1)
+        return 0.5 * quad + C * float(hinge.min()) - dual <= 1e-10 * max(1.0, abs(dual))
+
     lam_max = float(np.linalg.eigvalsh((y[:, None] * K * y[None, :])).max())
     step = 1.0 / max(lam_max, 1e-12)
     alpha = project(np.full(n, min(C / 2, 1.0)))
     z, t = alpha, 1.0
     for _ in range(iters):
+        if certified(alpha):
+            return alpha
         grad = 1.0 - (y * (K @ (z * y)))
         nxt = project(z + step * grad)
         if grad @ (nxt - alpha) < 0:
@@ -279,7 +298,9 @@ def svm_dual_pga(y, K, C, iters=200_000, seed=0):
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
             z, t = nxt + ((t - 1.0) / t_next) * (nxt - alpha), t_next
         alpha = nxt
-    return alpha
+    if certified(alpha):
+        return alpha
+    raise AssertionError(f"PGA oracle not certified optimal after {iters} iterations")
 
 
 def smo_train_reference(y, K, C, tol, max_iters=None):

@@ -31,7 +31,7 @@ def write(tmp_path, text, name="data.csv"):
 class TestLoadDataset:
     def test_header_and_label_column(self, tmp_path):
         p = write(tmp_path, "a,b,y\n1,2,p\n3,4,q\n")
-        ds = load_dataset(p, has_header=True, label_column=2)
+        ds = load_dataset(p, label_column=2)
         assert ds.n_rows == 2
         assert ds.schema == (("a", NUMERIC), ("b", NUMERIC))
         assert ds.labels.tolist() == ["p", "q"]
@@ -44,9 +44,9 @@ class TestLoadDataset:
             load_dataset(p)
 
     def test_ragged_row_named(self, tmp_path):
-        p = write(tmp_path, "1,2,3\n4,5\n", name="r.csv")
+        p = write(tmp_path, "a,b,c\n1,2,3\n4,5\n", name="r.csv")
         with pytest.raises(StructuralError, match="row 2"):
-            load_dataset(p, has_header=False)
+            load_dataset(p)
 
     def test_kind_inference_mixed(self, tmp_path):
         p = write(tmp_path, "x,c\n1.5,red\n2.5,blue\n")
@@ -60,19 +60,10 @@ class TestLoadDataset:
         p = write(tmp_path, f"x,y,label\n1,2,a\n3,{cell},b\n")
         with pytest.raises(StructuralError, match="row 2, column 1"):
             load_dataset(p, label_column=2)
-        with pytest.raises(StructuralError, match="row 2, column 1"):
-            load_dataset(p, label_column=2, schema=[("x", NUMERIC), ("y", NUMERIC)])
 
     def test_non_finite_text_in_categorical_column(self, tmp_path):
         p = write(tmp_path, "c\nnan\nred\n")
         assert load_dataset(p).columns[0].tolist() == ["nan", "red"]
-        p = write(tmp_path, "c\ninf\n2\n", name="explicit.csv")
-        assert load_dataset(p, schema=[("c", CATEGORICAL)]).columns[0].tolist() == ["inf", "2"]
-
-    def test_explicit_schema_wins(self, tmp_path):
-        p = write(tmp_path, "x\n1\n2\n")
-        ds = load_dataset(p, schema=[("x", CATEGORICAL)])
-        assert ds.columns[0].tolist() == ["1", "2"]
 
 
 names = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
@@ -102,12 +93,7 @@ def test_csv_round_trip_exact(tmp_path_factory, ds):
     path = tmp_path_factory.mktemp("rt") / "ds.csv"
     save_dataset(ds, path)
     has_labels = ds.labels is not None
-    back = load_dataset(
-        path,
-        has_header=True,
-        label_column=len(ds.schema) if has_labels else None,
-        schema=ds.schema,
-    )
+    back = load_dataset(path, label_column=len(ds.schema) if has_labels else None)
     assert back.schema == ds.schema
     assert [c.tolist() for c in back.columns] == [c.tolist() for c in ds.columns]
     if has_labels:

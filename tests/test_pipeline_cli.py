@@ -67,19 +67,36 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("sample_size", 0), ("k", 0), ("k", 2001), ("pool_size", 1), ("pool_size", 5),
-        ("n_targets", 0),
+        ("n_targets", 0), ("n_targets", 1),
         ("baseline_models", 0), ("epochs", -1), ("learning_rate", 0.0), ("C", 0.0),
         ("C", -1.0), ("tol", 0.0), ("degree", 0), ("min_leaf_size", 0), ("max_depth", -1),
     ])
     def test_count_and_rate_fields_bounded(self, field, value):
-        with pytest.raises(ConfigError, match=f"^{field}:"):
-            PipelineConfig(case="netflow", **{field: value})
+        case = {"sample_size": "dp_bypass", "k": "dp_bypass", "pool_size": "dp_bypass",
+                "baseline_models": "speech", "epochs": "mlp_demo",
+                "learning_rate": "mlp_demo"}.get(field, "netflow")
+        with pytest.raises(ConfigError, match=f"^{field}: must"):
+            PipelineConfig(case=case, **{field: value})
 
     def test_boundary_values_accepted(self):
-        cfg = PipelineConfig(case="dp_bypass", k=5, sample_size=5, pool_size=10, n_targets=1,
-                             baseline_models=1, epochs=0, degree=1, min_leaf_size=1,
-                             max_depth=1)
+        cfg = PipelineConfig(case="dp_bypass", k=5, sample_size=5, pool_size=10,
+                             min_leaf_size=1, max_depth=1)
         assert cfg.k == cfg.sample_size == 5
+        cfg = PipelineConfig(case="netflow", n_targets=2, degree=1, min_leaf_size=1,
+                             max_depth=1)
+        assert cfg.n_targets == 2
+        assert PipelineConfig(case="speech", baseline_models=1).baseline_models == 1
+        assert PipelineConfig(case="mlp_demo", epochs=0).epochs == 0
+
+    @pytest.mark.parametrize("case,field,value", [
+        ("speech", "sigma", 3.0), ("netflow", "n_phonemes", 3), ("dp_bypass", "shadows", 99),
+        ("mlp_demo", "sample_size", 30000),
+    ])
+    def test_field_the_case_does_not_read_rejected(self, case, field, value):
+        # Each was accepted and ignored, or failed a bound of a field the
+        # case never reads (netflow: n_boosted, mlp_demo: pool_size).
+        with pytest.raises(ConfigError, match=f"^{field}: case '{case}' does not read it$"):
+            PipelineConfig.from_dict({"case": case, field: value})
 
     def test_boosted_may_equal_phonemes(self):
         cfg = PipelineConfig(case="speech", n_phonemes=6, n_boosted=6, train_iters=0,
@@ -313,9 +330,38 @@ class TestCli:
 
     def test_generate_rejects_case_before_creating_out(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["generate", "--case", "mlp_demo", "--out", str(out)]) == 2
-        assert "generate does not apply to case 'mlp_demo'" in capsys.readouterr().err
+        for case in ("mlp_demo", "dp_bypass"):
+            # dp_bypass used to write netflow's two flow files (exit 0).
+            assert main(["generate", "--case", case, "--out", str(out)]) == 2
+            assert f"generate does not apply to case '{case}'" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flag,field", [
+        ("--sigma", "sigma"), ("--shadows", "shadows"), ("--top-k", "top_k"),
+    ])
+    def test_run_flag_the_case_does_not_read_exits_2(self, tmp_path, capsys, flag, field):
+        # Each was accepted, ignored and left out of the report (exit 0).
+        out = tmp_path / "out"
+        assert main(["run", "--case", "mlp_demo", flag, "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {field}: case 'mlp_demo' does not read it\n"
         assert not out.exists()
+
+    def test_attack_rejects_meta_of_another_kind(self, tmp_path, capsys):
+        model = tmp_path / "svm_model.json"
+        save_model(svm_model(9), model)
+        # Used to end in an AttributeError traceback.
+        assert main(["attack", "--meta", str(model), "--target", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {model}: holds SvmModel, not MetaClassifier\n"
+
+    def test_filter_rejects_models_of_another_kind(self, tmp_path, capsys):
+        model = tmp_path / "svm_model.json"
+        save_model(svm_model(9), model)
+        # Used to end in an AttributeError traceback.
+        assert main(["filter", "--reference", str(model), "--baselines", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {model}: holds SvmModel, not AcousticModel\n"
 
     @pytest.mark.parametrize("key,value", [("attribute", 99), ("threshold", "0.5")])
     def test_attack_rejects_tree_outside_schema(self, tmp_path, capsys, key, value):
@@ -377,7 +423,7 @@ class TestCli:
         data = os.path.join(out, "flows_with_property.csv")
         assert main(["train", "--config", str(cfg_path), "--out", out, "--data", data]) == 0
         cfg = PipelineConfig.from_dict(settings)
-        save_model(cfg.train_model(load_dataset(data, has_header=True, label_column=7)),
+        save_model(cfg.train_model(load_dataset(data, label_column=7)),
                    tmp_path / "expected.json")
         assert filecmp.cmp(tmp_path / "svm_model.json", tmp_path / "expected.json",
                            shallow=False)
