@@ -260,11 +260,12 @@ def gen_speech_corpus(spec: SpeechSpec, with_property: bool, n_sequences: int,
             mu = mu + spec.mean_shift_sigmas[p] * sd
         seqs = []
         for _ in range(n_sequences):
-            frames = []
-            for s in range(spec.n_states):
-                d = rng.integers(lo, hi + 1)
-                frames.append(mu[s] + sd[s] * rng.normal(size=(d, spec.dim)))
-            seqs.append(np.concatenate(frames, axis=0))
+            durations, noise = [], []
+            for _ in range(spec.n_states):
+                durations.append(rng.integers(lo, hi + 1))
+                noise.append(rng.normal(size=(durations[-1], spec.dim)))
+            seqs.append(np.repeat(mu, durations, axis=0)
+                        + np.repeat(sd, durations, axis=0) * np.concatenate(noise, axis=0))
         corpus[phoneme] = seqs
     return corpus
 

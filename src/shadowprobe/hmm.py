@@ -69,28 +69,28 @@ def check_params(trans, means, vars_, names=None) -> None:
             or means.shape[:-1] != trans.shape[:-1]):
         raise ContractError("means/vars must be (n_states, dim) and match the transition matrix")
 
-    def first_bad(bad):
-        bad = np.reshape(bad, -1)
-        return int(np.argmax(bad)) if bad.any() else None
+    models = trans.size // (n * n)
 
     def check(bad, msg):
-        i = first_bad(bad)
-        if i is not None:
+        # One test over the whole stack; the failing model is looked up
+        # only once a rule is broken.
+        if bad.any():
+            i = int(np.argmax(bad.reshape(models, -1).any(axis=1)))
             raise ContractError(_who(names, i) + msg)
 
-    cells = (-2, -1)
-    check(~np.isfinite(trans).all(axis=cells), "transition probabilities must be finite")
-    check(~np.isfinite(means).all(axis=cells), "means must be finite")
-    check(~np.isfinite(vars_).all(axis=cells), "variances must be finite")
-    check((trans < 0.0).any(axis=cells), "transition probabilities must be non-negative")
-    rows = trans.sum(axis=-1).reshape(-1, n)
-    i = first_bad((np.abs(rows - 1.0) > 1e-9).any(axis=1))
-    if i is not None:
+    check(~np.isfinite(trans), "transition probabilities must be finite")
+    check(~np.isfinite(means), "means must be finite")
+    check(~np.isfinite(vars_), "variances must be finite")
+    check(trans < 0.0, "transition probabilities must be non-negative")
+    rows = trans.sum(axis=-1).reshape(models, n)
+    bad = np.abs(rows - 1.0) > 1e-9
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
         raise ContractError(_who(names, i) + f"transition rows must sum to 1, got {rows[i]}")
     band = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool)  # self-loop and advance only
-    check((trans[..., ~band] != 0.0).any(axis=-1),
+    check(trans[..., ~band] != 0.0,
           "left-to-right topology allows only self-loop or advance transitions")
-    check((vars_ < VAR_FLOOR - 1e-15).any(axis=cells), f"variances must be >= {VAR_FLOOR}")
+    check(vars_ < VAR_FLOOR - 1e-15, f"variances must be >= {VAR_FLOOR}")
 
 
 @dataclass(eq=False)
@@ -141,33 +141,59 @@ class AcousticModel:
         return sorted(self.hmms)
 
 
+def _flat_start(groups: list, n_states: int, names=None):
+    """Stacked flat-start parameters of one model per group of sequences.
+
+    Every state of model p starts from the moments of all frames of
+    groups[p]; transitions start at self-loop 0.6 / advance 0.4 (final
+    state self-loop 1.0); variances are floored. Frames are concatenated
+    one group at a time, so only one group's copy is held at once.
+    """
+    if n_states < 1:
+        raise ContractError("n_states must be >= 1")
+    for p, seqs in enumerate(groups):
+        if not seqs:
+            raise ContractError(_who(names, p) + "flat start needs at least one sequence")
+    dim = groups[0][0].shape[1]
+    means = np.empty((len(groups), n_states, dim))
+    vars_ = np.empty_like(means)
+    for p, seqs in enumerate(groups):
+        for seq in seqs:
+            if seq.shape[1] != dim:
+                raise ContractError(_who(names, p) + f"sequence dim {seq.shape[1]} != {dim}, "
+                                    "the dim of the first sequence")
+        frames = np.concatenate(seqs, axis=0)
+        means[p] = frames.mean(axis=0)
+        vars_[p] = np.maximum(frames.var(axis=0), VAR_FLOOR)
+    s = np.arange(n_states - 1)
+    trans = np.zeros((len(groups), n_states, n_states))
+    trans[:, s, s] = 0.6
+    trans[:, s, s + 1] = 0.4
+    trans[:, -1, -1] = 1.0
+    check_params(trans, means, vars_, names)
+    return trans, means, vars_
+
+
 def flat_start(sequences, n_states: int) -> GaussianHmm:
     """Initialize every state from the global moments of all frames.
 
     Transitions start at self-loop 0.6 / advance 0.4 (final state
     self-loop 1.0); variances are floored.
     """
-    if n_states < 1:
-        raise ContractError("n_states must be >= 1")
-    seqs = [as_sequence(s) for s in sequences]
-    if not seqs:
-        raise ContractError("flat start needs at least one sequence")
-    frames = np.concatenate(seqs, axis=0)
-    mean = frames.mean(axis=0)
-    var = np.maximum(frames.var(axis=0), VAR_FLOOR)
-    trans = np.zeros((n_states, n_states))
-    for s in range(n_states - 1):
-        trans[s, s] = 0.6
-        trans[s, s + 1] = 0.4
-    trans[n_states - 1, n_states - 1] = 1.0
-    return GaussianHmm(trans, np.tile(mean, (n_states, 1)), np.tile(var, (n_states, 1)))
+    trans, means, vars_ = _flat_start([[as_sequence(s) for s in sequences]], n_states)
+    return GaussianHmm(trans[0], means[0], vars_[0])
 
 
-def _emissions(means: np.ndarray, vars_: np.ndarray, seq: np.ndarray) -> np.ndarray:
-    const = -0.5 * (means.shape[1] * _LOG2PI + np.log(vars_).sum(axis=1))
+def _emissions(means: np.ndarray, vars_: np.ndarray, const: np.ndarray, seq: np.ndarray,
+               out: np.ndarray) -> None:
+    """Log-densities of every frame of seq under every state, into the
+    (frames, n_states) array out; const is each state's log normaliser."""
     diff = seq[:, None, :] - means[None, :, :]
-    quad = -0.5 * (diff * diff / vars_[None, :, :]).sum(axis=2)
-    return const[None, :] + quad
+    np.multiply(diff, diff, out=diff)
+    np.divide(diff, vars_, out=diff)
+    np.add.reduce(diff, axis=2, out=out)
+    out *= -0.5
+    out += const
 
 
 class _Batch:
@@ -212,13 +238,15 @@ def _align(trans, means, vars_, batch: _Batch, names=None, sum_paths=False):
     n = trans.shape[-1]
     lengths = batch.lengths
     B, T = len(lengths), int(lengths.max())
+    const = -0.5 * (means.shape[-1] * _LOG2PI + np.log(vars_).sum(axis=-1))
+    emit = np.empty((len(batch.frames), n))
+    for p in range(len(batch.seq_bounds) - 1):
+        lo, hi = batch.frame_bounds[p], batch.frame_bounds[p + 1]
+        _emissions(means[p], vars_[p], const[p], batch.frames[lo:hi], emit[lo:hi])
     # delta[t] starts as the emissions at time t and becomes the score of
     # the paths ending there; padding past a sequence's end is 0.
     delta = np.zeros((T, B, n))
-    for p in range(len(batch.seq_bounds) - 1):
-        lo, hi = batch.frame_bounds[p], batch.frame_bounds[p + 1]
-        delta[batch.t_of[lo:hi], batch.seq_of[lo:hi]] = _emissions(means[p], vars_[p],
-                                                                    batch.frames[lo:hi])
+    delta[batch.t_of, batch.seq_of] = emit
     with np.errstate(divide="ignore"):
         log_trans = np.log(trans)[batch.owner]
     stay = np.diagonal(log_trans, axis1=-2, axis2=-1)  # self-loops, (B, n)
@@ -310,18 +338,17 @@ def _reestimate_trans(trans, stays, advances):
     return trans
 
 
-def _train_lockstep(models: list, groups: list, iters: int, names=None) -> list:
-    """Hard-EM for several models at once; models[i] trains on groups[i].
+def _train_lockstep(trans, means, vars_, groups: list, iters: int, names=None) -> list:
+    """Hard-EM for several models at once; model i, the valid parameters
+    trans[i], means[i] and vars_[i], trains on groups[i].
 
     Each iteration aligns every sequence of every model in one lockstep
     Viterbi pass, then re-estimates all models from the alignments.
     Each model's total Viterbi log-likelihood (its sequences' scores
     added in order) must not decrease beyond 1e-8 relative slack, and
     its parameters must stay valid; either failure names the model.
+    means and vars_ are re-estimated in place.
     """
-    if not models:
-        return []
-    trans, means, vars_ = _stack(models)
     P, n, d = means.shape
     batch = _Batch(groups, n, d, names)
     frame_cell = batch.owner[batch.seq_of] * n  # + state = flat (model, state) cell
@@ -375,15 +402,16 @@ def viterbi_train(model: GaussianHmm, sequences, iters: int) -> GaussianHmm:
     seqs = [as_sequence(s) for s in sequences]
     if not seqs:
         raise ContractError("viterbi_train needs at least one sequence")
-    return _train_lockstep([model], [seqs], iters)[0]
+    return _train_lockstep(*_stack([model]), [seqs], iters)[0]
 
 
 def train_acoustic_model(corpus: dict, n_states: int = DEFAULT_STATES, *,
                          iters: int) -> AcousticModel:
     """Flat-start one HMM per phoneme, then Viterbi-train all of them in
     lockstep for ``iters`` hard-EM iterations."""
+    if not corpus:
+        raise ContractError("acoustic model needs at least one phoneme")
     phonemes = sorted(corpus)
     groups = [[as_sequence(s) for s in corpus[ph]] for ph in phonemes]
-    models = _train_lockstep([flat_start(seqs, n_states) for seqs in groups], groups,
-                             iters, phonemes)
+    models = _train_lockstep(*_flat_start(groups, n_states, phonemes), groups, iters, phonemes)
     return AcousticModel(dict(zip(phonemes, models)))

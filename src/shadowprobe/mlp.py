@@ -24,7 +24,7 @@ def sigmoid(z):
     """Logistic function; exp only ever sees -|z|, so it cannot overflow."""
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(eq=False)
@@ -157,8 +157,9 @@ def backprop_train(nets, pairs, lr: float, epochs: int, rngs) -> list[Mlp]:
     ext = [np.ones((len(nets), w.shape[2])) for w in weights]
     for _ in range(epochs):
         orders = np.stack([rng.permutation(len(xs)) for rng in rngs], axis=1)
-        for pick in orders:  # one pair index per net
-            acts = _forward(weights, ext, xs[pick])
-            for w, g in zip(weights, _backward(weights, ext, acts, ts[pick])):
-                w -= lr * g
+        for x, t in zip(xs[orders], ts[orders]):  # one pair per net
+            acts = _forward(weights, ext, x)
+            for w, g in zip(weights, _backward(weights, ext, acts, t)):
+                g *= lr
+                w -= g
     return [Mlp(sizes, [w[s] for w in weights]) for s in range(len(nets))]

@@ -598,6 +598,29 @@ def viterbi_train_reference(trans, means, vars_, seqs, iters, var_floor=1e-4):
     return trans, means, vars_, totals
 
 
+def speech_corpus_reference(spec, with_property, n_sequences, rng):
+    """The speech generator one state at a time: each state draws its
+    duration, then its standard-normal frames, which it scales by its own
+    sigmas and shifts by its own means. Fields are read off the spec; rng
+    is used only through ``integers`` and ``normal``."""
+    lo, hi = spec.frames_per_state
+    corpus = {}
+    for p, phoneme in enumerate(spec.phonemes):
+        mu = spec.means[p]
+        sd = spec.sigmas[p]
+        if with_property:
+            mu = mu + spec.mean_shift_sigmas[p] * sd
+        seqs = []
+        for _ in range(n_sequences):
+            frames = []
+            for s in range(spec.n_states):
+                d = rng.integers(lo, hi + 1)
+                frames.append(mu[s] + sd[s] * rng.normal(size=(d, spec.dim)))
+            seqs.append(np.concatenate(frames, axis=0))
+        corpus[phoneme] = seqs
+    return corpus
+
+
 def kernel_eval(kind, x, y, gamma=1.0, r=0.0, degree=3):
     """One kernel value K(x, y) from its formula, vector by vector."""
     x = np.asarray(x, dtype=np.float64)

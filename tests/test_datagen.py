@@ -16,6 +16,8 @@ from shadowprobe.datagen import (
 )
 from shadowprobe.hmm import flat_start, train_acoustic_model, viterbi_train
 
+from oracles import speech_corpus_reference
+
 
 class TestFlowDataset:
     def test_balanced_labels(self):
@@ -127,6 +129,31 @@ class TestSpeechCorpus:
             for s in seqs:
                 assert 4 * 2 <= s.shape[0] <= 4 * 5
                 assert s.shape[1] == 3
+
+    @pytest.mark.parametrize("n_phonemes,n_states,dim,frames_per_state,n_sequences", [
+        (4, 5, 25, (4, 9), 3),
+        (3, 1, 4, (4, 9), 2),
+        (5, 3, 2, (3, 3), 4),
+        (2, 2, 1, (1, 2), 5),
+        (40, 5, 25, (4, 9), 1),
+    ])
+    @pytest.mark.parametrize("with_property", [False, True])
+    def test_matches_reference_bit_for_bit(self, n_phonemes, n_states, dim, frames_per_state,
+                                           n_sequences, with_property):
+        spec = default_speech_spec(RandomSource(30 + n_phonemes), n_phonemes=n_phonemes,
+                                   n_states=n_states, dim=dim, n_boosted=min(2, n_phonemes),
+                                   base_shift=0.4, frames_per_state=frames_per_state)
+        rng, ref_rng = RandomSource(31), RandomSource(31)
+        got = gen_speech_corpus(spec, with_property, n_sequences, rng)
+        want = speech_corpus_reference(spec, with_property, n_sequences, ref_rng)
+        assert list(got) == list(want)
+        for ph in want:
+            assert len(got[ph]) == len(want[ph])
+            for g, w in zip(got[ph], want[ph]):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w)
+        # Both consumed the same draws.
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
     def test_inventory_names(self):
         assert len(PHONEME_INVENTORY) == 40

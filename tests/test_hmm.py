@@ -77,6 +77,10 @@ class TestFlatStart:
         with pytest.raises(ContractError):
             flat_start([], 2)
 
+    def test_mixed_dims_rejected(self):
+        with pytest.raises(ContractError, match="^sequence dim 3 != 2"):
+            flat_start([np.zeros((4, 2)), np.zeros((4, 3))], 2)
+
 
 class TestViterbi:
     def test_single_state_unique_path(self):
@@ -415,6 +419,25 @@ class TestLockstep:
         with pytest.raises(ArithmeticError, match=f"phoneme {second!r}"):
             train_acoustic_model(corpus, n_states=3, iters=3)
 
+    def test_phoneme_without_sequences_named(self):
+        corpus = speech_corpus(9)
+        second = sorted(corpus)[1]
+        corpus[second] = []
+        with pytest.raises(ContractError,
+                           match=f"^phoneme {second!r}: flat start needs at least one sequence$"):
+            train_acoustic_model(corpus, n_states=3, iters=2)
+
+    def test_phoneme_of_other_dim_named(self):
+        corpus = speech_corpus(10)  # dim 4
+        third = sorted(corpus)[2]
+        corpus[third] = [np.zeros((6, 3))] * 2
+        with pytest.raises(ContractError, match=f"^phoneme {third!r}: sequence dim 3 != 4"):
+            train_acoustic_model(corpus, n_states=3, iters=2)
+
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ContractError, match="at least one phoneme"):
+            train_acoustic_model({}, n_states=3, iters=2)
+
     def test_bad_reestimate_caught_each_iteration(self, monkeypatch):
         original = hmm._reestimate_trans
 
@@ -455,6 +478,22 @@ class TestCheckParams:
         means = np.zeros((3, 2, 1))
         with pytest.raises(ContractError, match="phoneme 'bb': transition rows"):
             check_params(trans, means, np.ones((3, 2, 1)), names=["aa", "bb", "cc"])
+
+    def test_stacked_first_rule_then_first_model(self):
+        # Model 2 breaks an early rule (finite transitions) and model 0 a
+        # later one (variance floor): the earlier rule is reported, for the
+        # first model that breaks it.
+        trans = np.stack([lr_trans(2)] * 3)
+        trans[2, 0, 0] = np.inf
+        vars_ = np.ones((3, 2, 1))
+        vars_[0, 1, 0] = 1e-9
+        vars_[1, 0, 0] = 1e-9
+        with pytest.raises(ContractError,
+                           match="^phoneme 'cc': transition probabilities must be finite$"):
+            check_params(trans, np.zeros((3, 2, 1)), vars_, names=["aa", "bb", "cc"])
+        trans[2, 0, 0] = 0.6
+        with pytest.raises(ContractError, match="^phoneme 'aa': variances must be >= "):
+            check_params(trans, np.zeros((3, 2, 1)), vars_, names=["aa", "bb", "cc"])
 
     def test_stacked_valid_passes(self):
         check_params(np.stack([lr_trans(3)] * 2), np.zeros((2, 3, 2)), np.ones((2, 3, 2)))

@@ -218,7 +218,7 @@ class TestLockstepMatchesReference:
     def test_sigmoid_bit_equal(self):
         tiny = np.finfo(np.float64).smallest_subnormal
         edges = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, tiny, -tiny,
-                          1e-310, -1e-310, 36.0, -36.0, 710.0, -710.0])
+                          1e-310, -1e-310, 36.0, -36.0, 710.0, -710.0, np.inf, -np.inf])
         z = np.concatenate([edges, RandomSource(60).normal(0.0, 30.0, size=20_000)])
         got, want = sigmoid(z), sigmoid_reference(z)
         assert np.array_equal(got, want)
