@@ -114,21 +114,21 @@ def cmd_generate(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     rng = RandomSource(cfg.seed)
     if cfg.case == "netflow":
-        spec = datagen.default_flow_spec(cfg.signature_fraction)
-        for tag, with_p in (("with_property", True), ("without_property", False)):
-            ds = datagen.gen_flow_dataset(spec, with_p, cfg.flows_per_shadow, rng.child(with_p))
-            path = os.path.join(cfg.out_dir, f"flows_{tag}.csv")
-            save_dataset(ds, path)
-            print(f"wrote {path} ({ds.n_rows} rows)")
+        spec, first_key = datagen.default_flow_spec(cfg.signature_fraction), 0
     else:
-        spec = cfg.speech_spec(rng.child(0))
-        for tag, with_p in (("with_property", True), ("without_property", False)):
-            corpus = datagen.gen_speech_corpus(spec, with_p, cfg.n_sequences, rng.child(10 + with_p))
+        spec, first_key = cfg.speech_spec(rng.child(0)), 10
+    for tag, with_p in (("with_property", True), ("without_property", False)):
+        data = cfg.training_set(spec, with_p, rng.child(first_key + with_p))
+        if cfg.case == "netflow":
+            path = os.path.join(cfg.out_dir, f"flows_{tag}.csv")
+            save_dataset(data, path)
+            print(f"wrote {path} ({data.n_rows} rows)")
+        else:
             path = os.path.join(cfg.out_dir, f"corpus_{tag}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump({ph: [s.tolist() for s in seqs] for ph, seqs in corpus.items()},
+                json.dump({ph: [s.tolist() for s in seqs] for ph, seqs in data.items()},
                           fh, sort_keys=True)
-            print(f"wrote {path} ({len(corpus)} phonemes)")
+            print(f"wrote {path} ({len(data)} phonemes)")
     return 0
 
 

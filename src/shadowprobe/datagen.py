@@ -270,21 +270,35 @@ def gen_speech_corpus(spec: SpeechSpec, with_property: bool, n_sequences: int,
     return corpus
 
 
-def gen_shadow_array(spec, n_shadows: int, rng: RandomSource, size: int) -> list:
-    """(training input, label) pairs, labeled by ``property_labels(n_shadows)``.
+def shadow_tasks(n_shadows: int, rng: RandomSource) -> list:
+    """(with_property, source) of each of n_shadows shadows, in order.
 
-    For a FlowSpec each entry is a flow Dataset of ``size`` rows; for a
-    SpeechSpec each entry is a corpus with ``size`` sequences per
-    phoneme. Every shadow draws from an independently seeded child
-    source, so shadows can be generated in parallel.
+    Shadow i carries the property when ``property_labels(n_shadows)[i]``
+    is P and draws its training set from ``rng.child(i)``. Every source
+    is seeded independently, so shadows can be generated in any order
+    and in any process.
     """
     if n_shadows < 2:
         raise ContractError("need at least 2 shadows")
+    return [(label == P, rng.child(i)) for i, label in enumerate(property_labels(n_shadows))]
+
+
+def gen_shadow_array(spec, n_shadows: int, rng: RandomSource, size: int) -> list:
+    """(training input, label) pairs of ``shadow_tasks(n_shadows, rng)``,
+    all generated at once.
+
+    For a FlowSpec each entry is a flow Dataset of ``size`` rows; for a
+    SpeechSpec each entry is a corpus with ``size`` sequences per
+    phoneme. The pipelines draw the same training sets but never hold
+    them all: each shadow's set is generated, trained on and dropped in
+    one task (``PipelineConfig.train_new_model``).
+    """
+    tasks = shadow_tasks(n_shadows, rng)
     if isinstance(spec, FlowSpec):
         gen = gen_flow_dataset
     elif isinstance(spec, SpeechSpec):
         gen = gen_speech_corpus
     else:
         raise ContractError(f"unknown spec type {type(spec).__name__}")
-    return [(gen(spec, label == P, size, rng.child(i)), label)
-            for i, label in enumerate(property_labels(n_shadows))]
+    return [(gen(spec, with_p, size, source), label)
+            for label, (with_p, source) in zip(property_labels(n_shadows), tasks)]

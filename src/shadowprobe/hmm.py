@@ -110,6 +110,14 @@ class GaussianHmm:
             raise ContractError("transition matrix must be square")
         check_params(self.trans, self.means, self.vars)
 
+    @classmethod
+    def _accepted(cls, trans, means, vars_) -> "GaussianHmm":
+        """A model of float64 parameters that check_params has already
+        accepted, built without checking them again."""
+        model = cls.__new__(cls)
+        model.trans, model.means, model.vars = trans, means, vars_
+        return model
+
     @property
     def n_states(self) -> int:
         return self.trans.shape[0]
@@ -347,7 +355,9 @@ def _train_lockstep(trans, means, vars_, groups: list, iters: int, names=None) -
     Each model's total Viterbi log-likelihood (its sequences' scores
     added in order) must not decrease beyond 1e-8 relative slack, and
     its parameters must stay valid; either failure names the model.
-    means and vars_ are re-estimated in place.
+    means and vars_ are re-estimated in place. Each iteration checks the
+    whole stack once, and the returned models are built from the
+    parameters that check (or the caller's, when iters is 0) accepted.
     """
     P, n, d = means.shape
     batch = _Batch(groups, n, d, names)
@@ -388,7 +398,7 @@ def _train_lockstep(trans, means, vars_, groups: list, iters: int, names=None) -
         check_params(trans, means, vars_, names)
     if iters > 0:
         check(prev, totals(_align(trans, means, vars_, batch, names)[0]))
-    return [GaussianHmm(trans[p], means[p], vars_[p]) for p in range(P)]
+    return [GaussianHmm._accepted(trans[p], means[p], vars_[p]) for p in range(P)]
 
 
 def viterbi_train(model: GaussianHmm, sequences, iters: int) -> GaussianHmm:

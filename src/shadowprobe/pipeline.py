@@ -17,6 +17,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -199,6 +200,23 @@ class PipelineConfig:
             return hmm.train_acoustic_model(data, n_states=self.n_states, iters=self.train_iters)
         raise ConfigError(f"case {self.case!r} trains no shadow models")
 
+    def training_set(self, spec, with_property: bool, rng: RandomSource):
+        """One shadow's or target's training set: a flow Dataset of
+        ``flows_per_shadow`` rows (netflow) or a corpus of ``n_sequences``
+        sequences per phoneme (speech)."""
+        # The generators are looked up on ``datagen`` at call time, so a
+        # wrapper patched onto the module sees every call.
+        if self.case == "netflow":
+            return datagen.gen_flow_dataset(spec, with_property, self.flows_per_shadow, rng)
+        if self.case == "speech":
+            return datagen.gen_speech_corpus(spec, with_property, self.n_sequences, rng)
+        raise ConfigError(f"case {self.case!r} generates no training sets")
+
+    def train_new_model(self, spec, with_property: bool, rng: RandomSource):
+        """The model trained on a freshly generated training set, which is
+        dropped once trained on."""
+        return self.train_model(self.training_set(spec, with_property, rng))
+
 
 def _echo(cfg: PipelineConfig, renamed: str = "", **extras) -> dict:
     """Report config block: the seed and every field the case reads, less
@@ -208,12 +226,19 @@ def _echo(cfg: PipelineConfig, renamed: str = "", **extras) -> dict:
     return {**{n: getattr(cfg, n) for n in names if n not in renamed.split()}, **extras}
 
 
-def _map_jobs(fn, items, jobs: int):
-    """Ordered map, optionally across processes; results keep input order."""
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _map_jobs(cfg: PipelineConfig, spec, tasks: list) -> list:
+    """The model of each ``(with_property, source)`` task, in task order.
+
+    Each task generates its training set, trains on it and keeps only the
+    model, so at most one training set per worker is alive. With
+    ``cfg.jobs`` > 1 the tasks run across that many processes; a worker
+    receives the spec and a seeded source, never a training set.
+    """
+    train = partial(cfg.train_new_model, spec)
+    if cfg.jobs <= 1:
+        return [train(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        return list(pool.map(train, *zip(*tasks)))
 
 
 def _metrics_block(cm: metrics.ConfusionMatrix) -> dict:
@@ -228,10 +253,9 @@ def _metrics_block(cm: metrics.ConfusionMatrix) -> dict:
 
 def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     spec = cfg.speech_spec(rng.child(0))
-    shadows = datagen.gen_shadow_array(spec, cfg.shadows, rng.child(1), cfg.n_sequences)
-    log.info("speech: training %d shadow acoustic models", len(shadows))
-    models = _map_jobs(cfg.train_model, [corpus for corpus, _ in shadows], cfg.jobs)
-    labels = [pl for _, pl in shadows]
+    log.info("speech: training %d shadow acoustic models", cfg.shadows)
+    models = _map_jobs(cfg, spec, datagen.shadow_tasks(cfg.shadows, rng.child(1)))
+    labels = property_labels(cfg.shadows)
 
     def evaluate(shadow_models, meta_rng):
         md, mc, verdicts, truths, votes = attack.holdout_attack(
@@ -245,14 +269,9 @@ def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
 
     log.info("speech: building reference and %d baseline models for the divergence filter",
              cfg.baseline_models)
-    ref_corpus = datagen.gen_speech_corpus(spec, True, cfg.n_sequences, rng.child(3))
-    reference = cfg.train_model(ref_corpus)
-    baselines = _map_jobs(
-        cfg.train_model,
-        [datagen.gen_speech_corpus(spec, False, cfg.n_sequences, rng.child(100 + i))
-         for i in range(cfg.baseline_models)],
-        cfg.jobs,
-    )
+    reference, *baselines = _map_jobs(
+        cfg, spec,
+        [(True, rng.child(3))] + [(False, rng.child(100 + i)) for i in range(cfg.baseline_models)])
     scores = attack.kl_divergence_scores(reference, baselines)
     selected = attack.kl_filter(scores, cfg.top_k)
 
@@ -275,10 +294,9 @@ def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
 
 def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     spec = datagen.default_flow_spec(cfg.signature_fraction)
-    shadows = datagen.gen_shadow_array(spec, cfg.shadows, rng.child(1), cfg.flows_per_shadow)
-    log.info("netflow: training %d shadow SVMs", len(shadows))
-    models = _map_jobs(cfg.train_model, [ds for ds, _ in shadows], cfg.jobs)
-    labels = [pl for _, pl in shadows]
+    log.info("netflow: training %d shadow SVMs", cfg.shadows)
+    models = _map_jobs(cfg, spec, datagen.shadow_tasks(cfg.shadows, rng.child(1)))
+    labels = property_labels(cfg.shadows)
 
     md = attack.build_meta_training_set(list(zip(models, labels)))
     mc = attack.train_meta(md, cfg.tree_params(), rng.child(2))
@@ -288,10 +306,8 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     cv = metrics.k_fold_cross_validate(md.data, cfg.folds, cfg.tree_trainer(), rng.child(3))
 
     log.info("netflow: evaluating %d held-out target classifiers", cfg.n_targets)
-    target_specs = datagen.gen_shadow_array(spec, cfg.n_targets, rng.child(4),
-                                            cfg.flows_per_shadow)
-    targets = _map_jobs(cfg.train_model, [ds for ds, _ in target_specs], cfg.jobs)
-    verdicts, _, _ = attack.judge(mc, targets, [pl for _, pl in target_specs])
+    targets = _map_jobs(cfg, spec, datagen.shadow_tasks(cfg.n_targets, rng.child(4)))
+    verdicts, _, _ = attack.judge(mc, targets, property_labels(cfg.n_targets))
 
     return {
         "case": "netflow",

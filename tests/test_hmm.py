@@ -452,6 +452,27 @@ class TestLockstep:
         with pytest.raises(ContractError, match=f"phoneme {third!r}.*finite"):
             train_acoustic_model(corpus, n_states=3, iters=1)
 
+    @pytest.mark.parametrize("iters", [0, 1, 3])
+    def test_parameters_checked_once_per_iteration(self, monkeypatch, iters):
+        # The flat start and each iteration check the whole stack once; the
+        # returned phoneme models are not checked a second time.
+        calls = []
+        original = hmm.check_params
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hmm, "check_params", counting)
+        corpus = speech_corpus(8)
+        am = train_acoustic_model(corpus, n_states=3, iters=iters)
+        assert calls == [(len(corpus), 3, 3)] * (1 + iters)
+        assert sorted(am.hmms) == sorted(corpus)
+        calls.clear()
+        with pytest.raises(ContractError, match="variances"):
+            GaussianHmm(lr_trans(2), np.zeros((2, 1)), np.full((2, 1), 1e-9))
+        assert calls == [(2, 2)]
+
 
 class TestCheckParams:
     @pytest.mark.parametrize("field,value", [

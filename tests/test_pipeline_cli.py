@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from shadowprobe import datagen
 from shadowprobe.attack import NOT_P, P, build_meta_training_set, train_meta
 from shadowprobe.cli import main
 from shadowprobe.core import RandomSource, load_dataset
@@ -173,15 +174,45 @@ class TestPipelines:
             assert filecmp.cmp(outs[0] / f, outs[1] / f, shallow=False), f
 
     def test_parallel_jobs_same_bytes(self, tmp_path):
-        outs = []
-        for jobs in (1, 2):
-            out = tmp_path / f"j{jobs}"
-            cfg = PipelineConfig(case="speech", seed=11, out_dir=str(out),
-                                 jobs=jobs, **SPEECH_SMALL)
-            run_pipeline(cfg)
-            outs.append(out)
-        for f in sorted(os.listdir(outs[0])):
-            assert filecmp.cmp(outs[0] / f, outs[1] / f, shallow=False), f
+        # With jobs > 1 each worker generates its own training sets.
+        for case, small in (("speech", SPEECH_SMALL), ("netflow", NETFLOW_SMALL)):
+            outs = []
+            for jobs in (1, 2):
+                out = tmp_path / f"{case}-j{jobs}"
+                cfg = PipelineConfig(case=case, seed=11, out_dir=str(out), jobs=jobs, **small)
+                run_pipeline(cfg)
+                outs.append(out)
+            for f in sorted(os.listdir(outs[0])):
+                assert filecmp.cmp(outs[0] / f, outs[1] / f, shallow=False), (case, f)
+
+    @pytest.mark.parametrize("case,small,generator", [
+        ("speech", SPEECH_SMALL, "gen_speech_corpus"),
+        ("netflow", NETFLOW_SMALL, "gen_flow_dataset"),
+    ])
+    def test_one_training_set_alive_at_a_time(self, tmp_path, monkeypatch, case, small,
+                                              generator):
+        # Training sets generated but not yet trained on, at most one at once.
+        live, peak, generated = [0], [0], [0]
+        gen, train = getattr(datagen, generator), PipelineConfig.train_model
+
+        def counting_gen(*args, **kwargs):
+            data = gen(*args, **kwargs)
+            live[0] += 1
+            generated[0] += 1
+            peak[0] = max(peak[0], live[0])
+            return data
+
+        def counting_train(self, data):
+            live[0] -= 1
+            return train(self, data)
+
+        monkeypatch.setattr(datagen, generator, counting_gen)
+        monkeypatch.setattr(PipelineConfig, "train_model", counting_train)
+        cfg = PipelineConfig(case=case, seed=3, out_dir=str(tmp_path), **small)
+        run_pipeline(cfg)
+        trained = cfg.shadows + (1 + cfg.baseline_models if case == "speech" else cfg.n_targets)
+        assert generated[0] == trained and live[0] == 0
+        assert peak[0] == 1
 
 
 class TestCli:

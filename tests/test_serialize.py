@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,18 @@ class TestErrors:
         body["weights"][1][2][1] = float("nan")
         with pytest.raises(ContractError, match="weight matrix 1 has non-finite"):
             from_payload(body)
+
+    def test_acoustic_parameters_checked_on_load(self, tmp_path):
+        # Trained models skip a second check of their parameters; a loaded
+        # one is checked in full.
+        t = np.array([[0.6, 0.4], [0.0, 1.0]])
+        save_model(AcousticModel({"aa": GaussianHmm(t, np.zeros((2, 3)), np.ones((2, 3)))}),
+                   tmp_path / "am.json")
+        body = json.loads((tmp_path / "am.json").read_text())
+        body["phonemes"]["aa"]["vars"][1][2] = 1e-9
+        (tmp_path / "am.json").write_text(json.dumps(body))
+        with pytest.raises(ContractError, match="variances must be >="):
+            load_model(tmp_path / "am.json")
 
 
 def mixed_tree():
