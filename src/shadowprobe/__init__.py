@@ -70,7 +70,6 @@ from .datagen import (
     default_flow_spec,
     default_speech_spec,
     gen_flow_dataset,
-    gen_shadow_array,
     gen_speech_corpus,
 )
 from .serialize import load_model, save_model

@@ -4,8 +4,9 @@ A shadow classifier trained on data with a known property label is
 reduced to a fixed-schema set of feature vectors (its internals); the
 union of those rows, labeled per shadow, trains a decision-tree
 meta-classifier that predicts whether an unseen classifier's training
-set carried the property. Includes the Gaussian KL phoneme filter and
-the differential-privacy bypass experiment on noisy k-means.
+set carried the property; ``holdout_attack`` judges held-out shadows.
+Includes the Gaussian KL phoneme filter and the differential-privacy
+bypass experiment on noisy k-means.
 
 Feature encodings per model family:
 
@@ -34,6 +35,7 @@ from .core import (
     RandomSource,
     property_labels,
     round_half_up,
+    shadow_tasks,
 )
 from . import dtree
 from .dtree import DecisionTree, TreeParams
@@ -309,9 +311,11 @@ def run_dp_bypass(points_p, points_notp, k: int, sigma: float, n_runs: int,
 
     Trains ``n_runs`` models per arm (half on property data, half on
     non-property data, each run on a fresh subsample of ``sample_size``
-    points), runs the centroid meta-attack on both arms, and returns
-    each arm's attack results, the mean centroid displacement, the
-    property separation and plot-ready centroid scatter data. The
+    points; run r's pool and source are shadow r's of
+    ``shadow_tasks(n_runs, rng)``), runs the centroid meta-attack on
+    both arms, and returns each arm's attack results, the mean centroid
+    displacement, the property separation and plot-ready centroid
+    scatter data. The
     noiseless and noisy models of a run share the subsample and the
     initialization seed, so noisy centroid displacement is directly
     measurable. ``clamp_low`` and ``clamp_high`` give run 0's sample
@@ -331,9 +335,8 @@ def run_dp_bypass(points_p, points_notp, k: int, sigma: float, n_runs: int,
     plain_models, noisy_models = [], []
     scatter = []
     displacements = []
-    for r in range(n_runs):
-        pool = points_p if labels[r] == P else points_notp
-        run_rng = rng.child(r)
+    for r, (with_property, run_rng) in enumerate(shadow_tasks(n_runs, rng)):
+        pool = points_p if with_property else points_notp
         pts = pool[run_rng.child(0).choice(len(pool), size=sample_size, replace=False)]
         if r == 0:
             low, high = pts.min(axis=0), pts.max(axis=0)

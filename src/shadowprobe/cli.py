@@ -113,10 +113,8 @@ def cmd_generate(args) -> int:
         raise ConfigError(f"generate does not apply to case {cfg.case!r}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     rng = RandomSource(cfg.seed)
-    if cfg.case == "netflow":
-        spec, first_key = datagen.default_flow_spec(cfg.signature_fraction), 0
-    else:
-        spec, first_key = cfg.speech_spec(rng.child(0)), 10
+    spec = cfg.spec(rng)
+    first_key = 0 if cfg.case == "netflow" else 10
     for tag, with_p in (("with_property", True), ("without_property", False)):
         data = cfg.training_set(spec, with_p, rng.child(first_key + with_p))
         if cfg.case == "netflow":

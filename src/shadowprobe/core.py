@@ -113,6 +113,21 @@ def property_labels(n: int) -> list:
     return [P] * n_p + [NOT_P] * (n - n_p)
 
 
+def shadow_tasks(n_shadows: int, rng: RandomSource):
+    """Iterator over the (with_property, source) of each of n_shadows
+    shadows, in order.
+
+    Shadow i carries the property when ``property_labels(n_shadows)[i]``
+    is P and draws from ``rng.child(i)``. Every source is seeded
+    independently, so shadows can be generated and trained in any order
+    and in any process. A source is made only when the iterator reaches
+    it, so a serial caller holds one generator (about 40 KB) at a time.
+    """
+    if n_shadows < 2:
+        raise ContractError("need at least 2 shadows")
+    return ((label == P, rng.child(i)) for i, label in enumerate(property_labels(n_shadows)))
+
+
 def _column(name: str, kind: str, values) -> np.ndarray:
     """One attribute's values as a read-only array, validated whole."""
     if kind not in KINDS:

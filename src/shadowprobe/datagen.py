@@ -3,6 +3,9 @@
 Two stand-in corpora: NetFlow-like traffic records for a WEB-vs-DNS
 classifier, and Gaussian frame sequences for per-phoneme acoustic
 models. Generation is a pure function of (spec, flags, RandomSource).
+This module holds the specs and the two generators only:
+``PipelineConfig.spec`` picks a case's spec, ``PipelineConfig.training_set``
+its generator, and ``core.shadow_tasks`` each shadow's label and source.
 
 Flow records emit seven numeric columns, each normalized to the
 fraction of its field's range so all features are comparable:
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NUMERIC, P, ContractError, Dataset, RandomSource, property_labels, round_half_up
+from .core import NUMERIC, ContractError, Dataset, RandomSource, round_half_up
 
 WEB = "WEB"
 DNS = "DNS"
@@ -269,36 +272,3 @@ def gen_speech_corpus(spec: SpeechSpec, with_property: bool, n_sequences: int,
         corpus[phoneme] = seqs
     return corpus
 
-
-def shadow_tasks(n_shadows: int, rng: RandomSource) -> list:
-    """(with_property, source) of each of n_shadows shadows, in order.
-
-    Shadow i carries the property when ``property_labels(n_shadows)[i]``
-    is P and draws its training set from ``rng.child(i)``. Every source
-    is seeded independently, so shadows can be generated in any order
-    and in any process.
-    """
-    if n_shadows < 2:
-        raise ContractError("need at least 2 shadows")
-    return [(label == P, rng.child(i)) for i, label in enumerate(property_labels(n_shadows))]
-
-
-def gen_shadow_array(spec, n_shadows: int, rng: RandomSource, size: int) -> list:
-    """(training input, label) pairs of ``shadow_tasks(n_shadows, rng)``,
-    all generated at once.
-
-    For a FlowSpec each entry is a flow Dataset of ``size`` rows; for a
-    SpeechSpec each entry is a corpus with ``size`` sequences per
-    phoneme. The pipelines draw the same training sets but never hold
-    them all: each shadow's set is generated, trained on and dropped in
-    one task (``PipelineConfig.train_new_model``).
-    """
-    tasks = shadow_tasks(n_shadows, rng)
-    if isinstance(spec, FlowSpec):
-        gen = gen_flow_dataset
-    elif isinstance(spec, SpeechSpec):
-        gen = gen_speech_corpus
-    else:
-        raise ContractError(f"unknown spec type {type(spec).__name__}")
-    return [(gen(spec, with_p, size, source), label)
-            for label, (with_p, source) in zip(property_labels(n_shadows), tasks)]

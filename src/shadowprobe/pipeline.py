@@ -22,7 +22,8 @@ from functools import partial
 import numpy as np
 
 from . import attack, datagen, dtree, hmm, metrics, serialize, svm
-from .core import P, ContractError, Dataset, RandomSource, numeric_matrix, property_labels
+from .core import (P, ContractError, Dataset, RandomSource, numeric_matrix, property_labels,
+                   shadow_tasks)
 from .dtree import TreeParams
 from .mlp import backprop_train, forward, init_mlp, total_squared_error
 from .svm import KernelSpec
@@ -117,7 +118,7 @@ class PipelineConfig:
             if f.name not in reads and getattr(self, f.name) != f.default:
                 raise ConfigError(f"{f.name}: case {self.case!r} does not read it")
         validate = [
-            ("seed", self.seed >= 0, "must be a non-negative integer"),
+            ("seed", 0 <= self.seed < 1 << 64, "must be in [0, 2**64 - 1]"),
             ("jobs", self.jobs >= 1, "must be >= 1"),
             ("shadows", self.shadows >= 2, "must be >= 2"),
             ("n_phonemes", 1 <= self.n_phonemes <= 40, "must be in [1, 40]"),
@@ -130,6 +131,7 @@ class PipelineConfig:
             ("baseline_models", self.baseline_models >= 1, "must be >= 1"),
             ("holdout_fraction", 0 < self.holdout_fraction < 1, "must be in (0, 1)"),
             ("flows_per_shadow", self.flows_per_shadow >= 2, "must be >= 2"),
+            ("signature_fraction", 0 <= self.signature_fraction <= 1, "must be in [0, 1]"),
             ("kernel_kind", self.kernel_kind in svm.KERNEL_KINDS,
              f"must be one of {svm.KERNEL_KINDS}"),
             ("gamma", self.gamma >= 0 or self.kernel_kind not in ("polynomial", "rbf"),
@@ -185,10 +187,17 @@ class PipelineConfig:
             return lambda test_ds: dtree.classify(tree, test_ds)
         return train
 
-    def speech_spec(self, rng: RandomSource) -> datagen.SpeechSpec:
-        return datagen.default_speech_spec(
-            rng, n_phonemes=self.n_phonemes, n_states=self.n_states, dim=self.dim,
-            n_boosted=self.n_boosted, boost_shift=self.boost_shift, base_shift=self.base_shift)
+    def spec(self, rng: RandomSource):
+        """The case's data spec: a SpeechSpec drawn from ``rng.child(0)``
+        (speech) or the default FlowSpec (netflow, dp_bypass)."""
+        if self.case == "speech":
+            return datagen.default_speech_spec(
+                rng.child(0), n_phonemes=self.n_phonemes, n_states=self.n_states, dim=self.dim,
+                n_boosted=self.n_boosted, boost_shift=self.boost_shift,
+                base_shift=self.base_shift)
+        if self.case in ("netflow", "dp_bypass"):
+            return datagen.default_flow_spec(self.signature_fraction)
+        raise ConfigError(f"case {self.case!r} draws no data")
 
     def train_model(self, data):
         """One shadow or target model: an SVM from a flow Dataset (netflow)
@@ -226,7 +235,7 @@ def _echo(cfg: PipelineConfig, renamed: str = "", **extras) -> dict:
     return {**{n: getattr(cfg, n) for n in names if n not in renamed.split()}, **extras}
 
 
-def _map_jobs(cfg: PipelineConfig, spec, tasks: list) -> list:
+def _map_jobs(cfg: PipelineConfig, spec, tasks) -> list:
     """The model of each ``(with_property, source)`` task, in task order.
 
     Each task generates its training set, trains on it and keeps only the
@@ -252,9 +261,9 @@ def _metrics_block(cm: metrics.ConfusionMatrix) -> dict:
 
 
 def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
-    spec = cfg.speech_spec(rng.child(0))
+    spec = cfg.spec(rng)
     log.info("speech: training %d shadow acoustic models", cfg.shadows)
-    models = _map_jobs(cfg, spec, datagen.shadow_tasks(cfg.shadows, rng.child(1)))
+    models = _map_jobs(cfg, spec, shadow_tasks(cfg.shadows, rng.child(1)))
     labels = property_labels(cfg.shadows)
 
     def evaluate(shadow_models, meta_rng):
@@ -293,9 +302,9 @@ def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
 
 
 def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
-    spec = datagen.default_flow_spec(cfg.signature_fraction)
+    spec = cfg.spec(rng)
     log.info("netflow: training %d shadow SVMs", cfg.shadows)
-    models = _map_jobs(cfg, spec, datagen.shadow_tasks(cfg.shadows, rng.child(1)))
+    models = _map_jobs(cfg, spec, shadow_tasks(cfg.shadows, rng.child(1)))
     labels = property_labels(cfg.shadows)
 
     md = attack.build_meta_training_set(list(zip(models, labels)))
@@ -306,7 +315,7 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     cv = metrics.k_fold_cross_validate(md.data, cfg.folds, cfg.tree_trainer(), rng.child(3))
 
     log.info("netflow: evaluating %d held-out target classifiers", cfg.n_targets)
-    targets = _map_jobs(cfg, spec, datagen.shadow_tasks(cfg.n_targets, rng.child(4)))
+    targets = _map_jobs(cfg, spec, shadow_tasks(cfg.n_targets, rng.child(4)))
     verdicts, _, _ = attack.judge(mc, targets, property_labels(cfg.n_targets))
 
     return {
@@ -332,7 +341,7 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
 
 
 def run_dp_bypass_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
-    spec = datagen.default_flow_spec(cfg.signature_fraction)
+    spec = cfg.spec(rng)
     log.info("dp_bypass: generating point pools")
     ds_p = datagen.gen_flow_dataset(spec, True, cfg.pool_size, rng.child(0))
     ds_notp = datagen.gen_flow_dataset(spec, False, cfg.pool_size, rng.child(1))

@@ -11,22 +11,11 @@ import time
 
 import numpy as np
 
-from shadowprobe.attack import (
-    build_meta_training_set,
-    infer_property,
-    kl_gaussian,
-    split_by_property,
-    train_meta,
-)
-from shadowprobe.core import NUMERIC, RandomSource, make_dataset
-from shadowprobe.datagen import (
-    PHONEME_INVENTORY,
-    default_flow_spec,
-    default_speech_spec,
-    gen_shadow_array,
-)
+from shadowprobe.attack import holdout_attack, kl_gaussian
+from shadowprobe.core import NUMERIC, RandomSource, make_dataset, property_labels, shadow_tasks
+from shadowprobe.datagen import PHONEME_INVENTORY
 from shadowprobe.dtree import TreeParams, entropy, info_gain, NumericSplit
-from shadowprobe.hmm import GaussianHmm, forward_loglik, train_acoustic_model, viterbi
+from shadowprobe.hmm import GaussianHmm, forward_loglik, viterbi
 from shadowprobe.mlp import forward, gradients, init_mlp
 from shadowprobe.pipeline import PipelineConfig, run_pipeline
 from shadowprobe.svm import KernelSpec, kernel_matrix, kkt_audit, smo_train
@@ -214,38 +203,27 @@ def test_criterion_5_dp_bypass(tmp_path):
            f"(both >= 0.85, gap <= 0.10), 70 runs per arm; {elapsed:.1f}s (< 300s)")
 
 
+def _null_accuracy(cfg):
+    """Held-out row accuracy of the pipeline's attack on the shadows that
+    ``cfg`` trains with its property knob off."""
+    rng = RandomSource(cfg.seed)
+    spec = cfg.spec(rng)
+    models = [cfg.train_new_model(spec, with_p, source)
+              for with_p, source in shadow_tasks(cfg.shadows, rng.child(1))]
+    _, _, _, truths, votes = holdout_attack(models, property_labels(cfg.shadows), 0.25,
+                                            TreeParams(min_leaf_size=5), rng.child(999))
+    return sum(t == v for t, v in zip(truths, votes)) / len(votes)
+
+
 def _speech_null_accuracy(seed):
-    rng = RandomSource(seed)
-    spec = default_speech_spec(rng.child(0), n_phonemes=8, n_states=3, dim=4,
-                               n_boosted=3, boost_shift=0.0, base_shift=0.0)
-    shadows = gen_shadow_array(spec, 8, rng.child(1), size=3)
-    models = [train_acoustic_model(c, n_states=3, iters=2) for c, _ in shadows]
-    labels = [pl for _, pl in shadows]
-    return _holdout_row_accuracy(models, labels, rng)
+    return _null_accuracy(PipelineConfig(
+        case="speech", seed=seed, shadows=8, n_phonemes=8, n_states=3, dim=4, n_boosted=3,
+        boost_shift=0.0, base_shift=0.0, n_sequences=3, train_iters=2))
 
 
 def _netflow_null_accuracy(seed):
-    rng = RandomSource(seed)
-    spec = default_flow_spec(signature_fraction=0.0)  # property knob disabled
-    shadows = gen_shadow_array(spec, 8, rng.child(1), size=200)
-    kernel = KernelSpec("polynomial", 1.0, 0.0, 3)
-    models = [smo_train(ds, kernel, C=1.0, tol=1e-3) for ds, _ in shadows]
-    labels = [pl for _, pl in shadows]
-    return _holdout_row_accuracy(models, labels, rng)
-
-
-def _holdout_row_accuracy(models, labels, rng):
-    train_idx, hold_idx = split_by_property(labels, 0.25)
-    from shadowprobe.attack import NOT_P, P
-    md = build_meta_training_set(
-        [(models[i], P if labels[i] == "P" else NOT_P) for i in train_idx])
-    mc = train_meta(md, TreeParams(min_leaf_size=5), rng.child(999))
-    correct = total = 0
-    for i in hold_idx:
-        v = infer_property(mc, models[i])
-        correct += sum(p == labels[i] for p in v.per_row)
-        total += len(v.per_row)
-    return correct / total
+    return _null_accuracy(PipelineConfig(
+        case="netflow", seed=seed, shadows=8, signature_fraction=0.0, flows_per_shadow=200))
 
 
 def test_criterion_6_null_hypothesis_guard():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -380,6 +382,24 @@ class TestMatchedDisplacement:
         a = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
         b = a[[2, 0, 1]] + 0.01
         assert matched_displacement(a, b) < 0.02
+
+    def test_greedy_pairs_separated_centroids(self):
+        # Beyond 6 centroids the pairing is greedy; well-separated sets
+        # still pair each centroid with its own displaced copy.
+        a = 10.0 * np.array([[i, (i * 3) % 8] for i in range(8)], dtype=float)
+        offset = np.array([0.01, -0.01])
+        b = a[RandomSource(4).permutation(8)] + offset
+        assert matched_displacement(a, b) == pytest.approx(np.linalg.norm(offset))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_greedy_never_below_optimum(self, seed):
+        rng = RandomSource(seed)
+        a, b = rng.normal(size=(7, 2)), rng.normal(size=(7, 2))
+        cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+        perms = np.array(list(itertools.permutations(range(7))))
+        optimum = cost[np.arange(7), perms].sum(axis=1).min() / 7
+        # Greedy pairing may exceed the optimum, never undercut it.
+        assert matched_displacement(a, b) >= optimum - 1e-12
 
 
 class TestRunDpBypass:

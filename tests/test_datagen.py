@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from shadowprobe.core import ContractError, RandomSource, numeric_matrix
-from shadowprobe.attack import NOT_P, P, kl_divergence_scores, kl_filter
+from shadowprobe.core import ContractError, RandomSource, numeric_matrix, shadow_tasks
+from shadowprobe.attack import kl_divergence_scores, kl_filter
 from shadowprobe.datagen import (
     DNS,
     FLOW_COLUMNS,
@@ -11,10 +11,10 @@ from shadowprobe.datagen import (
     default_flow_spec,
     default_speech_spec,
     gen_flow_dataset,
-    gen_shadow_array,
     gen_speech_corpus,
 )
 from shadowprobe.hmm import flat_start, train_acoustic_model, viterbi_train
+from shadowprobe.pipeline import ConfigError, PipelineConfig
 
 from oracles import speech_corpus_reference
 
@@ -161,41 +161,62 @@ class TestSpeechCorpus:
 
 
 class TestShadowArray:
+    """``core.shadow_tasks`` gives each shadow's label and source, and
+    ``PipelineConfig.training_set`` draws its training set."""
+
     def test_seventy_balanced(self):
-        rng = RandomSource(18)
-        spec = default_flow_spec()
-        shadows = gen_shadow_array(spec, 70, rng, size=10)
-        labels = [pl for _, pl in shadows]
-        assert labels.count(P) == 35
-        assert labels.count(NOT_P) == 35
-        assert labels[:35] == [P] * 35
+        with_p = [with_p for with_p, _ in shadow_tasks(70, RandomSource(18))]
+        assert with_p == [True] * 35 + [False] * 35
 
     def test_two_shadows_one_each(self):
-        rng = RandomSource(19)
-        spec = default_flow_spec()
-        shadows = gen_shadow_array(spec, 2, rng, size=10)
-        assert [pl for _, pl in shadows] == [P, NOT_P]
+        assert [with_p for with_p, _ in shadow_tasks(2, RandomSource(19))] == [True, False]
 
-    def test_empty_shadows_rejected(self):
-        # size=0 used to stand for the default, 2000 flows or 8 sequences.
-        with pytest.raises(ContractError, match="need at least 2 flows"):
-            gen_shadow_array(default_flow_spec(), 2, RandomSource(1), size=0)
-        spec = default_speech_spec(RandomSource(20), n_phonemes=2, n_states=2, dim=2,
-                                   n_boosted=2, base_shift=0.4)
-        with pytest.raises(ContractError, match="need at least one sequence"):
-            gen_shadow_array(spec, 2, RandomSource(1), size=0)
-
-    def test_speech_spec_dispatch(self):
-        rng = RandomSource(21)
-        spec = default_speech_spec(rng, n_phonemes=2, n_states=2, dim=2,
-                                   n_boosted=2, base_shift=0.4)
-        shadows = gen_shadow_array(spec, 2, RandomSource(22), size=2)
-        corpus, _ = shadows[0]
-        assert set(corpus) == set(spec.phonemes)
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_fewer_than_two_rejected(self, n):
+        with pytest.raises(ContractError, match="need at least 2 shadows"):
+            shadow_tasks(n, RandomSource(1))
 
     def test_independent_child_seeds(self):
+        rng = RandomSource(23)
+        sources = [source for _, source in shadow_tasks(4, rng)]
+        assert [s.seed for s in sources] == [rng.child(i).seed for i in range(4)]
+        assert len({s.seed for s in sources}) == 4
         spec = default_flow_spec()
-        shadows = gen_shadow_array(spec, 4, RandomSource(23), size=20)
-        first = numeric_matrix(shadows[0][0])
-        third = numeric_matrix(shadows[2][0])
+        first, third = (numeric_matrix(gen_flow_dataset(spec, True, 20, sources[i]))
+                        for i in (0, 2))
         assert not np.array_equal(first, third)  # same label arm, different draws
+
+    def test_speech_spec_dispatch(self):
+        cfg = PipelineConfig(case="speech", n_phonemes=2, n_states=2, dim=2, n_boosted=2,
+                             top_k=2, n_sequences=2)
+        spec = cfg.spec(RandomSource(21))
+        corpus = cfg.training_set(spec, True, RandomSource(22))
+        assert list(corpus) == list(spec.phonemes)
+        # The same draws as calling the generator directly.
+        direct = gen_speech_corpus(spec, True, 2, RandomSource(22))
+        assert all(len(corpus[ph]) == 2 and all(np.array_equal(a, b)
+                                                for a, b in zip(corpus[ph], direct[ph]))
+                   for ph in spec.phonemes)
+
+    def test_flow_spec_dispatch(self):
+        cfg = PipelineConfig(case="netflow", flows_per_shadow=10)
+        assert cfg.training_set(cfg.spec(RandomSource(1)), False, RandomSource(2)).n_rows == 10
+
+    def test_empty_shadows_rejected(self):
+        # The config bounds forbid size 0; the generators reject it too.
+        cfg = PipelineConfig(case="netflow")
+        cfg.flows_per_shadow = 0
+        with pytest.raises(ContractError, match="need at least 2 flows"):
+            cfg.training_set(cfg.spec(RandomSource(1)), True, RandomSource(1))
+        cfg = PipelineConfig(case="speech", n_phonemes=2, n_states=2, dim=2, n_boosted=2,
+                             top_k=2)
+        cfg.n_sequences = 0
+        with pytest.raises(ContractError, match="need at least one sequence"):
+            cfg.training_set(cfg.spec(RandomSource(20)), True, RandomSource(1))
+
+    def test_case_without_shadows_rejected(self):
+        cfg = PipelineConfig(case="mlp_demo")
+        with pytest.raises(ConfigError, match="draws no data"):
+            cfg.spec(RandomSource(1))
+        with pytest.raises(ConfigError, match="generates no training sets"):
+            cfg.training_set(None, True, RandomSource(1))

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from shadowprobe import datagen
+from shadowprobe import datagen, pipeline
 from shadowprobe.attack import NOT_P, P, build_meta_training_set, train_meta
 from shadowprobe.cli import main
 from shadowprobe.core import RandomSource, load_dataset
@@ -88,6 +88,11 @@ class TestConfig:
         assert cfg.n_targets == 2
         assert PipelineConfig(case="speech", baseline_models=1).baseline_models == 1
         assert PipelineConfig(case="mlp_demo", epochs=0).epochs == 0
+        assert PipelineConfig(case="mlp_demo", seed=2**64 - 1).seed == 2**64 - 1
+        for case in ("netflow", "dp_bypass"):
+            for fraction in (0, 1):
+                cfg = PipelineConfig(case=case, signature_fraction=fraction)
+                assert cfg.signature_fraction == fraction
 
     @pytest.mark.parametrize("case,field,value", [
         ("speech", "sigma", 3.0), ("netflow", "n_phonemes", 3), ("dp_bypass", "shadows", 99),
@@ -287,6 +292,10 @@ class TestCli:
         {"case": "netflow", "kernel_kind": "rbf", "gamma": -1},
         # Passed validation, trained every shadow, then TreeParams rejected it (exit 1).
         {"case": "netflow", "max_depth": 0},
+        # Each passed validation, then RandomSource or FlowSpec rejected it (exit 1).
+        {"case": "mlp_demo", "seed": 2**64},
+        {"case": "netflow", "signature_fraction": 1.5},
+        {"case": "dp_bypass", "signature_fraction": -0.1},
     ])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
         cfg = tmp_path / "bad.json"
@@ -358,6 +367,34 @@ class TestCli:
         assert path in err
         # train used to create --out before it read --data.
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,field", [
+        (["generate", "--seed", str(2**64), "--out", "{out}"], "seed"),
+        (["generate", "--config", "{cfg}", "--out", "{out}"], "signature_fraction"),
+        (["evaluate", "--seed", str(2**64), "--data", "{out}/flows.csv",
+          "--label-column", "7"], "seed"),
+    ])
+    def test_out_of_range_seed_or_fraction_exit_2(self, tmp_path, capsys, argv, field):
+        # Each printed "error: ..." and exited 1 (generate after creating --out).
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"case": "netflow", "signature_fraction": 1.5}))
+        out = tmp_path / "out"
+        assert main([a.format(cfg=cfg, out=out) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: must be in [")
+        assert not out.exists()
+
+    def test_run_failure_writes_partial_report(self, tmp_path, monkeypatch, capsys):
+        # An error outside ShadowprobeError (internal checks raise
+        # ArithmeticError) exits 1 with a report naming only the failure.
+        def fail(cfg, rng):
+            raise ArithmeticError("internal check failed")
+        monkeypatch.setattr(pipeline, "run_mlp_demo_case", fail)
+        out = tmp_path / "out"
+        assert main(["run", "--case", "mlp_demo", "--seed", "11", "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report == {"case": "mlp_demo", "seed": 11,
+                          "error": "ArithmeticError('internal check failed')"}
+        assert capsys.readouterr().out == ""
 
     def test_generate_rejects_case_before_creating_out(self, tmp_path, capsys):
         out = tmp_path / "out"
