@@ -20,6 +20,7 @@ Feature encodings per model family:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,26 +237,70 @@ def kl_filter(scores: dict, top_k: int) -> list:
     return ranked[:top_k]
 
 
+def _min_cost_assignment(cost: np.ndarray) -> list:
+    """Column assigned to each row of a square cost matrix by a minimum
+    total cost matching: the Hungarian method in the shortest augmenting
+    path form of Jonker & Volgenant (1987), O(k^3).
+
+    Row i joins by a shortest path, over the reduced costs
+    cost[r][c] - u[r] - v[c], from a root column 0 to an unassigned
+    column; the assignments along the path then shift by one. Rows
+    count from 1 so that ``row_of[c] == 0`` marks a free column. Plain
+    lists, because k is small: at k = 3 this takes about a tenth of the
+    time of the same steps as numpy vector operations.
+    """
+    c = cost.tolist()
+    k = len(c)
+    u, v = [0.0] * (k + 1), [0.0] * (k + 1)
+    row_of = [0] * (k + 1)   # row assigned to each column
+    way = [0] * (k + 1)      # previous column on the shortest path
+    for i in range(1, k + 1):
+        row_of[0] = i
+        j0 = 0
+        dist = [math.inf] * (k + 1)
+        done = [False] * (k + 1)
+        while row_of[j0]:
+            done[j0] = True
+            r = row_of[j0]
+            c_r, u_r = c[r - 1], u[r]
+            delta, j1 = math.inf, 0
+            for j in range(1, k + 1):
+                if not done[j]:
+                    reduced = c_r[j - 1] - u_r - v[j]
+                    if reduced < dist[j]:
+                        dist[j], way[j] = reduced, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(k + 1):
+                if done[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0:
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    col = [0] * k
+    for j in range(1, k + 1):
+        col[row_of[j] - 1] = j - 1
+    return col
+
+
 def matched_displacement(a: np.ndarray, b: np.ndarray) -> float:
     """Mean distance between two centroid sets under the best pairing.
 
     Guards the displacement measurement against index label-switching
-    between runs; exact for small k, greedy beyond 6 centroids.
+    between runs. The pairing is an exact minimum-cost assignment for
+    every k; the matched distances are summed in row order.
     """
     k = len(a)
     cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    if k <= 6:
-        import itertools
-        best = min(sum(cost[i, p[i]] for i in range(k))
-                   for p in itertools.permutations(range(k)))
-        return float(best / k)
-    used = set()
-    total = 0.0
-    for i in np.argsort(cost.min(axis=1)):
-        j = min((j for j in range(k) if j not in used), key=lambda j: cost[i, j])
-        used.add(j)
-        total += cost[i, j]
-    return float(total / k)
+    if not np.isfinite(cost).all():
+        # A NaN or infinite cost would stall the shortest-path search.
+        raise ContractError("centroid distances must be finite")
+    col = _min_cost_assignment(cost)
+    return float(sum(cost[i, col[i]] for i in range(k)) / k)
 
 
 def split_by_property(labels, holdout_fraction: float):

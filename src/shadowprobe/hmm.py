@@ -171,8 +171,10 @@ def _flat_start(groups: list, n_states: int, names=None):
                 raise ContractError(_who(names, p) + f"sequence dim {seq.shape[1]} != {dim}, "
                                     "the dim of the first sequence")
         frames = np.concatenate(seqs, axis=0)
-        means[p] = frames.mean(axis=0)
-        vars_[p] = np.maximum(frames.var(axis=0), VAR_FLOOR)
+        # Huge frames overflow a moment to inf or NaN; check_params names it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            means[p] = frames.mean(axis=0)
+            vars_[p] = np.maximum(frames.var(axis=0), VAR_FLOOR)
     s = np.arange(n_states - 1)
     trans = np.zeros((len(groups), n_states, n_states))
     trans[:, s, s] = 0.6

@@ -7,7 +7,10 @@ solver: each iteration pairs the multiplier that violates its KKT
 condition most with the one of largest second-order gain, and solves
 the two-variable subproblem analytically, clipped onto the box [0, C].
 Training is deterministic and stops when the maximal-violating-pair gap
-falls below ``tol``. It never holds the n x n Gram matrix: as in LIBSVM
+falls below ``tol``. The solver keeps its violation vector and the two
+index-set penalties between iterations, so a step touches the whole
+vector once and the penalties only at the pair it moved. It never holds
+the n x n Gram matrix: as in LIBSVM
 (Chang & Lin, ACM TIST 2011, section 4), each kernel column is computed
 the first time an iteration touches it, and the diagonal comes from the
 squared row norms. Feature scaling is the caller's responsibility.
@@ -115,7 +118,7 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
     """Train by SMO with second-order working-set selection.
 
     Minimises the dual a'Qa/2 - sum(a), Q_ij = y_i y_j K_ij, over
-    0 <= a <= C, y'a = 0, keeping its gradient G = Qa - 1. Let F = -y G;
+    0 <= a <= C, y'a = 0, whose gradient is G = Qa - 1. Let F = -y G;
     I_up holds the t with y_t = +1 and a_t < C, or y_t = -1 and a_t > 0,
     and I_low the t with y_t = +1 and a_t > 0, or y_t = -1 and a_t < C.
     With m = max F over I_up and M = min F over I_low, a is optimal when
@@ -125,6 +128,13 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
     the non-PSD sigmoid kernel still moves). Training stops with
     ``converged=True`` once m - M < tol, or with ``converged=False``
     after max(10^7, 100 |ds|) iterations.
+
+    The solver keeps F rather than G, plus two penalty vectors: pen_up is
+    0 on I_up and -inf off it, pen_low 0 on I_low and +inf off it, so
+    the masked copies are F + pen_up and F + pen_low. A step that adds
+    y u to G subtracts u from F, which is exact because y = +-1 (only a
+    zero may change sign); only the penalties of i and j are rewritten,
+    and G_i, G_j and the bias are read from F.
 
     K is never held whole: an iteration fetches column i before it
     chooses j and column j for the gradient update, and each column is
@@ -162,32 +172,46 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
     if not np.isfinite(kdiag).all():
         t = int(np.flatnonzero(~np.isfinite(kdiag))[0])
         raise ContractError(f"kernel value K(x, x) of example {t} is not finite")
+    # At alpha = 0, G = -1, so F = y, I_up = {y = +1} and I_low = {y = -1}.
     pos = y > 0
     alpha = np.zeros(n)
-    G = np.full(n, -1.0)
+    F = y.copy()
+    pen_up = np.where(pos, 0.0, -np.inf)
+    pen_low = np.where(pos, np.inf, 0.0)
+    F_up, F_low = np.empty(n), np.empty(n)
     cap = max(_MIN_ITERS, _ITERS_PER_EXAMPLE * n)
     iters = 0
     while True:
-        F = -y * G
-        above, below = alpha > 0, alpha < C
-        F_up = np.where(np.where(pos, below, above), F, -np.inf)
-        F_low = np.where(np.where(pos, above, below), F, np.inf)
-        i = int(np.argmax(F_up))
-        m, M = F_up[i], F_low.min()
+        np.add(F, pen_up, out=F_up)
+        np.add(F, pen_low, out=F_low)
+        i = int(F_up.argmax())
+        m, M = F_up[i], np.minimum.reduce(F_low)
         if m - M < tol or iters == cap:
             break
         iters += 1
-        b = m - F_low  # > 0 exactly where j can pair with i
+        # j maximises the gain (m - F_low)^2 / a over the t with F_low < m,
+        # the ones that can pair with i. Clamping m - F_low at 0 scores the
+        # rest 0; only if every gain is 0 (underflow) can one of them win,
+        # and then j is the first t that can pair.
         K_i = column(i)
-        a = kdiag[i] + kdiag - 2.0 * K_i
-        j = int(np.argmax(np.where(b > 0, b * b / np.where(a > 0, a, _TAU), -1.0)))
+        a = kdiag[i] + kdiag
+        a -= 2.0 * K_i
+        a[~(a > 0)] = _TAU
+        gain = m - F_low
+        np.fmax(gain, 0.0, out=gain)
+        gain *= gain
+        gain /= a
+        j = int(gain.argmax())
+        if gain.item(j) == 0:
+            j = int((F_low < m).argmax())
 
         # LIBSVM's analytic two-variable step, clipped onto the box.
         y_i, y_j = y.item(i), y.item(j)
+        G_i, G_j = -y_i * F.item(i), -y_j * F.item(j)
         a_i, a_j = alpha.item(i), alpha.item(j)
-        quad = a.item(j) if a.item(j) > 0 else _TAU
+        quad = a.item(j)
         if y_i != y_j:
-            delta = (-G.item(i) - G.item(j)) / quad
+            delta = (-G_i - G_j) / quad
             diff = a_i - a_j
             a_i, a_j = a_i + delta, a_j + delta
             if diff > 0:
@@ -201,7 +225,7 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
                 if a_j > C:
                     a_i, a_j = C + diff, C
         else:
-            delta = (G.item(i) - G.item(j)) / quad
+            delta = (G_i - G_j) / quad
             total = a_i + a_j
             a_i, a_j = a_i - delta, a_j + delta
             if total > C:
@@ -214,8 +238,13 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
                     a_i, a_j = total, 0.0
                 if a_i < 0:
                     a_i, a_j = 0.0, total
-        G += y * ((y_i * (a_i - alpha.item(i))) * K_i + (y_j * (a_j - alpha.item(j))) * column(j))
+        # G += y u is F -= u, exactly: y = +-1, so -y fl(G + y u) = fl(F - u).
+        F -= (y_i * (a_i - alpha.item(i))) * K_i + (y_j * (a_j - alpha.item(j))) * column(j)
         alpha[i], alpha[j] = a_i, a_j
+        for t, y_t, a_t in ((i, y_i, a_i), (j, y_j, a_j)):
+            up, low = (a_t < C, a_t > 0) if y_t > 0 else (a_t > 0, a_t < C)
+            pen_up[t] = 0.0 if up else -np.inf
+            pen_low[t] = 0.0 if low else np.inf
 
     # On a free vector y f(x) = 1 makes b = F; with none, LIBSVM's midpoint.
     free = (alpha > 0) & (alpha < C)

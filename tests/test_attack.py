@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from shadowprobe.core import (
     CATEGORICAL,
@@ -384,8 +386,8 @@ class TestMatchedDisplacement:
         assert matched_displacement(a, b) < 0.02
 
     def test_greedy_pairs_separated_centroids(self):
-        # Beyond 6 centroids the pairing is greedy; well-separated sets
-        # still pair each centroid with its own displaced copy.
+        # Well-separated sets of 8 centroids pair each centroid with its
+        # own displaced copy.
         a = 10.0 * np.array([[i, (i * 3) % 8] for i in range(8)], dtype=float)
         offset = np.array([0.01, -0.01])
         b = a[RandomSource(4).permutation(8)] + offset
@@ -398,8 +400,29 @@ class TestMatchedDisplacement:
         cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
         perms = np.array(list(itertools.permutations(range(7))))
         optimum = cost[np.arange(7), perms].sum(axis=1).min() / 7
-        # Greedy pairing may exceed the optimum, never undercut it.
+        # The pairing never undercuts the brute-force optimum.
         assert matched_displacement(a, b) >= optimum - 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), rounded=st.booleans())
+    def test_matches_linear_sum_assignment(self, k, seed, rounded):
+        gen = np.random.default_rng(seed)
+        a, b = gen.normal(size=(k, 2)), gen.normal(size=(k, 2))
+        if rounded:  # repeated points: tied pairings
+            a, b = np.round(a), np.round(b)
+        cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+        rows, cols = linear_sum_assignment(cost)
+        want = float(sum(cost[i, cols[i]] for i in rows) / k)
+        if rounded:
+            # Tied pairings are equally good but may sum in another order.
+            assert matched_displacement(a, b) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        else:
+            assert matched_displacement(a, b) == want
+
+    def test_non_finite_centroids_rejected(self):
+        a = np.array([[0.0, 0.0], [np.nan, 1.0]])
+        with pytest.raises(ContractError, match="must be finite"):
+            matched_displacement(a, np.zeros((2, 2)))
 
 
 class TestRunDpBypass:

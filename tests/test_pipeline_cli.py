@@ -4,8 +4,9 @@ import os
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from shadowprobe import datagen, pipeline
+from shadowprobe import attack, datagen, pipeline
 from shadowprobe.attack import NOT_P, P, build_meta_training_set, train_meta
 from shadowprobe.cli import main
 from shadowprobe.core import RandomSource, load_dataset
@@ -149,6 +150,32 @@ class TestPipelines:
             assert lines[0] == "x,y,arm,run"
             assert len(lines) - 1 == 4 * 2  # runs in quadrant x k
         assert report["config"]["sigma"] == 8.0
+
+    def test_dp_bypass_eight_centroids_exact_pairing(self, tmp_path, monkeypatch):
+        # At k = 8 a greedy pairing overstates the displacement; the
+        # report must hold the mean of the optimal pairings' distances.
+        centroids = {"plain": [], "noisy": []}
+
+        def spy(arm, train):
+            def run(*args, **kwargs):
+                model = train(*args, **kwargs)
+                centroids[arm].append(model.centroids)
+                return model
+            return run
+
+        monkeypatch.setattr(attack, "kmeans_train", spy("plain", attack.kmeans_train))
+        monkeypatch.setattr(attack, "sulq_kmeans_train",
+                            spy("noisy", attack.sulq_kmeans_train))
+        cfg = PipelineConfig(case="dp_bypass", seed=7, out_dir=str(tmp_path),
+                             n_runs=8, pool_size=2000, sample_size=400, k=8)
+        report = run_pipeline(cfg)
+        want = []
+        for noisy, plain in zip(centroids["noisy"], centroids["plain"]):
+            cost = np.linalg.norm(noisy[:, None, :] - plain[None, :, :], axis=2)
+            rows, cols = linear_sum_assignment(cost)
+            want.append(float(sum(cost[i, cols[i]] for i in rows) / 8))
+        assert len(want) == 8
+        assert report["centroid_displacement_mean"] == float(np.mean(want))
 
     def test_mlp_demo(self, tmp_path):
         cfg = PipelineConfig(case="mlp_demo", seed=3, out_dir=str(tmp_path),
@@ -320,6 +347,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "must be finite" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_train_huge_frames_error_without_warning(self, tmp_path, capsys):
+        # The flat start's variance of +-1e200 frames overflows; numpy's
+        # overflow warning used to print before the error line.
+        frames = [[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200], [-1e200, -1e200]]
+        data = tmp_path / "corpus.json"
+        data.write_text(json.dumps({"aa": [frames]}))
+        assert main(["train", "--case", "speech", "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: phoneme 'aa': variances must be finite\n", err
         assert not (tmp_path / "out").exists()
 
     def test_config_not_json_exit_2(self, tmp_path):

@@ -202,16 +202,17 @@ KERNELS = [
 
 
 @st.composite
-def svm_problems(draw, kernels=KERNELS):
+def svm_problems(draw, kernels=KERNELS, rounded=False):
     """Two-class problems with every kernel and C; one in three rounds
-    its inputs, for repeated points and exact kernel ties."""
+    its inputs, for repeated points and exact kernel ties, and
+    ``rounded=True`` rounds them all."""
     seed = draw(st.integers(0, 2**32 - 1))
     n, d = draw(st.integers(2, 24)), draw(st.integers(1, 4))
     gen = np.random.default_rng(seed)
     y = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
     gen.shuffle(y)
     X = gen.normal(size=(n, d)) + 0.8 * y[:, None]
-    if seed % 3 == 0:
+    if rounded or seed % 3 == 0:
         X = np.round(X)
     return X, y, draw(st.sampled_from(kernels)), draw(st.sampled_from([0.05, 1.0, 7.5]))
 
@@ -322,6 +323,26 @@ class TestSmoMatchesFullGram:
         got = svm_dual_objective(alpha, y, K)
         want = svm_dual_objective(ref_alpha, y, K)
         assert abs(got - want) <= tol * C * len(y) / 2
+
+
+class TestSmoStepsMatchReference:
+    @settings(max_examples=100, deadline=None)
+    @given(problem=svm_problems(KERNELS[:3], rounded=True), tol=st.sampled_from([1e-3, 1e-5]))
+    def test_same_iterates_on_exact_kernels(self, problem, tol):
+        # With integer inputs and the linear or polynomial kernels every
+        # kernel value is exact, so the solver's on-demand columns equal
+        # the reference's full Gram matrix and both take the same steps:
+        # the kept F and penalties must give the reference's G-form
+        # iterates. Values, not bytes: the reference's alpha can hold -0.0.
+        X, y, kernel, C = problem
+        m = smo_train(xy_dataset(X, y), kernel, C=C, tol=tol)
+        ref_alpha, ref_bias, ref_converged = smo_train_reference(
+            y, kernel_matrix(kernel, X, X), C, tol)
+        alpha = np.zeros(len(y))
+        alpha[m.sv_indices] = m.sv_alpha
+        assert np.array_equal(alpha, ref_alpha)
+        assert m.bias == ref_bias
+        assert m.converged == ref_converged
 
 
 class TestDecision:
