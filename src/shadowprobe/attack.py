@@ -56,9 +56,20 @@ class FeatureVectorSet:
 
 @dataclass(eq=False)
 class MetaClassifier:
+    """A tree whose every leaf, fallbacks included, votes P or NotP."""
+
     tree: DecisionTree
     source_kind: str
     train_accuracy: float
+
+    def __post_init__(self):
+        acc = self.train_accuracy
+        if isinstance(acc, bool) or not isinstance(acc, (int, float)) or not 0 <= acc <= 1:
+            raise ContractError(f"meta-classifier train_accuracy must be in [0, 1], got {acc!r}")
+        for leaf in self.tree.leaves():
+            if leaf.label not in (P, NOT_P):
+                raise ContractError(f"meta-classifier leaf_label must be {P!r} or {NOT_P!r}, "
+                                    f"got {leaf.label!r}")
 
     @property
     def schema(self) -> tuple:

@@ -17,7 +17,17 @@ Agrawal & Rissanen 1996): the numeric columns are sorted once per tree,
 each node's sort order is its parent's filtered to the node's rows, and
 one search per node scores the thresholds of every numeric attribute at
 once, a block of attributes at a time. :func:`classify` labels a whole
-Dataset in one descent. :func:`entropy`, :func:`info_gain` and the
+Dataset in one descent.
+
+Growth runs in bounded memory. Besides the (A, N) float matrix of the
+A numeric columns, the only sort orders alive are those of nodes not
+yet grown, whose rows are disjoint, and the order of the node being
+split while its children's orders are derived: at most twice the
+root's A * N * 8 bytes. The split search adds one block's count array
+and its entropy temporaries (see ``_BLOCK_CELLS``). So train_tree's
+peak is about three times the root order's bytes on wide data, however
+deep the tree grows (3.2x on a 6,000-row, 50-attribute meta-training
+set). :func:`entropy`, :func:`info_gain` and the
 categorical split search share one entropy kernel and one gain formula.
 """
 
@@ -97,7 +107,19 @@ class DecisionTree:
 
     @property
     def n_leaves(self) -> int:
-        return _count_leaves(self.root)
+        return sum(1 for _ in self.leaves())
+
+    def leaves(self):
+        """Every leaf of the tree, categorical fallbacks included."""
+        pending = [self.root]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, Leaf):
+                yield node
+            elif isinstance(node, NumericNode):
+                pending += [node.low, node.high]
+            else:
+                pending += [*node.branches.values(), node.fallback]
 
 
 def _count_nodes(node) -> int:
@@ -106,14 +128,6 @@ def _count_nodes(node) -> int:
     if isinstance(node, NumericNode):
         return 1 + _count_nodes(node.low) + _count_nodes(node.high)
     return 1 + sum(_count_nodes(c) for c in node.branches.values()) + 1
-
-
-def _count_leaves(node) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    if isinstance(node, NumericNode):
-        return _count_leaves(node.low) + _count_leaves(node.high)
-    return sum(_count_leaves(c) for c in node.branches.values()) + 1
 
 
 def _entropy_rows(counts: np.ndarray, totals) -> np.ndarray:
@@ -192,8 +206,13 @@ def info_gain(ds: Dataset, attribute: int, split) -> float:
 
 
 # Numeric split search scores the attributes in blocks of at most this
-# many (row, attribute) cells, which bounds its count arrays' memory.
-_BLOCK_CELLS = 1 << 15
+# many (row, attribute) cells, or of one attribute at a node with more
+# rows. A block keeps one int64 (cells, classes) count array alive, next
+# to the two float arrays of the same shape of one entropy pass. Chosen by
+# measurement: at 1 << 15 these arrays set the peak of a 1,200-row,
+# 50-attribute meta-tree (3.6 MB, against 1.7 MB at 1 << 13 and 1.6 MB at
+# 1 << 12), and every cap from 1 << 12 to 1 << 15 grew it in the same time.
+_BLOCK_CELLS = 1 << 13
 
 
 class _Trainer:
@@ -207,11 +226,11 @@ class _Trainer:
         self.n_classes = len(self.label_order)
         self.kinds = [kind for _, kind in ds.schema]
         num_attrs = [j for j, kind in enumerate(self.kinds) if kind == NUMERIC]
-        # One (A, N) matrix of the numeric columns, sorted once: every
-        # node's order array is this order restricted to the node's rows.
+        # One (A, N) matrix of the numeric columns, sorted once by
+        # train_tree: every node's order array is this order restricted to
+        # the node's rows.
         self.num_matrix = np.array([ds.columns[j] for j in num_attrs],
                                    dtype=np.float64).reshape(len(num_attrs), ds.n_rows)
-        self.root_order = np.argsort(self.num_matrix, axis=1, kind="stable")
 
     def majority_leaf(self, idx: np.ndarray) -> Leaf:
         counts = np.bincount(self.codes[idx], minlength=self.n_classes)
@@ -251,12 +270,21 @@ class _Trainer:
         for a0 in range(0, len(order), step):
             block = order[a0:a0 + step]
             sv = np.take_along_axis(self.num_matrix[a0:a0 + step], block, axis=1)
-            # left[a, i] counts the classes of the i + 1 lowest rows: the
+            # counts[a, i] holds the classes of the i + 1 lowest rows: the
             # side with value <= the threshold after sorted position i.
-            onehot = self.codes[block[:, :-1]][:, :, None] == classes
-            left = np.cumsum(onehot, axis=1, dtype=np.int64)
-            gains = h_parent - (nl / n) * _entropy_rows(left, nl[:, None]) \
-                - (nr / n) * _entropy_rows(total - left, nr[:, None])
+            counts = np.cumsum(self.codes[block[:, :-1]][:, :, None] == classes,
+                               axis=1, dtype=np.int64)
+            # gains = h_parent - (nl / n) * H(left) - (nr / n) * H(right),
+            # built in place in that order; the right-hand counts reuse the
+            # left-hand buffer once the left entropy is taken.
+            gains = _entropy_rows(counts, nl[:, None])
+            gains *= nl / n
+            np.subtract(h_parent, gains, out=gains)
+            np.subtract(total, counts, out=counts)
+            h_right = _entropy_rows(counts, nr[:, None])
+            del counts
+            h_right *= nr / n
+            gains -= h_right
             boundary = sv[:, :-1] != sv[:, 1:]
             gains[~boundary] = -np.inf
             # Thresholds ascend and argmax takes the first maximum: the
@@ -279,17 +307,35 @@ class _Trainer:
                              minlength=len(uniq) * c).reshape(len(uniq), c)
         return _split_gain(counts), [str(u) for u in uniq]
 
+    def _partition(self, idx: np.ndarray, j: int, payload) -> list:
+        """The rows of each child of a split on attribute ``j``."""
+        col = self.ds.columns[j][idx]
+        if self.kinds[j] == NUMERIC:
+            low = col <= payload
+            return [idx[low], idx[~low]]
+        return [idx[col == v] for v in payload]
+
     def _restrict(self, order: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """``order`` kept to ``rows``: a stable partition, never a new sort."""
         member = np.zeros(self.ds.n_rows, dtype=bool)
         member[rows] = True
         return order[member[order]].reshape(len(order), len(rows))
 
-    def build(self, idx: np.ndarray, order: np.ndarray, used_cat: frozenset, depth: int):
-        node_codes = self.codes[idx]
-        if (node_codes == node_codes[0]).all():
-            return Leaf(self.label_order[node_codes[0]], int(len(idx)))
-        if len(idx) < self.params.min_leaf_size:
+    def build(self, pending: list, used_cat: frozenset, depth: int):
+        """Grow the subtree of the (rows, order) pair at the end of ``pending``.
+
+        The pair is popped, and the node pushes its children's pairs on a
+        list of its own and drops its rows and order before the first child
+        grows. So only pairs of nodes not yet grown are alive, and their
+        rows are disjoint: growth holds at most one copy of the root's sort
+        order besides the one being split.
+        """
+        idx, order = pending.pop()
+        n = len(idx)
+        first = self.codes[idx[0]]
+        if (self.codes[idx] == first).all():
+            return Leaf(self.label_order[first], n)
+        if n < self.params.min_leaf_size:
             return self.majority_leaf(idx)
         if self.params.max_depth is not None and depth >= self.params.max_depth:
             return self.majority_leaf(idx)
@@ -309,22 +355,19 @@ class _Trainer:
             return self.majority_leaf(idx)
 
         _, j, payload = best
-        col = self.ds.columns[j][idx]
+        if self.kinds[j] == CATEGORICAL:
+            # Drawn before the children, whose leaves may draw too.
+            fallback = self.majority_leaf(idx)
+            used_cat = used_cat | {j}
+        # Pushed last child first, so the children pop in branch order.
+        children = [(rows, self._restrict(order, rows))
+                    for rows in reversed(self._partition(idx, j, payload))]
+        del idx, order
+        subtrees = [self.build(children, used_cat, depth + 1) for _ in range(len(children))]
         if self.kinds[j] == NUMERIC:
-            t = payload
-            mask = col <= t
-            low, high = idx[mask], idx[~mask]
-            low = self.build(low, self._restrict(order, low), used_cat, depth + 1)
-            high = self.build(high, self._restrict(order, high), used_cat, depth + 1)
-            return NumericNode(j, t, int(len(idx)), low, high)
-        values = payload
-        fallback = self.majority_leaf(idx)
-        fallback = Leaf(fallback.label, 0, fallback.tie_broken)
-        branches = {}
-        for v in values:
-            rows = idx[col == v]
-            branches[v] = self.build(rows, self._restrict(order, rows), used_cat | {j}, depth + 1)
-        return CategoricalNode(j, int(len(idx)), branches, fallback)
+            return NumericNode(j, payload, n, *subtrees)
+        return CategoricalNode(j, n, dict(zip(payload, subtrees)),
+                               Leaf(fallback.label, 0, fallback.tie_broken))
 
 
 def train_tree(ds: Dataset, params: TreeParams, rng: RandomSource) -> DecisionTree:
@@ -338,7 +381,10 @@ def train_tree(ds: Dataset, params: TreeParams, rng: RandomSource) -> DecisionTr
     if not ds.fully_labeled:
         raise ContractError("training requires a fully labeled dataset")
     trainer = _Trainer(ds, params, rng)
-    root = trainer.build(np.arange(ds.n_rows), trainer.root_order, frozenset(), 0)
+    # Only the list refers to the root order, so the root drops it.
+    root = trainer.build([(np.arange(ds.n_rows),
+                           np.argsort(trainer.num_matrix, axis=1, kind="stable"))],
+                         frozenset(), 0)
     return DecisionTree(root, ds.schema, params)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -246,6 +245,9 @@ def _map_jobs(cfg: PipelineConfig, spec, tasks) -> list:
     train = partial(cfg.train_new_model, spec)
     if cfg.jobs <= 1:
         return [train(*task) for task in tasks]
+    # Imported here so that a one-process run never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
         return list(pool.map(train, *zip(*tasks)))
 
@@ -343,14 +345,14 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
 def run_dp_bypass_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     spec = cfg.spec(rng)
     log.info("dp_bypass: generating point pools")
-    ds_p = datagen.gen_flow_dataset(spec, True, cfg.pool_size, rng.child(0))
-    ds_notp = datagen.gen_flow_dataset(spec, False, cfg.pool_size, rng.child(1))
 
-    def web_points(ds: Dataset) -> np.ndarray:
+    def web_points(with_property: bool, source: RandomSource) -> np.ndarray:
+        # One pool is alive at a time: only its WEB points outlive this call.
+        ds = datagen.gen_flow_dataset(spec, with_property, cfg.pool_size, source)
         return numeric_matrix(ds.subset(ds.labels == datagen.WEB))
 
-    points_p = web_points(ds_p)
-    points_notp = web_points(ds_notp)
+    points_p = web_points(True, rng.child(0))
+    points_notp = web_points(False, rng.child(1))
     log.info("dp_bypass: %d runs per arm, k=%d, sigma=%g", cfg.n_runs, cfg.k, cfg.sigma)
     result = attack.run_dp_bypass(points_p, points_notp, cfg.k, cfg.sigma, cfg.n_runs,
                                   cfg.sample_size, cfg.holdout_fraction, cfg.tree_params(),

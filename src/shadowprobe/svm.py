@@ -181,70 +181,74 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
     F_up, F_low = np.empty(n), np.empty(n)
     cap = max(_MIN_ITERS, _ITERS_PER_EXAMPLE * n)
     iters = 0
-    while True:
-        np.add(F, pen_up, out=F_up)
-        np.add(F, pen_low, out=F_low)
-        i = int(F_up.argmax())
-        m, M = F_up[i], np.minimum.reduce(F_low)
-        if m - M < tol or iters == cap:
-            break
-        iters += 1
-        # j maximises the gain (m - F_low)^2 / a over the t with F_low < m,
-        # the ones that can pair with i. Clamping m - F_low at 0 scores the
-        # rest 0; only if every gain is 0 (underflow) can one of them win,
-        # and then j is the first t that can pair.
-        K_i = column(i)
-        a = kdiag[i] + kdiag
-        a -= 2.0 * K_i
-        a[~(a > 0)] = _TAU
-        gain = m - F_low
-        np.fmax(gain, 0.0, out=gain)
-        gain *= gain
-        gain /= a
-        j = int(gain.argmax())
-        if gain.item(j) == 0:
-            j = int((F_low < m).argmax())
+    # A tiny a_ij makes the gain (m - F_j)^2 / a_ij overflow to inf, which
+    # still ranks j first, so overflow is silenced for the whole solve:
+    # one context here costs less than one per iteration.
+    with np.errstate(over="ignore"):
+        while True:
+            np.add(F, pen_up, out=F_up)
+            np.add(F, pen_low, out=F_low)
+            i = int(F_up.argmax())
+            m, M = F_up[i], np.minimum.reduce(F_low)
+            if m - M < tol or iters == cap:
+                break
+            iters += 1
+            # j maximises the gain (m - F_low)^2 / a over the t with F_low < m,
+            # the ones that can pair with i. Clamping m - F_low at 0 scores the
+            # rest 0; only if every gain is 0 (underflow) can one of them win,
+            # and then j is the first t that can pair.
+            K_i = column(i)
+            a = kdiag[i] + kdiag
+            a -= 2.0 * K_i
+            a[~(a > 0)] = _TAU
+            gain = m - F_low
+            np.fmax(gain, 0.0, out=gain)
+            gain *= gain
+            gain /= a
+            j = int(gain.argmax())
+            if gain.item(j) == 0:
+                j = int((F_low < m).argmax())
 
-        # LIBSVM's analytic two-variable step, clipped onto the box.
-        y_i, y_j = y.item(i), y.item(j)
-        G_i, G_j = -y_i * F.item(i), -y_j * F.item(j)
-        a_i, a_j = alpha.item(i), alpha.item(j)
-        quad = a.item(j)
-        if y_i != y_j:
-            delta = (-G_i - G_j) / quad
-            diff = a_i - a_j
-            a_i, a_j = a_i + delta, a_j + delta
-            if diff > 0:
-                if a_j < 0:
-                    a_i, a_j = diff, 0.0
-                if a_i > C:
-                    a_i, a_j = C, C - diff
+            # LIBSVM's analytic two-variable step, clipped onto the box.
+            y_i, y_j = y.item(i), y.item(j)
+            G_i, G_j = -y_i * F.item(i), -y_j * F.item(j)
+            a_i, a_j = alpha.item(i), alpha.item(j)
+            quad = a.item(j)
+            if y_i != y_j:
+                delta = (-G_i - G_j) / quad
+                diff = a_i - a_j
+                a_i, a_j = a_i + delta, a_j + delta
+                if diff > 0:
+                    if a_j < 0:
+                        a_i, a_j = diff, 0.0
+                    if a_i > C:
+                        a_i, a_j = C, C - diff
+                else:
+                    if a_i < 0:
+                        a_i, a_j = 0.0, -diff
+                    if a_j > C:
+                        a_i, a_j = C + diff, C
             else:
-                if a_i < 0:
-                    a_i, a_j = 0.0, -diff
-                if a_j > C:
-                    a_i, a_j = C + diff, C
-        else:
-            delta = (G_i - G_j) / quad
-            total = a_i + a_j
-            a_i, a_j = a_i - delta, a_j + delta
-            if total > C:
-                if a_i > C:
-                    a_i, a_j = C, total - C
-                if a_j > C:
-                    a_i, a_j = total - C, C
-            else:
-                if a_j < 0:
-                    a_i, a_j = total, 0.0
-                if a_i < 0:
-                    a_i, a_j = 0.0, total
-        # G += y u is F -= u, exactly: y = +-1, so -y fl(G + y u) = fl(F - u).
-        F -= (y_i * (a_i - alpha.item(i))) * K_i + (y_j * (a_j - alpha.item(j))) * column(j)
-        alpha[i], alpha[j] = a_i, a_j
-        for t, y_t, a_t in ((i, y_i, a_i), (j, y_j, a_j)):
-            up, low = (a_t < C, a_t > 0) if y_t > 0 else (a_t > 0, a_t < C)
-            pen_up[t] = 0.0 if up else -np.inf
-            pen_low[t] = 0.0 if low else np.inf
+                delta = (G_i - G_j) / quad
+                total = a_i + a_j
+                a_i, a_j = a_i - delta, a_j + delta
+                if total > C:
+                    if a_i > C:
+                        a_i, a_j = C, total - C
+                    if a_j > C:
+                        a_i, a_j = total - C, C
+                else:
+                    if a_j < 0:
+                        a_i, a_j = total, 0.0
+                    if a_i < 0:
+                        a_i, a_j = 0.0, total
+            # G += y u is F -= u, exactly: y = +-1, so -y fl(G + y u) = fl(F - u).
+            F -= (y_i * (a_i - alpha.item(i))) * K_i + (y_j * (a_j - alpha.item(j))) * column(j)
+            alpha[i], alpha[j] = a_i, a_j
+            for t, y_t, a_t in ((i, y_i, a_i), (j, y_j, a_j)):
+                up, low = (a_t < C, a_t > 0) if y_t > 0 else (a_t > 0, a_t < C)
+                pen_up[t] = 0.0 if up else -np.inf
+                pen_low[t] = 0.0 if low else np.inf
 
     # On a free vector y f(x) = 1 makes b = F; with none, LIBSVM's midpoint.
     free = (alpha > 0) & (alpha < C)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,32 @@ class TestTrainTree:
                           TreeParams(min_leaf_size=2), RandomSource(0))
         with pytest.raises(ContractError):
             training_accuracy(tree, ds)
+
+
+class TestMemoryBound:
+    def test_deep_tree_peak_is_a_few_root_orders(self):
+        # Each split can only peel one 10-row "q" group off the 1,700 "p"
+        # rows, so the tree is a 30-level chain whose nodes keep nearly all
+        # rows. Growth holds the numeric matrix, at most two root orders
+        # and one split-search block: about 5x the root order here, where
+        # one sort order per level along the path would be about 40x.
+        groups, size, rest = 30, 10, 1700
+        group = np.repeat(np.arange(groups + 1), [size] * groups + [rest])
+        values = (group[:, None] == np.arange(groups)).astype(float)
+        labels = np.where(group < groups, "q", "p")
+        ds = make_dataset([(f"g{k}", NUMERIC) for k in range(groups)],
+                          [tuple(r) for r in values.tolist()], labels.tolist())
+        tracemalloc.start()
+        try:
+            tree = train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        node, depth = tree.root, 0
+        while isinstance(node, NumericNode):
+            node, depth = node.low, depth + 1
+        assert depth == groups
+        assert peak < 7 * groups * ds.n_rows * 8
 
 
 class TestClassify:

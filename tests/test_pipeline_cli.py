@@ -362,6 +362,25 @@ class TestCli:
         assert err == "error: phoneme 'aa': variances must be finite\n", err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_train_tiny_features_without_warning(self, tmp_path, capsys):
+        # Features scaled by 1e-160 make some a_ij = K_ii + K_jj - 2 K_ij
+        # subnormal, and SMO's second-order gain (m - F_j)^2 / a_ij used to
+        # print numpy's overflow warning.
+        assert main(["generate", "--case", "netflow", "--seed", "3", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "flows_with_property.csv").read_text().splitlines()
+        rows = [line.rsplit(",", 1) for line in lines[1:60]]
+        data = tmp_path / "tiny.csv"
+        data.write_text("\n".join([lines[0]] + [
+            ",".join([repr(float(v) * 1e-160) for v in x.split(",")] + [label])
+            for x, label in rows]) + "\n")
+        cfg = tmp_path / "linear.json"
+        cfg.write_text(json.dumps({"case": "netflow", "kernel_kind": "linear"}))
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "svm_model.json").is_file()
+        assert "Warning" not in capsys.readouterr().err
+
     def test_config_not_json_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"case": "speech",')
@@ -484,6 +503,27 @@ class TestCli:
         assert main(["attack", "--meta", str(meta), "--target", str(target)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("field,value", [
+        ("leaf_label", "maybe"), ("train_accuracy", 1.5), ("train_accuracy", "x"),
+    ])
+    def test_attack_rejects_meta_outside_its_invariants(self, tmp_path, capsys, field, value):
+        meta, target = tmp_path / "meta.json", tmp_path / "target.json"
+        payload = to_payload(svm_meta_classifier())
+        if field == "leaf_label":
+            node = payload["tree"]["root"]
+            while "leaf_label" not in node:
+                node = node["children"][-1]
+            node["leaf_label"] = value
+        else:
+            payload["train_accuracy"] = value
+        meta.write_text(json.dumps(payload))
+        save_model(svm_model(9), target)
+        # A "maybe" leaf used to load, and its rows counted as NotP votes.
+        assert main(["attack", "--meta", str(meta), "--target", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
+        assert "Traceback" not in err
 
     def test_filter_command(self, tmp_path, capsys):
         gen_cfg = tmp_path / "gen.json"

@@ -153,11 +153,12 @@ class TestErrors:
             load_model(tmp_path / "am.json")
 
 
-def mixed_tree():
-    """A hand-built tree with a numeric root and a categorical child."""
+def mixed_tree(p="p", q="q"):
+    """A hand-built tree with a numeric root and a categorical child, whose
+    leaves vote ``p`` or ``q``."""
     schema = (("x", NUMERIC), ("c", CATEGORICAL))
-    cat = CategoricalNode(1, 3, {"b": Leaf("q", 2), "c": Leaf("p", 1)}, Leaf("q", 0))
-    return DecisionTree(NumericNode(0, 1.0, 5, Leaf("p", 2), cat), schema,
+    cat = CategoricalNode(1, 3, {"b": Leaf(q, 2), "c": Leaf(p, 1)}, Leaf(q, 0))
+    return DecisionTree(NumericNode(0, 1.0, 5, Leaf(p, 2), cat), schema,
                         TreeParams(min_leaf_size=2))
 
 
@@ -201,8 +202,8 @@ class TestTreeSchema:
     ])
     @pytest.mark.parametrize("kind", ["dtree", "meta"])
     def test_rejected(self, kind, edit, match):
-        tree = mixed_tree()
-        model = tree if kind == "dtree" else MetaClassifier(tree, "hmm", 1.0)
+        model = (mixed_tree() if kind == "dtree"
+                 else MetaClassifier(mixed_tree(P, NOT_P), "hmm", 1.0))
         payload = to_payload(model)
         edit(payload if kind == "dtree" else payload["tree"])
         with pytest.raises(StructuralError, match=match):
@@ -215,10 +216,16 @@ class TestTreeSchema:
         assert classify(back, ds) == classify(tree, ds) == ["p", "q", "p", "q"]
 
     def test_meta_schema_must_match_tree(self):
-        payload = to_payload(MetaClassifier(mixed_tree(), "hmm", 1.0))
+        payload = to_payload(MetaClassifier(mixed_tree(P, NOT_P), "hmm", 1.0))
         payload["schema"] = [["x", NUMERIC], ["d", CATEGORICAL]]
         with pytest.raises(StructuralError, match="schema differs"):
             from_payload(payload)
+
+    def test_meta_fallback_must_vote_p_or_notp(self):
+        tree = mixed_tree(P, NOT_P)
+        tree.root.high.fallback = Leaf("maybe", 0)
+        with pytest.raises(ContractError, match="leaf_label must be 'P' or 'NotP', got 'maybe'"):
+            MetaClassifier(tree, "hmm", 1.0)
 
 
 def sample_payloads():
