@@ -14,8 +14,6 @@ Feature encodings per model family:
 * Acoustic model: one row per (phoneme, state): the phoneme name
   followed by the state's mean vector then its variance vector.
 * K-means: one row per centroid.
-* MLP: one row per first-hidden-layer unit, its incoming weights with
-  the bias first.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from . import dtree
 from .dtree import DecisionTree, TreeParams
 from .hmm import AcousticModel
 from .kmeans import KMeansModel, kmeans_train, sulq_kmeans_train
-from .mlp import Mlp
 from .svm import SvmModel
 
 _KMEANS_MAX_ITERS = 100  # Lloyd iteration budget of every dp_bypass k-means run
@@ -103,10 +100,6 @@ def extract_features(model) -> FeatureVectorSet:
     if isinstance(model, KMeansModel):
         schema = [(f"x{i + 1}", NUMERIC) for i in range(model.dim)]
         return FeatureVectorSet(Dataset(schema, model.centroids.T), "kmeans")
-    if isinstance(model, Mlp):
-        w = model.weights[0]  # first hidden layer, bias column included
-        schema = [(f"w{i}", NUMERIC) for i in range(w.shape[1])]
-        return FeatureVectorSet(Dataset(schema, w.T), "mlp")
     raise ContractError(f"cannot extract features from {type(model).__name__}")
 
 

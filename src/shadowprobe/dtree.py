@@ -55,10 +55,10 @@ class TreeParams:
     max_depth: int | None = None
 
     def __post_init__(self):
-        if self.min_leaf_size < 1:
-            raise ContractError("min_leaf_size must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ContractError("max_depth must be >= 1 when set")
+        if type(self.min_leaf_size) is not int or self.min_leaf_size < 1:
+            raise ContractError(f"min_leaf_size must be an int >= 1, got {self.min_leaf_size!r}")
+        if self.max_depth is not None and (type(self.max_depth) is not int or self.max_depth < 1):
+            raise ContractError(f"max_depth must be None or an int >= 1, got {self.max_depth!r}")
 
 
 @dataclass(frozen=True)

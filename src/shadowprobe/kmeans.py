@@ -38,10 +38,6 @@ class KMeansModel:
     objective_trace: list
 
     @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.centroids.shape[1]
 

@@ -1,7 +1,7 @@
 """Model persistence in a single JSON format.
 
-Every payload carries ``format_version: 1`` and a ``kind`` discriminator
-(``svm``, ``acoustic``, ``kmeans``, ``mlp``, ``dtree``, ``meta``).
+Every payload carries ``format_version: 1`` and a ``kind`` discriminator:
+``svm`` and ``acoustic`` (written by ``train``) or ``meta`` (by ``run``).
 Floats are written with repr-style shortest round-trip encoding, so
 loading a saved model reproduces its parameters exactly.
 """
@@ -17,8 +17,6 @@ from .attack import MetaClassifier
 from .core import NUMERIC, ContractError, FormatError, StructuralError, read_text
 from .dtree import CategoricalNode, DecisionTree, Leaf, NumericNode, TreeParams
 from .hmm import AcousticModel, GaussianHmm
-from .kmeans import KMeansModel
-from .mlp import Mlp
 from .svm import KernelSpec, SvmModel
 
 FORMAT_VERSION = 1
@@ -42,10 +40,17 @@ def _node_to_payload(node):
     }
 
 
-def _node_from_payload(d, schema: tuple):
-    """Rebuild a subtree whose tests must fit ``schema``."""
+def _node_from_payload(d, schema: tuple, fallback=False):
+    """Rebuild a subtree whose tests must fit ``schema``; a categorical
+    fallback leaf counts 0 rows, every other node at least 1."""
+    count = d["count"]
+    if type(count) is not int or (count != 0 if fallback else count < 1):
+        want = "0 on a categorical fallback" if fallback else "an integer >= 1"
+        raise StructuralError(f"tree node count must be {want}, got {count!r}")
     if "leaf_label" in d:
-        return Leaf(d["leaf_label"], d["count"], d.get("tie_broken", False))
+        if type(d["tie_broken"]) is not bool:
+            raise StructuralError(f"tree leaf tie_broken {d['tie_broken']!r} is not a bool")
+        return Leaf(d["leaf_label"], count, d["tie_broken"])
     test, children = d["test"], d["children"]
     attr, kind = test["attribute"], test["kind"]
     if type(attr) is not int or not 0 <= attr < len(schema):
@@ -62,27 +67,13 @@ def _node_from_payload(d, schema: tuple):
         if type(threshold) not in (int, float) or not math.isfinite(threshold):
             raise StructuralError(f"tree threshold {threshold!r} is not a finite number")
         low, high = (_node_from_payload(c, schema) for c in children)
-        return NumericNode(attr, threshold, d["count"], low, high)
+        return NumericNode(attr, threshold, count, low, high)
     values = test["values"]
     if not all(isinstance(v, str) for v in values):
         raise StructuralError(f"categorical tree test values must be strings, got {values!r}")
     branches = {v: _node_from_payload(c, schema) for v, c in zip(values, children)}
-    return CategoricalNode(attr, d["count"], branches, _node_from_payload(d["fallback"], schema))
-
-
-def _tree_body(tree: DecisionTree) -> dict:
-    return {
-        "params": {"min_leaf_size": tree.params.min_leaf_size,
-                   "max_depth": tree.params.max_depth},
-        "schema": [[n, k] for n, k in tree.schema],
-        "root": _node_to_payload(tree.root),
-    }
-
-
-def _tree_from_body(d) -> DecisionTree:
-    params = TreeParams(d["params"]["min_leaf_size"], d["params"]["max_depth"])
-    schema = tuple((n, k) for n, k in d["schema"])
-    return DecisionTree(_node_from_payload(d["root"], schema), schema, params)
+    return CategoricalNode(attr, count, branches,
+                           _node_from_payload(d["fallback"], schema, fallback=True))
 
 
 def to_payload(model) -> dict:
@@ -109,27 +100,16 @@ def to_payload(model) -> dict:
             for ph, h in sorted(model.hmms.items())
         }}
         kind = "acoustic"
-    elif isinstance(model, KMeansModel):
-        body = {
-            "centroids": model.centroids.tolist(),
-            "converged": model.converged,
-            "iterations_run": model.iterations_run,
-            "objective_trace": list(model.objective_trace),
-        }
-        kind = "kmeans"
-    elif isinstance(model, Mlp):
-        body = {"layer_sizes": list(model.layer_sizes),
-                "weights": [w.tolist() for w in model.weights]}
-        kind = "mlp"
-    elif isinstance(model, DecisionTree):
-        body = _tree_body(model)
-        kind = "dtree"
     elif isinstance(model, MetaClassifier):
+        params = model.tree.params
         body = {
             "source_kind": model.source_kind,
             "schema": [[n, k] for n, k in model.schema],
             "train_accuracy": model.train_accuracy,
-            "tree": _tree_body(model.tree),
+            "tree": {"params": {"min_leaf_size": params.min_leaf_size,
+                                "max_depth": params.max_depth},
+                     "schema": [[n, k] for n, k in model.tree.schema],
+                     "root": _node_to_payload(model.tree.root)},
         }
         kind = "meta"
     else:
@@ -158,17 +138,16 @@ def _decode(kind, payload: dict):
     if kind == "svm":
         svs = payload["support_vectors"]
         label_map = payload["label_map"]
-        if label_map is not None:
-            label_map = {int(k): v for k, v in label_map.items()}
         kern = payload["kernel"]
-        # Payloads written before "dim" was saved take it from the vectors.
-        dim = payload.get("dim", len(svs[0]["x"]) if svs else None)
-        if type(dim) is not int or dim < 1:
-            raise StructuralError(f"svm payload needs a positive integer dim, got {dim!r}")
-        if any(len(s["x"]) != dim for s in svs):
-            raise StructuralError(f"svm payload has a support vector whose length is not dim={dim}")
+        dim = payload["dim"]
+        if type(dim) is not int or dim < 1 or any(len(s["x"]) != dim for s in svs):
+            raise StructuralError(f"svm payload needs a positive integer dim, the length of "
+                                  f"every support vector, got dim={dim!r}")
+        # SvmModel checks the dtypes numpy infers below, but numpy reads a JSON true as 1.
+        if any(type(v) is bool for s in svs for v in (s["index"], s["y"], s["alpha"], *s["x"])):
+            raise StructuralError("svm payload support_vectors must hold numbers, not booleans")
         return SvmModel(
-            sv_indices=np.array([s["index"] for s in svs], dtype=np.int64),
+            sv_indices=np.array([s["index"] for s in svs], dtype=None if svs else np.int64),
             sv_y=np.array([s["y"] for s in svs]),
             sv_x=np.array([s["x"] for s in svs]).reshape(len(svs), dim),
             sv_alpha=np.array([s["alpha"] for s in svs]),
@@ -176,21 +155,17 @@ def _decode(kind, payload: dict):
             kernel=KernelSpec(kern["kind"], kern["gamma"], kern["r"], kern["degree"]),
             C=payload["C"],
             converged=payload["converged"],
-            label_map=label_map,
+            label_map=None if label_map is None else {int(k): v for k, v in label_map.items()},
         )
     if kind == "acoustic":
         hmms = {ph: GaussianHmm(np.array(d["trans"]), np.array(d["means"]), np.array(d["vars"]))
                 for ph, d in payload["phonemes"].items()}
         return AcousticModel(hmms)
-    if kind == "kmeans":
-        return KMeansModel(np.array(payload["centroids"]), payload["converged"],
-                           payload["iterations_run"], list(payload["objective_trace"]))
-    if kind == "mlp":
-        return Mlp(tuple(payload["layer_sizes"]), [np.array(w) for w in payload["weights"]])
-    if kind == "dtree":
-        return _tree_from_body(payload)
     if kind == "meta":
-        tree = _tree_from_body(payload["tree"])
+        d = payload["tree"]
+        params = TreeParams(d["params"]["min_leaf_size"], d["params"]["max_depth"])
+        schema = tuple((n, k) for n, k in d["schema"])
+        tree = DecisionTree(_node_from_payload(d["root"], schema), schema, params)
         if tuple((n, k) for n, k in payload["schema"]) != tree.schema:
             raise StructuralError("meta payload schema differs from its tree's schema")
         return MetaClassifier(tree, payload["source_kind"], payload["train_accuracy"])

@@ -42,12 +42,16 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ContractError(f"unknown kernel kind {self.kind!r}")
-        if not (math.isfinite(self.gamma) and math.isfinite(self.r)):
-            raise ContractError(f"gamma and r must be finite (got {self.gamma!r}, {self.r!r})")
+        if not (_is_finite_number(self.gamma) and _is_finite_number(self.r)):
+            raise ContractError(f"gamma and r must be finite numbers ({self.gamma!r}, {self.r!r})")
         if self.kind in ("polynomial", "rbf") and self.gamma < 0:
             raise ContractError("gamma must be >= 0 for polynomial and rbf kernels")
-        if self.degree < 1 or int(self.degree) != self.degree:
-            raise ContractError("degree must be a positive integer")
+        if type(self.degree) is not int or self.degree < 1:
+            raise ContractError(f"degree must be a positive integer (got {self.degree!r})")
+
+
+def _is_finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _kernel_values(spec: KernelSpec, dots, sq_x=None, sq_y=None):
@@ -92,6 +96,36 @@ class SvmModel:
     C: float
     converged: bool
     label_map: dict | None = None     # {-1: label, +1: label} when trained on named labels
+
+    def __post_init__(self):
+        """Reject what smo_train never produces, naming the field."""
+        C, n = self.C, len(self.sv_alpha)
+        if not (_is_finite_number(C) and C > 0):
+            raise ContractError(f"SvmModel C must be a finite number > 0, got {C!r}")
+        rows = (("sv_indices", "iu", 1, "non-negative", lambda a: a >= 0),
+                ("sv_y", "iuf", 1, "-1 or +1", lambda a: abs(a) == 1),
+                ("sv_x", "iuf", 2, "finite", lambda a: np.isfinite(a).all(1)),
+                ("sv_alpha", "iuf", 1, "in (0, C]", lambda a: (a > 0) & (a <= C)))
+        for name, kinds, ndim, want, good in rows:
+            a = getattr(self, name)
+            if a.dtype.kind not in kinds or a.ndim != ndim or len(a) != n:
+                raise ContractError(f"SvmModel {name} must be {ndim}-D with {n} rows of "
+                                    f"{'integers' if kinds == 'iu' else 'numbers'}, got "
+                                    f"{a.dtype} of shape {a.shape}")
+            bad = np.flatnonzero(~good(a))
+            if len(bad):
+                raise ContractError(f"SvmModel {name} row {bad[0]} must be {want}, "
+                                    f"got {a[bad[0]].tolist()!r}")
+        if len(set(self.sv_indices.tolist())) != n:  # np.unique or np.sort raise peak RSS
+            raise ContractError("SvmModel sv_indices must be distinct")
+        if not _is_finite_number(self.bias):
+            raise ContractError(f"SvmModel bias must be a finite number, got {self.bias!r}")
+        if not isinstance(self.converged, bool):
+            raise ContractError(f"SvmModel converged must be a bool, got {self.converged!r}")
+        if self.label_map is not None and (not isinstance(self.label_map, dict)
+                                           or set(self.label_map) != {-1, 1}):
+            raise ContractError(f"SvmModel label_map must be None or have keys -1 and 1, "
+                                f"got {self.label_map!r}")
 
     @property
     def n_support(self) -> int:
@@ -142,10 +176,11 @@ def smo_train(ds: Dataset, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3
     non-finite kernel value, such as an overflow from huge features, is
     a ``ContractError`` naming the example.
     """
-    if C <= 0:
-        raise ContractError("C must be positive")
-    if tol <= 0:
-        raise ContractError("tol must be positive")
+    # A NaN or infinite C or tol would run the solve to its iteration cap.
+    if not 0 < C < math.inf:
+        raise ContractError(f"C must be positive and finite, got {C!r}")
+    if not 0 < tol < math.inf:
+        raise ContractError(f"tol must be positive and finite, got {tol!r}")
     if not ds.fully_labeled:
         raise ContractError("training requires a fully labeled dataset")
     C, tol = float(C), float(tol)

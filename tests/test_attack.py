@@ -102,17 +102,11 @@ class TestExtractFeatures:
         assert fv.data.n_rows == 4
         assert len(fv.data.schema) == 6
 
-    def test_mlp_first_hidden_layer(self):
-        net = init_mlp((8, 3, 8), RandomSource(1))
-        fv = extract_features(net)
-        assert fv.source_kind == "mlp"
-        assert fv.data.n_rows == 3
-        assert len(fv.data.schema) == 9  # bias + 8 inputs
-        assert [c[0] for c in fv.data.columns] == net.weights[0][0].tolist()
-
     def test_unsupported_kind(self):
-        with pytest.raises(ContractError):
-            extract_features("not a model")
+        # No case attacks an MLP, so its weights have no feature encoding.
+        for model in ("not a model", init_mlp((8, 3, 8), RandomSource(1))):
+            with pytest.raises(ContractError, match="cannot extract features"):
+                extract_features(model)
 
 
 class TestBuildMetaTrainingSet:

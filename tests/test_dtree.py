@@ -201,6 +201,15 @@ class TestTrainTree:
         deep = train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(0))
         assert shallow.n_nodes <= deep.n_nodes
 
+    @pytest.mark.parametrize("min_leaf_size,max_depth,match", [
+        (0, None, "min_leaf_size"), (2.5, None, "min_leaf_size"), (2.0, None, "min_leaf_size"),
+        (True, None, "min_leaf_size"), (1, 0, "max_depth"), (1, 1.5, "max_depth"),
+        (1, True, "max_depth"),
+    ])
+    def test_params_are_positive_ints(self, min_leaf_size, max_depth, match):
+        with pytest.raises(ContractError, match=match):
+            TreeParams(min_leaf_size, max_depth)
+
     def test_unlabeled_rejected(self):
         ds = make_dataset([("x", NUMERIC)], [(1.0,), (2.0,)])
         with pytest.raises(ContractError):

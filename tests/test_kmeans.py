@@ -19,7 +19,7 @@ class TestKMeansTrain:
     def test_k_equals_n(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
         m = kmeans_train(pts, 4, 100, rng=RandomSource(2))
-        assert m.k == 4
+        assert m.centroids.shape[0] == 4
         assert m.objective_trace[-1] == 0.0
 
     def test_k_one_is_global_mean(self):
@@ -103,7 +103,7 @@ class TestEmptyClusterHandling:
     def test_reseed_keeps_k_under_heavy_noise(self):
         pts = two_blobs(n_per=30, seed=18, spread=0.1)
         m = sulq_kmeans_train(pts, 4, 40, 50.0, rng=RandomSource(19))
-        assert m.k == 4
+        assert m.centroids.shape[0] == 4
         assert np.all(np.isfinite(m.centroids))
 
     def test_duplicate_points_k_equals_unique(self):

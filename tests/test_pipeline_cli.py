@@ -270,7 +270,7 @@ class TestCli:
         target.write_text(json.dumps(payload))
         # The NaN used to reach the meta-tree and yield a verdict (exit 0).
         assert main(["attack", "--meta", str(meta), "--target", str(target)]) == 1
-        assert "'x1', row 0: non-finite value nan" in capsys.readouterr().err
+        assert "SvmModel sv_x row 0 must be finite, got [nan, " in capsys.readouterr().err
 
     def test_attack_rejects_target_without_support_vectors(self, tmp_path, capsys):
         meta, target = tmp_path / "meta.json", tmp_path / "target.json"
@@ -521,6 +521,48 @@ class TestCli:
         save_model(svm_model(9), target)
         # A "maybe" leaf used to load, and its rows counted as NotP votes.
         assert main(["attack", "--meta", str(meta), "--target", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("file,path,value,field", [
+        pytest.param("target", ("support_vectors", 0, "y"), 5.0, "sv_y", id="y-5"),
+        pytest.param("target", ("support_vectors", 0, "y"), True, "support_vectors", id="y-true"),
+        pytest.param("target", ("support_vectors", 0, "alpha"), float("nan"), "sv_alpha",
+                     id="alpha-nan"),
+        pytest.param("target", ("support_vectors", 0, "alpha"), 1.5, "sv_alpha",
+                     id="alpha-above-C"),
+        pytest.param("target", ("support_vectors", 0, "index"), -3, "sv_indices",
+                     id="index-negative"),
+        pytest.param("target", ("support_vectors", 1, "index"), 0, "sv_indices",
+                     id="index-repeated"),
+        pytest.param("target", ("bias",), "zero", "bias", id="bias-str"),
+        pytest.param("target", ("C",), -1, "SvmModel C", id="C-negative"),
+        pytest.param("target", ("converged",), "yes", "converged", id="converged-str"),
+        pytest.param("target", ("label_map",), {"0": "DNS", "7": "WEB"}, "label_map",
+                     id="label-map-keys"),
+        pytest.param("target", ("kernel", "degree"), True, "degree", id="degree-bool"),
+        pytest.param("meta", ("tree", "root", "children", -1, "count"), -4, "count",
+                     id="leaf-count-negative"),
+        pytest.param("meta", ("tree", "root", "children", -1, "tie_broken"), "yes",
+                     "tie_broken", id="tie-broken-str"),
+        pytest.param("meta", ("tree", "params", "min_leaf_size"), 2.5, "min_leaf_size",
+                     id="min-leaf-size-fraction"),
+    ])
+    def test_attack_rejects_values_no_trainer_writes(self, tmp_path, capsys, file, path,
+                                                     value, field):
+        files = {"meta": tmp_path / "meta.json", "target": tmp_path / "target.json"}
+        save_model(svm_meta_classifier(), files["meta"])
+        save_model(svm_model(9), files["target"])
+        payload = json.loads(files[file].read_text())
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        files[file].write_text(json.dumps(payload))
+        # Each of these loaded, and attack printed a verdict and exited 0.
+        assert main(["attack", "--meta", str(files["meta"]),
+                     "--target", str(files["target"])]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
         assert "Traceback" not in err

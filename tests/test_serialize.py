@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shadowprobe.core import (
     CATEGORICAL,
@@ -14,12 +16,10 @@ from shadowprobe.core import (
 )
 from shadowprobe.attack import NOT_P, P, MetaClassifier, build_meta_training_set, train_meta
 from shadowprobe.dtree import (CategoricalNode, DecisionTree, Leaf, NumericNode, TreeParams,
-                               classify, train_tree)
-from shadowprobe.hmm import AcousticModel, GaussianHmm
-from shadowprobe.kmeans import KMeansModel
-from shadowprobe.mlp import init_mlp
+                               classify)
+from shadowprobe.hmm import AcousticModel, GaussianHmm, train_acoustic_model
 from shadowprobe.serialize import from_payload, load_model, save_model, to_payload
-from shadowprobe.svm import KernelSpec, SvmModel
+from shadowprobe.svm import KernelSpec, SvmModel, smo_train
 
 
 def roundtrip(model, tmp_path):
@@ -68,32 +68,6 @@ class TestRoundTrips:
             assert np.array_equal(back.hmms[ph].vars, am.hmms[ph].vars)
             assert np.array_equal(back.hmms[ph].trans, am.hmms[ph].trans)
 
-    def test_kmeans_exact(self, tmp_path):
-        m = KMeansModel(RandomSource(2).normal(size=(3, 5)), True, 7, [3.0, 1.5, 1.2])
-        back = roundtrip(m, tmp_path)
-        assert np.array_equal(back.centroids, m.centroids)
-        assert back.iterations_run == 7
-        assert back.objective_trace == m.objective_trace
-
-    def test_mlp_exact(self, tmp_path):
-        net = init_mlp((4, 3, 2), RandomSource(3))
-        back = roundtrip(net, tmp_path)
-        assert back.layer_sizes == net.layer_sizes
-        for a, b in zip(back.weights, net.weights):
-            assert np.array_equal(a, b)
-
-    def test_dtree_exact(self, tmp_path):
-        ds = make_dataset(
-            [("x", NUMERIC), ("c", CATEGORICAL)],
-            [(0.25, "a"), (0.5, "a"), (1.5, "b"), (2.5, "b"), (2.75, "c")],
-            ["p", "p", "q", "q", "p"],
-        )
-        tree = train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(4))
-        back = roundtrip(tree, tmp_path)
-        assert back.schema == tree.schema
-        assert back.n_nodes == tree.n_nodes
-        assert classify(back, ds) == classify(tree, ds)
-
     def test_meta_classifier_exact(self, tmp_path):
         shadows = []
         for i in range(4):
@@ -115,6 +89,57 @@ class TestRoundTrips:
         assert back.tree.n_nodes == mc.tree.n_nodes
 
 
+def assert_same(a, b):
+    """Every field equal: arrays in dtype and value, the rest by == and type."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            assert_same(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    else:
+        assert a == b and type(a) is type(b), (a, b)
+
+
+KERNELS = [KernelSpec("linear"), KernelSpec("polynomial", 0.5, 1.0, 2), KernelSpec("rbf", 0.7),
+           KernelSpec("sigmoid", 0.1, -0.5)]
+
+
+class TestTrainedRoundTrip:
+    """The three kinds the subcommands write load back field for field."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kernel=st.sampled_from(KERNELS),
+           C=st.sampled_from([0.05, 1.0, 7.5]), named=st.booleans())
+    def test_save_load_is_identity(self, tmp_path_factory, seed, kernel, C, named):
+        gen = np.random.default_rng(seed)
+        names = ["DNS", "WEB"] if named else [-1.0, 1.0]
+        shadows = []
+        for i in range(4):
+            y = np.arange(12) % 2
+            X = gen.normal(size=(12, 3)) + 0.8 * y[:, None] + (i % 2)
+            ds = make_dataset([(f"x{j}", NUMERIC) for j in range(3)], X.tolist(),
+                              [names[v] for v in y])
+            shadows.append((smo_train(ds, kernel, C=C), P if i % 2 else NOT_P))
+        mc = train_meta(build_meta_training_set(shadows), TreeParams(min_leaf_size=1),
+                        RandomSource(seed))
+        corpus = {ph: [gen.normal(size=(gen.integers(4, 8), 2)) for _ in range(3)]
+                  for ph in ("aa", "bb")}
+        am = train_acoustic_model(corpus, 2, iters=2)
+        path = tmp_path_factory.mktemp("roundtrip") / "model.json"
+        for model in [m for m, _ in shadows] + [mc, am]:
+            save_model(model, path)
+            assert_same(model, load_model(path))
+
+
 class TestErrors:
     def test_truncated_file(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -123,8 +148,11 @@ class TestErrors:
             load_model(p)
 
     def test_unknown_kind_named(self):
-        with pytest.raises(FormatError, match="gbm"):
-            from_payload({"format_version": 1, "kind": "gbm"})
+        # kmeans, mlp and dtree payloads were once written; no subcommand
+        # writes or reads them now.
+        for kind in ("gbm", "kmeans", "mlp", "dtree"):
+            with pytest.raises(FormatError, match=f"unknown model kind '{kind}'"):
+                from_payload({"format_version": 1, "kind": kind})
 
     def test_version_mismatch(self):
         with pytest.raises(FormatError):
@@ -133,12 +161,6 @@ class TestErrors:
     def test_non_object_payload(self):
         with pytest.raises(StructuralError):
             from_payload([1, 2, 3])
-
-    def test_mlp_non_finite_weight_rejected(self):
-        body = to_payload(init_mlp((8, 3, 8), RandomSource(5)))
-        body["weights"][1][2][1] = float("nan")
-        with pytest.raises(ContractError, match="weight matrix 1 has non-finite"):
-            from_payload(body)
 
     def test_acoustic_parameters_checked_on_load(self, tmp_path):
         # Trained models skip a second check of their parameters; a loaded
@@ -172,8 +194,9 @@ def _set(path, value):
 
 
 class TestTreeSchema:
-    """A tree payload's tests must fit its schema; each of these used to
-    load and then crash inside classify, or classify silently."""
+    """A tree payload's tests must fit its schema and its node counts and
+    tie flags must be ones training writes; each of these used to load and
+    then crash inside classify, or classify silently."""
 
     @pytest.mark.parametrize("edit,match", [
         pytest.param(_set(("root", "test", "attribute"), 99), "outside the 2-attribute schema",
@@ -199,21 +222,33 @@ class TestTreeSchema:
                      "2 children, expected 1", id="categorical-children"),
         pytest.param(_set(("root", "children"), []), "0 children, expected 2",
                      id="numeric-children"),
+        pytest.param(_set(("root", "children", 0, "count"), -4), "count must be an integer >= 1",
+                     id="count-negative"),
+        pytest.param(_set(("root", "count"), 0), "count must be an integer >= 1",
+                     id="count-zero"),
+        pytest.param(_set(("root", "count"), 5.0), "count must be", id="count-float"),
+        pytest.param(_set(("root", "children", 1, "count"), True), "count must be",
+                     id="count-bool"),
+        pytest.param(_set(("root", "children", 1, "fallback", "count"), 1),
+                     "0 on a categorical fallback", id="fallback-count"),
+        pytest.param(_set(("root", "children", 0, "tie_broken"), "yes"),
+                     "tie_broken 'yes' is not a bool", id="tie-broken-str"),
+        pytest.param(_set(("root", "children", 1, "fallback", "tie_broken"), 0),
+                     "tie_broken 0 is not a bool", id="tie-broken-int"),
     ])
-    @pytest.mark.parametrize("kind", ["dtree", "meta"])
+    @pytest.mark.parametrize("kind", ["meta"])  # the one payload kind that holds a tree
     def test_rejected(self, kind, edit, match):
-        model = (mixed_tree() if kind == "dtree"
-                 else MetaClassifier(mixed_tree(P, NOT_P), "hmm", 1.0))
-        payload = to_payload(model)
-        edit(payload if kind == "dtree" else payload["tree"])
+        payload = to_payload(MetaClassifier(mixed_tree(P, NOT_P), "hmm", 1.0))
+        assert payload["kind"] == kind
+        edit(payload["tree"])
         with pytest.raises(StructuralError, match=match):
             from_payload(payload)
 
     def test_valid_tree_roundtrips(self):
-        tree = mixed_tree()
-        back = from_payload(to_payload(tree))
-        ds = make_dataset(tree.schema, [(0.5, "b"), (2.0, "b"), (2.0, "c"), (2.0, "z")])
-        assert classify(back, ds) == classify(tree, ds) == ["p", "q", "p", "q"]
+        mc = MetaClassifier(mixed_tree(P, NOT_P), "hmm", 1.0)
+        back = from_payload(to_payload(mc))
+        ds = make_dataset(mc.schema, [(0.5, "b"), (2.0, "b"), (2.0, "c"), (2.0, "z")])
+        assert classify(back.tree, ds) == classify(mc.tree, ds) == [P, NOT_P, P, NOT_P]
 
     def test_meta_schema_must_match_tree(self):
         payload = to_payload(MetaClassifier(mixed_tree(P, NOT_P), "hmm", 1.0))
@@ -231,30 +266,23 @@ class TestTreeSchema:
 def sample_payloads():
     """One valid payload per model kind."""
     t = np.array([[0.6, 0.4], [0.0, 1.0]])
-    ds = make_dataset([("x", NUMERIC)], [(0.0,), (1.0,), (2.0,)], ["p", "q", "q"])
     shadows = [(random_svm(i), P if i < 2 else NOT_P) for i in range(4)]
     models = [
         random_svm(),
         AcousticModel({"aa": GaussianHmm(t, np.zeros((2, 3)), np.ones((2, 3)))}),
-        KMeansModel(np.zeros((2, 2)), True, 3, [2.0, 1.0]),
-        init_mlp((3, 2, 3), RandomSource(1)),
-        train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(2)),
         train_meta(build_meta_training_set(shadows), TreeParams(min_leaf_size=2), RandomSource(3)),
     ]
     return {to_payload(m)["kind"]: to_payload(m) for m in models}
 
 
 PAYLOADS = sample_payloads()
-# An svm payload without "dim" takes it from its support vectors
-# (TestSvmDim), so "dim" is the one optional body key.
 REQUIRED = [(kind, key) for kind, body in PAYLOADS.items()
-            for key in sorted(body) if key not in ("format_version", "kind")
-            and (kind, key) != ("svm", "dim")]
+            for key in sorted(body) if key not in ("format_version", "kind")]
 
 
 class TestMissingKeys:
     def test_every_kind_covered(self):
-        assert set(PAYLOADS) == {"svm", "acoustic", "kmeans", "mlp", "dtree", "meta"}
+        assert set(PAYLOADS) == {"svm", "acoustic", "meta"}
         for body in PAYLOADS.values():
             from_payload(body)
 
@@ -278,6 +306,13 @@ class TestMissingKeys:
         body = {**meta, "tree": {k: v for k, v in meta["tree"].items() if k != "root"}}
         with pytest.raises(StructuralError, match="root"):
             from_payload(body)
+        body = json.loads(json.dumps(meta))
+        leaf = body["tree"]["root"]
+        while "leaf_label" not in leaf:
+            leaf = leaf["children"][0]
+        del leaf["tie_broken"]
+        with pytest.raises(StructuralError, match="tie_broken"):
+            from_payload(body)
 
     def test_wrong_value_type(self):
         with pytest.raises(StructuralError):
@@ -296,18 +331,6 @@ class TestSvmDim:
         assert back.sv_x.shape == (0, 7)
         assert back.n_support == 0 and back.dim == 7
         assert back.bias == 0.5
-
-    def test_payload_without_dim_takes_it_from_vectors(self):
-        m = random_svm()
-        body = {k: v for k, v in to_payload(m).items() if k != "dim"}
-        back = from_payload(body)
-        assert np.array_equal(back.sv_x, m.sv_x)
-        assert back.dim == 4
-
-    def test_no_vectors_and_no_dim_rejected(self):
-        body = {k: v for k, v in to_payload(self.zero_sv_svm()).items() if k != "dim"}
-        with pytest.raises(StructuralError, match="dim"):
-            from_payload(body)
 
     @pytest.mark.parametrize("dim", [3, 5, 0, "4", None])
     def test_vector_length_must_match_dim(self, dim):

@@ -78,13 +78,18 @@ class TestKernels:
             KernelSpec("polynomial", degree=0)
         with pytest.raises(ContractError):
             KernelSpec("spline")
+        # A loaded payload reaches only this check, not the config's.
+        for degree in (True, 2.5, 3.0, "3"):
+            with pytest.raises(ContractError, match="degree must be a positive integer"):
+                KernelSpec("polynomial", degree=degree)
 
     @pytest.mark.parametrize("kind", svm.KERNEL_KINDS)
     @pytest.mark.parametrize("field", ["gamma", "r"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True])
     def test_non_finite_parameters_rejected(self, kind, field, value):
         # A NaN gamma or an infinite r used to make every stopping test
-        # False, so smo_train ran toward its 10^7-iteration cap.
+        # False, so smo_train ran toward its 10^7-iteration cap. A bool is
+        # no number either.
         with pytest.raises(ContractError, match="must be finite"):
             KernelSpec(kind, **{field: value})
 
@@ -136,6 +141,16 @@ class TestSmoTrain:
         assert abs(float(m.sv_alpha @ m.sv_y)) < 1e-8
         assert np.all(m.sv_alpha > 0)
         assert np.all(m.sv_alpha <= m.C)
+
+    @pytest.mark.parametrize("field,value", [
+        ("C", 0.0), ("C", float("nan")), ("C", float("inf")),
+        ("tol", -1e-3), ("tol", float("nan")), ("tol", float("inf")),
+    ])
+    def test_bad_C_or_tol_rejected_before_training(self, field, value):
+        # An infinite C on non-separable data ran toward the 10^7-iteration cap.
+        ds = xy_dataset([[0.0], [1.0], [0.5], [0.6]], [-1, 1, 1, -1])
+        with pytest.raises(ContractError, match=f"{field} must be positive and finite"):
+            smo_train(ds, KernelSpec("linear"), **{field: value})
 
     def test_single_class_rejected(self):
         ds = xy_dataset([[0.0], [1.0]], [1, 1])
@@ -407,3 +422,50 @@ def test_label_mapping_helper():
     assert mapping == {-1: "a", 1: "b"} and list(y) == [1.0, -1.0, 1.0]
     with pytest.raises(ContractError):
         _map_labels(["a", "b", "c"])
+
+
+VALID_SVM = dict(sv_indices=np.array([0, 3]), sv_y=np.array([1.0, -1.0]),
+                 sv_x=np.zeros((2, 2)), sv_alpha=np.array([0.5, 1.0]), bias=0.0,
+                 kernel=KernelSpec("linear"), C=1.0, converged=True,
+                 label_map={-1: "DNS", 1: "WEB"})
+
+
+class TestModelInvariants:
+    """SvmModel rejects what smo_train never produces, whoever builds it."""
+
+    def test_valid(self):
+        SvmModel(**VALID_SVM)
+        SvmModel(**{**VALID_SVM, "sv_y": np.array([1, -1]), "bias": 2, "label_map": None})
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("sv_indices", np.array([0]), "sv_indices must be 1-D with 2 rows of integers"),
+        ("sv_indices", np.array([0.0, 3.0]), "sv_indices must be 1-D with 2 rows of integers"),
+        ("sv_indices", np.array([3, 3]), "sv_indices must be distinct"),
+        ("sv_indices", np.array([-3, 0]), "sv_indices row 0 must be non-negative, got -3"),
+        ("sv_y", np.array([1.0, 5.0]), r"sv_y row 1 must be -1 or \+1, got 5.0"),
+        ("sv_y", np.array([np.nan, 1.0]), r"sv_y row 0 must be -1 or \+1, got nan"),
+        ("sv_y", np.array([True, False]), "sv_y must be 1-D with 2 rows of numbers"),
+        ("sv_y", np.array([[1.0], [-1.0]]), "sv_y must be 1-D"),
+        ("sv_x", np.zeros((3, 2)), "sv_x must be 2-D with 2 rows of numbers"),
+        ("sv_x", np.zeros((2, 2, 1)), "sv_x must be 2-D"),
+        ("sv_x", np.zeros(2), "sv_x must be 2-D"),
+        ("sv_x", np.array([["0", "1"], ["2", "3"]]), "sv_x must be 2-D with 2 rows of numbers"),
+        ("sv_x", np.array([[0.0, 0.0], [0.0, np.inf]]),
+         r"sv_x row 1 must be finite, got \[0.0, inf\]"),
+        ("sv_alpha", np.array([0.0, 1.0]), r"sv_alpha row 0 must be in \(0, C\], got 0.0"),
+        ("sv_alpha", np.array([0.5, 1.0 + 2**-52]), "sv_alpha row 1 must be in"),
+        ("sv_alpha", np.array([0.5, np.nan]), "sv_alpha row 1 must be in"),
+        ("C", -1.0, "C must be a finite number > 0"),
+        ("C", float("inf"), "C must be a finite number > 0"),
+        ("C", True, "C must be a finite number > 0"),
+        ("bias", "zero", "bias must be a finite number"),
+        ("bias", float("nan"), "bias must be a finite number"),
+        ("bias", False, "bias must be a finite number"),
+        ("converged", "yes", "converged must be a bool"),
+        ("converged", 1, "converged must be a bool"),
+        ("label_map", {0: "DNS", 7: "WEB"}, "label_map must be None or have keys -1 and 1"),
+        ("label_map", {1: "WEB"}, "label_map must be None"),
+    ])
+    def test_rejected(self, field, value, match):
+        with pytest.raises(ContractError, match=match):
+            SvmModel(**{**VALID_SVM, field: value})
