@@ -11,12 +11,17 @@ lowest centroid index. An emptied centroid is reseeded to the point
 farthest from its nearest centroid, pass after pass until no cluster is
 empty, so k never shrinks. Points must be finite, and so must every
 centroid and objective value a fit computes: one that overflows is a
-ContractError naming the iteration.
+ContractError naming the iteration. k and max_iters are ints >= 1.
 
-Each iteration works on the points' (d, n) columns: squared distances
-come out as a (k, n) array, the nearest centroid of every point is
-picked by k - 1 row comparisons (the index ``argmin`` would give), and
-the cluster sums are one weighted bincount per column.
+Each iteration works on the points' (d, n) columns. The nearest
+centroid of every point is the index ``argmin`` would give over the
+squared distances summed in dimension order (``_distances_sq``).
+``_assign`` finds it from one matrix product: where a point's runner-up
+estimate exceeds its best by more than a rounding-error bound, the
+bound proves the estimate's pick equal to that index; every other point
+(ties, near-ties, overflow) goes through the exact pass, so no pick
+depends on the BLAS kernel or its thread count. The cluster sums are
+one weighted bincount per column.
 ``tests/oracles.py::kmeans_reference`` checks whole fits bit for bit.
 """
 
@@ -79,6 +84,65 @@ def _nearest(dist: np.ndarray) -> np.ndarray:
     for c in range(1, len(dist)):
         np.putmask(nearest, dist[c] < best, c)
         best = np.minimum(best, dist[c])
+    return nearest
+
+
+_U = 2.0 ** -53  # unit roundoff of float64
+_TINY = 2.0 ** -1022  # smallest normal float64
+
+
+def _assign(cols, centroids, twice_norms):
+    """Nearest centroid of each of the points' (d, n) columns: the index
+    ``_nearest(_distances_sq(cols, centroids))`` gives, found from one
+    matrix product. ``twice_norms`` holds 2|x| for each point x.
+
+    Let D_c be the exact squared distance from x to centroid c, S_c the
+    value ``_distances_sq`` computes, R = |x| + max|c| (so D_c <= R^2)
+    and u = 2^-53; the bounds hold to first order in u (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., sections 2.2 and
+    3.1). Each term (x_t - c_t)^2 of S_c carries a relative error of at
+    most 3u and the dimension-order sum of d non-negative terms one of
+    (d - 1)u, so |S_c - D_c| <= (d + 2)u R^2.
+
+    The estimate leaves out |x|^2, the same for every c: one GEMM gives
+    F_c = (-2c).x + |c|^2, exactly D_c - |x|^2 but for rounding. (-2c).x
+    and |c|^2 are d-term sums within 2du |x||c| and du |c|^2 in whatever
+    order BLAS adds (scaling by -2 is exact), and the last add costs
+    u R^2, so F_c is within (d + 1)u R^2 of D_c - |x|^2. For the best
+    estimate F_b and any other c, S_c - S_b >= F_c - F_b - (4d + 6)u R^2:
+    if the runner-up estimate exceeds F_b by more than that, b is the
+    unique exact minimum, the index ``_nearest`` picks.
+
+    The check pads that margin to 32(d + 4)u R^2, with R from the computed
+    norms, whose own rounding the padding absorbs. Underflow adds less
+    than 4d * 2^-1022 to either error, even where a kernel flushes
+    subnormal results to zero; the absolute term 32(d + 4) * 2^-1022
+    covers it. The margin is built from (2R)^2, which overflows before
+    any term of F_c can, so a finite margin means a finite, bounded
+    estimate; an infinite margin or a NaN gap certifies nothing. With
+    k = 1 the runner-up is +inf, so every point with a finite margin
+    keeps index 0. Every point the check leaves unsure, ties and
+    near-ties included, goes through the exact pass.
+    """
+    k, d = centroids.shape
+    c_sq = (centroids * centroids).sum(axis=1)
+    est = (-2.0 * centroids) @ cols
+    est += c_sq[:, None]
+    nearest = np.zeros(est.shape[1], dtype=np.intp)
+    best = est[0]
+    runner = np.full(est.shape[1], np.inf)
+    for c in range(1, k):
+        np.putmask(nearest, est[c] < best, c)
+        np.minimum(runner, np.maximum(est[c], best), out=runner)
+        best = np.minimum(best, est[c])
+    margin = twice_norms + 2.0 * math.sqrt(c_sq.max())
+    margin *= margin
+    margin *= 8 * (d + 4) * _U
+    margin += 32 * (d + 4) * _TINY
+    runner -= best
+    unsure = np.flatnonzero(~(runner > margin))
+    if unsure.size:
+        nearest[unsure] = _nearest(_distances_sq(cols[:, unsure], centroids))
     return nearest
 
 
@@ -145,9 +209,10 @@ def _reseed_empty(cols, centroids, assignment, counts):
 
 
 def _lloyd(points, k, max_iters, rng, noise=None):
+    for name, value in (("k", k), ("max_iters", max_iters)):
+        if type(value) is not int or value < 1:
+            raise ContractError(f"{name} must be an int >= 1, got {value!r}")
     points = _as_points(points)
-    if k < 1:
-        raise ContractError("k must be >= 1")
     centroids = _init_centroids(points, k, rng)
     cols = np.ascontiguousarray(points.T)
     trace = []
@@ -156,8 +221,9 @@ def _lloyd(points, k, max_iters, rng, noise=None):
     iterations = 0
     # Overflow shows as a non-finite objective or centroid, checked below.
     with np.errstate(over="ignore", invalid="ignore"):
+        twice_norms = 2.0 * np.sqrt((cols * cols).sum(axis=0))
         for it in range(1, max_iters + 1):
-            new_assignment = _nearest(_distances_sq(cols, centroids))
+            new_assignment = _assign(cols, centroids, twice_norms)
             counts = np.bincount(new_assignment, minlength=k)
             centroids, new_assignment, counts = _reseed_empty(cols, centroids, new_assignment,
                                                               counts)
@@ -197,7 +263,7 @@ def kmeans_train(points, k: int, max_iters: int, rng: RandomSource) -> KMeansMod
 def sulq_kmeans_train(points, k: int, max_iters: int, sigma: float,
                       rng: RandomSource) -> KMeansModel:
     """Lloyd iterations with N(0, sigma) noise on every update-step sum and count."""
-    if not 0.0 < sigma < np.inf:
+    if isinstance(sigma, bool) or not 0.0 < sigma < np.inf:
         raise ContractError(f"sigma must be positive and finite, got {sigma!r}")
 
     def noisy_update(cols, assignment, counts):

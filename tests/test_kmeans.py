@@ -93,10 +93,30 @@ class TestSulq:
             hits += disp <= 0.5
         assert hits >= 95
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf"), True])
     def test_sigma_must_be_positive_and_finite(self, sigma):
         with pytest.raises(ContractError, match="sigma must be positive and finite"):
             sulq_kmeans_train(two_blobs(seed=17), 2, 100, sigma, rng=RandomSource(17))
+
+
+@pytest.mark.parametrize("train", [
+    lambda k, max_iters: kmeans_train(two_blobs(seed=21), k, max_iters, RandomSource(21)),
+    lambda k, max_iters: sulq_kmeans_train(two_blobs(seed=21), k, max_iters, 1.0,
+                                           RandomSource(21)),
+], ids=["plain", "sulq"])
+class TestArguments:
+    # k=2.0 and k=True used to fail inside numpy with a TypeError, and
+    # max_iters=-3 returned an untrained model with converged=False.
+    @pytest.mark.parametrize("k", [2.0, True, 0, -1])
+    def test_k_must_be_a_positive_int(self, train, k):
+        with pytest.raises(ContractError, match=rf"k must be an int >= 1, got {k!r}"):
+            train(k, 20)
+
+    @pytest.mark.parametrize("max_iters", [-3, 0, 20.0, True])
+    def test_max_iters_must_be_a_positive_int(self, train, max_iters):
+        with pytest.raises(ContractError,
+                           match=rf"max_iters must be an int >= 1, got {max_iters!r}"):
+            train(2, max_iters)
 
 
 class TestEmptyClusterHandling:
@@ -210,6 +230,18 @@ class TestMatchesReference:
         assert sum(emptied) > 0
 
 
+def assign(cols, centroids):
+    """``kmeans._assign`` with the per-fit norms ``_lloyd`` passes it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        twice_norms = 2.0 * np.sqrt((cols * cols).sum(axis=0))
+        return kmeans._assign(cols, centroids, twice_norms)
+
+
+def exact(cols, centroids):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return kmeans._nearest(kmeans._distances_sq(cols, centroids))
+
+
 class TestKernels:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6), n=st.integers(1, 40),
@@ -232,3 +264,59 @@ class TestKernels:
         expected = np.unique(points, axis=0)
         assert distinct.shape == expected.shape
         assert np.array_equal(distinct, expected)
+
+    # ``_assign`` must give the exact pass's pick element for element,
+    # also on inputs built to defeat its rounding-error bound. Power-of-two
+    # scales keep ties exact: 2^-565 (about 1e-170) squares to zero,
+    # 2^-530 and 2^-512 to subnormals, and squares at 2^515 (about 3e155)
+    # overflow. Scaling by 1e-160 rounds ties into subnormal near-ties.
+    @settings(max_examples=500, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), d=st.integers(1, 8),
+           n=st.integers(1, 40),
+           layout=st.sampled_from(["normal", "grid", "bisector", "duplicates", "spread"]),
+           scale=st.sampled_from([2.0 ** -565, 1e-160, 2.0 ** -530, 2.0 ** -512, 2.0 ** -330,
+                                  1.0, 2.0 ** 330, 2.0 ** 500, 2.0 ** 515]))
+    def test_matches_exact_pass(self, seed, k, d, n, layout, scale):
+        rng = np.random.default_rng(seed)
+        centroids = rng.normal(0, 3, size=(k, d))
+        if layout == "spread":  # each point and centroid at its own scale
+            centroids *= np.ldexp(1.0, rng.integers(-40, 41, size=(k, 1)))
+            points = rng.normal(0, 3, size=(n, d)) * np.ldexp(1.0, rng.integers(-40, 41, size=(n, 1)))
+        elif layout == "grid":  # exact distance ties
+            centroids = np.round(centroids)
+            points = np.round(rng.normal(0, 3, size=(n, d)))
+        elif layout == "bisector":  # midpoints of two centroids, and 1 ulp either side
+            a, b = np.round(centroids[0]), np.round(centroids[-1])
+            centroids[0], centroids[-1] = a, b
+            points = np.repeat(((a + b) / 2)[None, :], n, axis=0)
+            step = rng.choice([-np.inf, 0.0, np.inf], size=points.shape)
+            points = np.where(step == 0, points, np.nextafter(points, step))
+        elif layout == "duplicates":
+            points = np.repeat(rng.normal(0, 3, size=(n, d)), 3, axis=0)
+        else:
+            points = rng.normal(0, 3, size=(n, d))
+        cols = np.ascontiguousarray(points.T) * scale
+        centroids = centroids * scale
+        assert np.array_equal(assign(cols, centroids), exact(cols, centroids))
+
+    def test_ties_take_the_exact_pass(self, monkeypatch):
+        exact_columns = []
+        distances_sq = kmeans._distances_sq
+
+        def spy(cols, centroids):
+            exact_columns.append(cols.tolist())
+            return distances_sq(cols, centroids)
+
+        monkeypatch.setattr(kmeans, "_distances_sq", spy)
+        centroids = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 4.0]])
+        # Point 1 is equidistant from centroids 0 and 1, point 3 from
+        # centroids 0 and 2; the first minimum goes to the lower index.
+        cols = np.array([[0.1, 1.0, 2.2, 0.0], [0.0, 0.0, 0.1, 2.0]])
+        assert assign(cols, centroids).tolist() == [0, 0, 1, 0]
+        assert exact_columns == [[[1.0, 0.0], [0.0, 2.0]]]
+
+    def test_clear_picks_skip_the_exact_pass(self, monkeypatch):
+        monkeypatch.setattr(kmeans, "_distances_sq", None)
+        pts = two_blobs(seed=22)
+        cols = np.ascontiguousarray(pts.T)
+        assert assign(cols, np.array([[0.0, 0.0], [5.0, 5.0]])).tolist() == [0] * 50 + [1] * 50
