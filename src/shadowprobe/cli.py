@@ -24,9 +24,9 @@ import sys
 
 from . import datagen, hmm, metrics, serialize
 from .attack import MetaClassifier, infer_property, kl_divergence_scores, kl_filter
-from .core import (ContractError, RandomSource, ShadowprobeError, StructuralError,
-                   load_dataset, read_text, save_dataset)
-from .pipeline import CASES, ConfigError, PipelineConfig, run_pipeline
+from .core import (ContractError, ShadowprobeError, StructuralError, load_dataset, read_text,
+                   save_dataset)
+from .pipeline import CASES, ConfigError, PipelineConfig, cv_block, run_pipeline
 
 log = logging.getLogger("shadowprobe")
 
@@ -112,11 +112,9 @@ def cmd_generate(args) -> int:
     if cfg.case not in ("netflow", "speech"):
         raise ConfigError(f"generate does not apply to case {cfg.case!r}")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    rng = RandomSource(cfg.seed)
-    spec = cfg.spec(rng)
     first_key = 0 if cfg.case == "netflow" else 10
     for tag, with_p in (("with_property", True), ("without_property", False)):
-        data = cfg.training_set(spec, with_p, rng.child(first_key + with_p))
+        data = cfg.training_set(with_p, cfg.rng.child(first_key + with_p))
         if cfg.case == "netflow":
             path = os.path.join(cfg.out_dir, f"flows_{tag}.csv")
             save_dataset(data, path)
@@ -195,16 +193,8 @@ def cmd_filter(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args, default_case="netflow")
     ds = load_dataset(args.data, label_column=args.label_column)
-    cv = metrics.k_fold_cross_validate(ds, cfg.folds, cfg.tree_trainer(), RandomSource(cfg.seed))
-    pra = metrics.precision_recall_accuracy(cv.pooled)
-    print(json.dumps({
-        "folds": cfg.folds,
-        "fold_accuracies": cv.fold_accuracies,
-        "mean_accuracy": cv.mean_accuracy,
-        "labels": list(cv.pooled.labels),
-        "confusion_matrix": cv.pooled.to_lists(),
-        "per_class": pra["per_class"],
-    }, indent=2, sort_keys=True))
+    cv = metrics.k_fold_cross_validate(ds, cfg.folds, cfg.tree_trainer(), cfg.rng)
+    print(json.dumps({"folds": cfg.folds, **cv_block(cv)}, indent=2, sort_keys=True))
     return 0
 
 
@@ -236,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reference", required=True, help="acoustic model with the property")
     sp.add_argument("--baselines", required=True, nargs="+",
                     help="acoustic models without the property")
-    sp.add_argument("--top-k", dest="top_k", type=int, default=5)
+    sp.add_argument("--top-k", dest="top_k", type=int, default=PipelineConfig.top_k)
     sp.set_defaults(fn=cmd_filter)
 
     sp = sub.add_parser("evaluate", help="cross-validate a labeled CSV with the tree engine")

@@ -71,10 +71,11 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+            raise ContractError(f"seed: must be an integer (got {seed!r})")
         if not 0 <= seed <= _MASK64:
-            raise ContractError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = seed
+            raise ContractError(f"seed: must be in [0, 2**64 - 1] (got {seed!r})")
+        self.seed = int(seed)
         self.generator = np.random.Generator(np.random.PCG64(seed))
 
     def child(self, key: int) -> "RandomSource":

@@ -3,9 +3,10 @@
 Two stand-in corpora: NetFlow-like traffic records for a WEB-vs-DNS
 classifier, and Gaussian frame sequences for per-phoneme acoustic
 models. Generation is a pure function of (spec, flags, RandomSource).
-This module holds the specs and the two generators only:
-``PipelineConfig.spec`` picks a case's spec, ``PipelineConfig.training_set``
-its generator, and ``core.shadow_tasks`` each shadow's label and source.
+This module holds the specs and the two generators only: a
+``PipelineConfig`` builds its case's spec once (its ``spec``),
+``PipelineConfig.training_set`` picks the generator, and
+``core.shadow_tasks`` gives each shadow's label and source.
 
 Flow records emit seven numeric columns, each normalized to the
 fraction of its field's range so all features are comparable:
@@ -87,7 +88,8 @@ class FlowSpec:
             if not getattr(self, name):
                 raise ContractError(f"{name} needs at least one mode")
         if not 0.0 <= self.signature_fraction <= 1.0:
-            raise ContractError("signature_fraction must be in [0, 1]")
+            raise ContractError(f"signature_fraction: must be in [0, 1] "
+                                f"(got {self.signature_fraction!r})")
 
 
 def default_flow_spec(signature_fraction: float = 1.0) -> FlowSpec:
@@ -223,15 +225,19 @@ class SpeechSpec:
             raise ContractError("frames_per_state must satisfy 1 <= lo <= hi")
 
 
-def default_speech_spec(rng: RandomSource, n_phonemes: int = 40, n_states: int = 5,
-                        dim: int = 25, *, n_boosted: int, boost_shift: float = 1.5,
-                        base_shift: float, frames_per_state: tuple = (4, 9)) -> SpeechSpec:
+def default_speech_spec(rng: RandomSource, *, n_phonemes: int, n_states: int, dim: int,
+                        n_boosted: int, boost_shift: float = 1.5, base_shift: float,
+                        frames_per_state: tuple = (4, 9)) -> SpeechSpec:
     """Random inventory where an accent perturbs every phoneme a little
     (``base_shift``) and the first ``n_boosted`` phonemes much more."""
     if not 1 <= n_phonemes <= len(PHONEME_INVENTORY):
-        raise ContractError(f"n_phonemes must be in [1, {len(PHONEME_INVENTORY)}]")
-    if n_boosted > n_phonemes:
-        raise ContractError("n_boosted cannot exceed n_phonemes")
+        raise ContractError(f"n_phonemes: must be in [1, {len(PHONEME_INVENTORY)}] "
+                            f"(got {n_phonemes!r})")
+    for name, value in (("n_states", n_states), ("dim", dim)):
+        if value < 1:
+            raise ContractError(f"{name}: must be >= 1 (got {value!r})")
+    if not 0 <= n_boosted <= n_phonemes:
+        raise ContractError(f"n_boosted: must be in [0, n_phonemes] (got {n_boosted!r})")
     phonemes = PHONEME_INVENTORY[:n_phonemes]
     means = rng.uniform(-2.0, 2.0, size=(n_phonemes, n_states, dim))
     sigmas = rng.uniform(0.3, 0.7, size=(n_phonemes, n_states, dim))

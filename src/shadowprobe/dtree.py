@@ -56,9 +56,10 @@ class TreeParams:
 
     def __post_init__(self):
         if type(self.min_leaf_size) is not int or self.min_leaf_size < 1:
-            raise ContractError(f"min_leaf_size must be an int >= 1, got {self.min_leaf_size!r}")
+            raise ContractError(f"min_leaf_size: must be an int >= 1 (got {self.min_leaf_size!r})")
         if self.max_depth is not None and (type(self.max_depth) is not int or self.max_depth < 1):
-            raise ContractError(f"max_depth must be None or an int >= 1, got {self.max_depth!r}")
+            raise ContractError(f"max_depth: must be None or an int >= 1 "
+                                f"(got {self.max_depth!r})")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ train together. The forward likelihood is the same recurrence with
 log-sum-exp in place of max, and a single model or sequence is the
 one-model case of the same code.
 
-Defaults follow common phoneme-model practice: five emitting states,
-one Gaussian per state (no mixtures) and a variance floor of 1e-4.
+Models follow common phoneme-model practice: one Gaussian per state
+(no mixtures) and a variance floor of 1e-4.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 from .core import ContractError, InfeasiblePathError
 
 VAR_FLOOR = 1e-4
-DEFAULT_STATES = 5
 
 _LOG2PI = math.log(2.0 * math.pi)
 
@@ -361,6 +360,8 @@ def _train_lockstep(trans, means, vars_, groups: list, iters: int, names=None) -
     whole stack once, and the returned models are built from the
     parameters that check (or the caller's, when iters is 0) accepted.
     """
+    if type(iters) is not int or iters < 0:
+        raise ContractError(f"iters must be an int >= 0, got {iters!r}")
     P, n, d = means.shape
     batch = _Batch(groups, n, d, names)
     frame_cell = batch.owner[batch.seq_of] * n  # + state = flat (model, state) cell
@@ -417,8 +418,7 @@ def viterbi_train(model: GaussianHmm, sequences, iters: int) -> GaussianHmm:
     return _train_lockstep(*_stack([model]), [seqs], iters)[0]
 
 
-def train_acoustic_model(corpus: dict, n_states: int = DEFAULT_STATES, *,
-                         iters: int) -> AcousticModel:
+def train_acoustic_model(corpus: dict, n_states: int, *, iters: int) -> AcousticModel:
     """Flat-start one HMM per phoneme, then Viterbi-train all of them in
     lockstep for ``iters`` hard-EM iterations."""
     if not corpus:

@@ -6,7 +6,10 @@ reads: a config may set only those and the common ``case``, ``seed``,
 ``out_dir`` and ``jobs``, and the report's ``config`` block echoes the
 seed and exactly those fields (a few under a report name), together
 with the fixed tunables that matter for reproduction (verdict
-aggregation rule, variance floor).
+aggregation rule, variance floor). A config builds once the library
+objects whose constructors bound its fields (the master RandomSource,
+the SVM kernel, the tree limits and the case's data spec), and the run
+uses those objects.
 Reports are byte-identical across runs with the same config and seed.
 """
 
@@ -16,7 +19,6 @@ import logging
 import math
 import os
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -116,26 +118,31 @@ class PipelineConfig:
         for f in fields(self):
             if f.name not in reads and getattr(self, f.name) != f.default:
                 raise ConfigError(f"{f.name}: case {self.case!r} does not read it")
+        # The objects the run uses check their own fields. The rows after
+        # them check what the library would check only mid-run.
+        try:
+            self.rng = RandomSource(self.seed)
+            self.kernel = KernelSpec(self.kernel_kind, self.gamma, self.r, self.degree)
+            self.tree_params = TreeParams(self.min_leaf_size, self.max_depth)
+            self.spec = None
+            if self.case == "speech":
+                self.spec = datagen.default_speech_spec(
+                    self.rng.child(0), n_phonemes=self.n_phonemes, n_states=self.n_states,
+                    dim=self.dim, n_boosted=self.n_boosted, boost_shift=self.boost_shift,
+                    base_shift=self.base_shift)
+            elif self.case in ("netflow", "dp_bypass"):
+                self.spec = datagen.default_flow_spec(self.signature_fraction)
+        except ContractError as e:
+            raise ConfigError(str(e)) from None
         validate = [
-            ("seed", 0 <= self.seed < 1 << 64, "must be in [0, 2**64 - 1]"),
             ("jobs", self.jobs >= 1, "must be >= 1"),
             ("shadows", self.shadows >= 2, "must be >= 2"),
-            ("n_phonemes", 1 <= self.n_phonemes <= 40, "must be in [1, 40]"),
-            ("n_states", self.n_states >= 1, "must be >= 1"),
-            ("dim", self.dim >= 1, "must be >= 1"),
             ("n_sequences", self.n_sequences >= 1, "must be >= 1"),
-            ("n_boosted", 0 <= self.n_boosted <= self.n_phonemes, "must be in [0, n_phonemes]"),
             ("train_iters", self.train_iters >= 0, "must be >= 0"),
             ("top_k", 1 <= self.top_k <= self.n_phonemes, "must be in [1, n_phonemes]"),
             ("baseline_models", self.baseline_models >= 1, "must be >= 1"),
             ("holdout_fraction", 0 < self.holdout_fraction < 1, "must be in (0, 1)"),
             ("flows_per_shadow", self.flows_per_shadow >= 2, "must be >= 2"),
-            ("signature_fraction", 0 <= self.signature_fraction <= 1, "must be in [0, 1]"),
-            ("kernel_kind", self.kernel_kind in svm.KERNEL_KINDS,
-             f"must be one of {svm.KERNEL_KINDS}"),
-            ("gamma", self.gamma >= 0 or self.kernel_kind not in ("polynomial", "rbf"),
-             "must be >= 0 for polynomial and rbf kernels"),
-            ("degree", self.degree >= 1, "must be >= 1"),
             ("C", self.C > 0, "must be positive"),
             ("tol", self.tol > 0, "must be positive"),
             ("folds", self.folds >= 2, "must be >= 2"),
@@ -143,11 +150,8 @@ class PipelineConfig:
             ("sample_size", self.sample_size >= 1, "must be >= 1"),
             ("k", 1 <= self.k <= self.sample_size, "must be in [1, sample_size]"),
             ("sigma", self.sigma > 0, "must be positive"),
-            ("n_runs", self.n_runs >= 4, "must be >= 4"),
             # Only the pool's pool_size // 2 WEB rows become k-means points.
             ("pool_size", self.pool_size >= 2 * self.sample_size, "must be >= 2 * sample_size"),
-            ("min_leaf_size", self.min_leaf_size >= 1, "must be >= 1"),
-            ("max_depth", self.max_depth is None or self.max_depth >= 1, "must be null or >= 1"),
             ("mlp_seeds", self.mlp_seeds >= 1, "must be >= 1"),
             ("learning_rate", self.learning_rate > 0, "must be positive"),
             ("epochs", self.epochs >= 0, "must be >= 0"),
@@ -157,7 +161,8 @@ class PipelineConfig:
         for name, ok, msg in validate:
             if not ok:
                 raise ConfigError(f"{name}: {msg} (got {getattr(self, name)!r})")
-        # speech holds out some of its shadows, dp_bypass some of its runs.
+        # speech holds out some of its shadows, dp_bypass some of its runs
+        # (so n_runs >= 4: the split needs two runs of each label).
         count = {"speech": "shadows", "dp_bypass": "n_runs"}.get(self.case)
         if count is not None:
             n = getattr(self, count)
@@ -176,54 +181,38 @@ class PipelineConfig:
             raise ConfigError("case: required")
         return cls(**d)
 
-    def tree_params(self) -> TreeParams:
-        return TreeParams(self.min_leaf_size, self.max_depth)
-
     def tree_trainer(self):
         """k_fold_cross_validate's trainer: a fold's tree, as a classifier."""
         def train(train_ds: Dataset, fold_rng: RandomSource):
-            tree = dtree.train_tree(train_ds, self.tree_params(), fold_rng)
+            tree = dtree.train_tree(train_ds, self.tree_params, fold_rng)
             return lambda test_ds: dtree.classify(tree, test_ds)
         return train
-
-    def spec(self, rng: RandomSource):
-        """The case's data spec: a SpeechSpec drawn from ``rng.child(0)``
-        (speech) or the default FlowSpec (netflow, dp_bypass)."""
-        if self.case == "speech":
-            return datagen.default_speech_spec(
-                rng.child(0), n_phonemes=self.n_phonemes, n_states=self.n_states, dim=self.dim,
-                n_boosted=self.n_boosted, boost_shift=self.boost_shift,
-                base_shift=self.base_shift)
-        if self.case in ("netflow", "dp_bypass"):
-            return datagen.default_flow_spec(self.signature_fraction)
-        raise ConfigError(f"case {self.case!r} draws no data")
 
     def train_model(self, data):
         """One shadow or target model: an SVM from a flow Dataset (netflow)
         or an acoustic model from a phoneme corpus (speech)."""
         if self.case == "netflow":
-            kernel = KernelSpec(self.kernel_kind, self.gamma, self.r, self.degree)
-            return svm.smo_train(data, kernel, C=self.C, tol=self.tol)
+            return svm.smo_train(data, self.kernel, C=self.C, tol=self.tol)
         if self.case == "speech":
             return hmm.train_acoustic_model(data, n_states=self.n_states, iters=self.train_iters)
         raise ConfigError(f"case {self.case!r} trains no shadow models")
 
-    def training_set(self, spec, with_property: bool, rng: RandomSource):
+    def training_set(self, with_property: bool, rng: RandomSource):
         """One shadow's or target's training set: a flow Dataset of
         ``flows_per_shadow`` rows (netflow) or a corpus of ``n_sequences``
         sequences per phoneme (speech)."""
         # The generators are looked up on ``datagen`` at call time, so a
         # wrapper patched onto the module sees every call.
         if self.case == "netflow":
-            return datagen.gen_flow_dataset(spec, with_property, self.flows_per_shadow, rng)
+            return datagen.gen_flow_dataset(self.spec, with_property, self.flows_per_shadow, rng)
         if self.case == "speech":
-            return datagen.gen_speech_corpus(spec, with_property, self.n_sequences, rng)
+            return datagen.gen_speech_corpus(self.spec, with_property, self.n_sequences, rng)
         raise ConfigError(f"case {self.case!r} generates no training sets")
 
-    def train_new_model(self, spec, with_property: bool, rng: RandomSource):
+    def train_new_model(self, with_property: bool, rng: RandomSource):
         """The model trained on a freshly generated training set, which is
         dropped once trained on."""
-        return self.train_model(self.training_set(spec, with_property, rng))
+        return self.train_model(self.training_set(with_property, rng))
 
 
 def _echo(cfg: PipelineConfig, renamed: str = "", **extras) -> dict:
@@ -234,22 +223,22 @@ def _echo(cfg: PipelineConfig, renamed: str = "", **extras) -> dict:
     return {**{n: getattr(cfg, n) for n in names if n not in renamed.split()}, **extras}
 
 
-def _map_jobs(cfg: PipelineConfig, spec, tasks) -> list:
+def _map_jobs(cfg: PipelineConfig, tasks) -> list:
     """The model of each ``(with_property, source)`` task, in task order.
 
     Each task generates its training set, trains on it and keeps only the
     model, so at most one training set per worker is alive. With
     ``cfg.jobs`` > 1 the tasks run across that many processes; a worker
-    receives the spec and a seeded source, never a training set.
+    receives the config (with its spec) and a seeded source, never a
+    training set.
     """
-    train = partial(cfg.train_new_model, spec)
     if cfg.jobs <= 1:
-        return [train(*task) for task in tasks]
+        return [cfg.train_new_model(*task) for task in tasks]
     # Imported here so that a one-process run never loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        return list(pool.map(train, *zip(*tasks)))
+        return list(pool.map(cfg.train_new_model, *zip(*tasks)))
 
 
 def _metrics_block(cm: metrics.ConfusionMatrix) -> dict:
@@ -262,15 +251,21 @@ def _metrics_block(cm: metrics.ConfusionMatrix) -> dict:
     }
 
 
+def cv_block(cv: metrics.CrossValResult) -> dict:
+    """A cross-validation's report block: each fold's accuracy, their mean,
+    and the pooled confusion matrix with its metrics."""
+    return {"fold_accuracies": cv.fold_accuracies, "mean_accuracy": cv.mean_accuracy,
+            **_metrics_block(cv.pooled)}
+
+
 def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
-    spec = cfg.spec(rng)
     log.info("speech: training %d shadow acoustic models", cfg.shadows)
-    models = _map_jobs(cfg, spec, shadow_tasks(cfg.shadows, rng.child(1)))
+    models = _map_jobs(cfg, shadow_tasks(cfg.shadows, rng.child(1)))
     labels = property_labels(cfg.shadows)
 
     def evaluate(shadow_models, meta_rng):
         md, mc, verdicts, truths, votes = attack.holdout_attack(
-            shadow_models, labels, cfg.holdout_fraction, cfg.tree_params(), meta_rng)
+            shadow_models, labels, cfg.holdout_fraction, cfg.tree_params, meta_rng)
         block = _metrics_block(metrics.confusion_matrix(truths, votes))
         block.update({"tree_nodes": mc.tree.n_nodes, "tree_leaves": mc.tree.n_leaves,
                       "meta_train_rows": md.data.n_rows})
@@ -281,8 +276,8 @@ def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     log.info("speech: building reference and %d baseline models for the divergence filter",
              cfg.baseline_models)
     reference, *baselines = _map_jobs(
-        cfg, spec,
-        [(True, rng.child(3))] + [(False, rng.child(100 + i)) for i in range(cfg.baseline_models)])
+        cfg, [(True, rng.child(3))] + [(False, rng.child(100 + i))
+                                       for i in range(cfg.baseline_models)])
     scores = attack.kl_divergence_scores(reference, baselines)
     selected = attack.kl_filter(scores, cfg.top_k)
 
@@ -304,20 +299,19 @@ def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
 
 
 def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
-    spec = cfg.spec(rng)
     log.info("netflow: training %d shadow SVMs", cfg.shadows)
-    models = _map_jobs(cfg, spec, shadow_tasks(cfg.shadows, rng.child(1)))
+    models = _map_jobs(cfg, shadow_tasks(cfg.shadows, rng.child(1)))
     labels = property_labels(cfg.shadows)
 
     md = attack.build_meta_training_set(list(zip(models, labels)))
-    mc = attack.train_meta(md, cfg.tree_params(), rng.child(2))
+    mc = attack.train_meta(md, cfg.tree_params, rng.child(2))
 
     log.info("netflow: %d-fold cross-validation on %d support-vector rows",
              cfg.folds, md.data.n_rows)
     cv = metrics.k_fold_cross_validate(md.data, cfg.folds, cfg.tree_trainer(), rng.child(3))
 
     log.info("netflow: evaluating %d held-out target classifiers", cfg.n_targets)
-    targets = _map_jobs(cfg, spec, shadow_tasks(cfg.n_targets, rng.child(4)))
+    targets = _map_jobs(cfg, shadow_tasks(cfg.n_targets, rng.child(4)))
     verdicts, _, _ = attack.judge(mc, targets, property_labels(cfg.n_targets))
 
     return {
@@ -330,8 +324,7 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
             {"label": l, "support_vectors": int(m.n_support), "converged": bool(m.converged)}
             for l, m in zip(labels, models)
         ],
-        "cross_validation": {"fold_accuracies": cv.fold_accuracies,
-                             "mean_accuracy": cv.mean_accuracy, **_metrics_block(cv.pooled)},
+        "cross_validation": cv_block(cv),
         "meta_tree": {"nodes": mc.tree.n_nodes, "leaves": mc.tree.n_leaves,
                       "train_rows": md.data.n_rows, "train_accuracy": mc.train_accuracy},
         "targets": {"verdicts": verdicts,
@@ -343,19 +336,18 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
 
 
 def run_dp_bypass_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
-    spec = cfg.spec(rng)
     log.info("dp_bypass: generating point pools")
 
     def web_points(with_property: bool, source: RandomSource) -> np.ndarray:
         # One pool is alive at a time: only its WEB points outlive this call.
-        ds = datagen.gen_flow_dataset(spec, with_property, cfg.pool_size, source)
+        ds = datagen.gen_flow_dataset(cfg.spec, with_property, cfg.pool_size, source)
         return numeric_matrix(ds.subset(ds.labels == datagen.WEB))
 
     points_p = web_points(True, rng.child(0))
     points_notp = web_points(False, rng.child(1))
     log.info("dp_bypass: %d runs per arm, k=%d, sigma=%g", cfg.n_runs, cfg.k, cfg.sigma)
     result = attack.run_dp_bypass(points_p, points_notp, cfg.k, cfg.sigma, cfg.n_runs,
-                                  cfg.sample_size, cfg.holdout_fraction, cfg.tree_params(),
+                                  cfg.sample_size, cfg.holdout_fraction, cfg.tree_params,
                                   rng.child(2))
     clamp_low, clamp_high = result.pop("clamp_low"), result.pop("clamp_high")
     return {
@@ -443,14 +435,13 @@ def run_mlp_demo_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run one case end to end; writes report and artifacts to cfg.out_dir."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    rng = RandomSource(cfg.seed)
     runner = {
         "speech": run_speech_case,
         "netflow": run_netflow_case,
         "dp_bypass": run_dp_bypass_case,
         "mlp_demo": run_mlp_demo_case,
     }[cfg.case]
-    report = runner(cfg, rng)
+    report = runner(cfg, cfg.rng)
 
     mc = report.pop("_meta_classifier", None)
     if mc is not None:

@@ -41,13 +41,14 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
-            raise ContractError(f"unknown kernel kind {self.kind!r}")
+            raise ContractError(f"kernel_kind: must be one of {KERNEL_KINDS} (got {self.kind!r})")
         if not (_is_finite_number(self.gamma) and _is_finite_number(self.r)):
             raise ContractError(f"gamma and r must be finite numbers ({self.gamma!r}, {self.r!r})")
         if self.kind in ("polynomial", "rbf") and self.gamma < 0:
-            raise ContractError("gamma must be >= 0 for polynomial and rbf kernels")
+            raise ContractError(f"gamma: must be >= 0 for polynomial and rbf kernels "
+                                f"(got {self.gamma!r})")
         if type(self.degree) is not int or self.degree < 1:
-            raise ContractError(f"degree must be a positive integer (got {self.degree!r})")
+            raise ContractError(f"degree: must be a positive integer (got {self.degree!r})")
 
 
 def _is_finite_number(v) -> bool:

@@ -207,8 +207,7 @@ def _null_accuracy(cfg):
     """Held-out row accuracy of the pipeline's attack on the shadows that
     ``cfg`` trains with its property knob off."""
     rng = RandomSource(cfg.seed)
-    spec = cfg.spec(rng)
-    models = [cfg.train_new_model(spec, with_p, source)
+    models = [cfg.train_new_model(with_p, source)
               for with_p, source in shadow_tasks(cfg.shadows, rng.child(1))]
     _, _, _, truths, votes = holdout_attack(models, property_labels(cfg.shadows), 0.25,
                                             TreeParams(min_leaf_size=5), rng.child(999))

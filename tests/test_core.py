@@ -119,6 +119,24 @@ class TestRandomSource:
         with pytest.raises(ContractError):
             RandomSource(1 << 64)
 
+    @pytest.mark.parametrize("seed", [2.9, 2.0, "5", True, np.bool_(True), None])
+    def test_seed_must_be_an_integer(self, seed):
+        # 2.9 and "5" used to become seeds 2 and 5, and True seed 1.
+        with pytest.raises(ContractError, match=r"^seed: must be an integer \(got "):
+            RandomSource(seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_range_message(self, seed):
+        with pytest.raises(ContractError,
+                           match=rf"^seed: must be in \[0, 2\*\*64 - 1\] \(got {seed}\)$"):
+            RandomSource(seed)
+
+    @pytest.mark.parametrize("seed", [np.uint64(5), np.int64(5), np.uint8(5)])
+    def test_numpy_integer_seed(self, seed):
+        source = RandomSource(seed)
+        assert type(source.seed) is int and source.seed == 5
+        assert source.uniform() == RandomSource(5).uniform()
+
     def test_round_half_up(self):
         assert round_half_up(0.5) == 1
         assert round_half_up(1.5) == 2

@@ -155,6 +155,17 @@ class TestSpeechCorpus:
         # Both consumed the same draws.
         assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_phonemes", 0), ("n_phonemes", 41), ("n_states", 0), ("dim", 0), ("n_boosted", -1),
+        ("n_boosted", 7),
+    ])
+    def test_sizes_bounded(self, field, value):
+        # n_boosted=-1 used to boost all but the last phoneme and report them
+        # as the boosted ground truth; n_states=0 and dim=0 made an empty spec.
+        sizes = {**dict(n_phonemes=6, n_states=3, dim=4, n_boosted=2), field: value}
+        with pytest.raises(ContractError, match=rf"^{field}: must .* \(got {value}\)$"):
+            default_speech_spec(RandomSource(1), base_shift=0.4, **sizes)
+
     def test_inventory_names(self):
         assert len(PHONEME_INVENTORY) == 40
         assert len(set(PHONEME_INVENTORY)) == 40
@@ -189,8 +200,8 @@ class TestShadowArray:
     def test_speech_spec_dispatch(self):
         cfg = PipelineConfig(case="speech", n_phonemes=2, n_states=2, dim=2, n_boosted=2,
                              top_k=2, n_sequences=2)
-        spec = cfg.spec(RandomSource(21))
-        corpus = cfg.training_set(spec, True, RandomSource(22))
+        spec = cfg.spec
+        corpus = cfg.training_set(True, RandomSource(22))
         assert list(corpus) == list(spec.phonemes)
         # The same draws as calling the generator directly.
         direct = gen_speech_corpus(spec, True, 2, RandomSource(22))
@@ -200,23 +211,22 @@ class TestShadowArray:
 
     def test_flow_spec_dispatch(self):
         cfg = PipelineConfig(case="netflow", flows_per_shadow=10)
-        assert cfg.training_set(cfg.spec(RandomSource(1)), False, RandomSource(2)).n_rows == 10
+        assert cfg.training_set(False, RandomSource(2)).n_rows == 10
 
     def test_empty_shadows_rejected(self):
         # The config bounds forbid size 0; the generators reject it too.
         cfg = PipelineConfig(case="netflow")
         cfg.flows_per_shadow = 0
         with pytest.raises(ContractError, match="need at least 2 flows"):
-            cfg.training_set(cfg.spec(RandomSource(1)), True, RandomSource(1))
+            cfg.training_set(True, RandomSource(1))
         cfg = PipelineConfig(case="speech", n_phonemes=2, n_states=2, dim=2, n_boosted=2,
                              top_k=2)
         cfg.n_sequences = 0
         with pytest.raises(ContractError, match="need at least one sequence"):
-            cfg.training_set(cfg.spec(RandomSource(20)), True, RandomSource(1))
+            cfg.training_set(True, RandomSource(1))
 
     def test_case_without_shadows_rejected(self):
         cfg = PipelineConfig(case="mlp_demo")
-        with pytest.raises(ConfigError, match="draws no data"):
-            cfg.spec(RandomSource(1))
+        assert cfg.spec is None
         with pytest.raises(ConfigError, match="generates no training sets"):
-            cfg.training_set(None, True, RandomSource(1))
+            cfg.training_set(True, RandomSource(1))

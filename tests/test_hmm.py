@@ -438,6 +438,16 @@ class TestLockstep:
         with pytest.raises(ContractError, match="at least one phoneme"):
             train_acoustic_model({}, n_states=3, iters=2)
 
+    @pytest.mark.parametrize("iters", [-3, -1, 2.0, 1.5, True, "2", np.int64(2)])
+    def test_iters_must_be_a_non_negative_int(self, iters):
+        # iters=-3 used to return the untrained flat start.
+        corpus = speech_corpus(11)
+        with pytest.raises(ContractError, match="^iters must be an int >= 0, got "):
+            train_acoustic_model(corpus, n_states=3, iters=iters)
+        seqs = corpus[sorted(corpus)[0]]
+        with pytest.raises(ContractError, match="^iters must be an int >= 0, got "):
+            viterbi_train(flat_start(seqs, 3), seqs, iters)
+
     def test_bad_reestimate_caught_each_iteration(self, monkeypatch):
         original = hmm._reestimate_trans
 

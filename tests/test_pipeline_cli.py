@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from shadowprobe import attack, datagen, pipeline
+from shadowprobe import attack, datagen, metrics, pipeline, svm
 from shadowprobe.attack import NOT_P, P, build_meta_training_set, train_meta
-from shadowprobe.cli import main
+from shadowprobe.cli import build_parser, main
 from shadowprobe.core import RandomSource, load_dataset
 from shadowprobe.dtree import TreeParams
 from shadowprobe.pipeline import ConfigError, PipelineConfig, run_pipeline
@@ -109,6 +109,20 @@ class TestConfig:
         cfg = PipelineConfig(case="speech", n_phonemes=6, n_boosted=6, train_iters=0,
                              max_depth=3, sigma=8)
         assert cfg.n_boosted == 6
+
+    @pytest.mark.parametrize("n_runs", [-1, 0, 1, 2, 3])
+    def test_fewer_than_four_runs_cannot_be_split(self, n_runs):
+        # Two runs of each label are needed to hold one of each out.
+        with pytest.raises(ConfigError, match=f"^n_runs: {n_runs} models cannot be split"):
+            PipelineConfig(case="dp_bypass", n_runs=n_runs)
+
+    def test_speech_spec_drawn_from_child_zero(self):
+        cfg = PipelineConfig(case="speech", seed=9, **SPEECH_SMALL)
+        want = datagen.default_speech_spec(RandomSource(9).child(0), n_phonemes=8, n_states=3,
+                                           dim=6, n_boosted=3, base_shift=0.5)
+        assert cfg.spec.boosted == want.boosted
+        assert np.array_equal(cfg.spec.means, want.means)
+        assert np.array_equal(cfg.spec.sigmas, want.sigmas)
 
     def test_valid_roundtrip(self):
         cfg = PipelineConfig.from_dict({"case": "netflow", "seed": 9, "shadows": 10})
@@ -216,6 +230,29 @@ class TestPipelines:
                 outs.append(out)
             for f in sorted(os.listdir(outs[0])):
                 assert filecmp.cmp(outs[0] / f, outs[1] / f, shallow=False), (case, f)
+
+    @pytest.mark.parametrize("case,small", [("speech", SPEECH_SMALL),
+                                            ("netflow", NETFLOW_SMALL)])
+    def test_run_uses_the_objects_the_config_built(self, tmp_path, monkeypatch, case, small):
+        cfg = PipelineConfig(case=case, seed=3, out_dir=str(tmp_path), **small)
+
+        def built_again(*args, **kwargs):
+            raise AssertionError("built again")
+
+        for module, name in ((pipeline, "RandomSource"), (pipeline, "KernelSpec"),
+                             (pipeline, "TreeParams"), (datagen, "default_speech_spec"),
+                             (datagen, "default_flow_spec")):
+            monkeypatch.setattr(module, name, built_again)
+        kernels, smo_train = [], svm.smo_train
+
+        def spy(data, kernel, **kwargs):
+            kernels.append(kernel)
+            return smo_train(data, kernel, **kwargs)
+
+        monkeypatch.setattr(svm, "smo_train", spy)
+        run_pipeline(cfg)
+        assert len(kernels) == (cfg.shadows + cfg.n_targets if case == "netflow" else 0)
+        assert all(k is cfg.kernel for k in kernels)
 
     @pytest.mark.parametrize("case,small,generator", [
         ("speech", SPEECH_SMALL, "gen_speech_corpus"),
@@ -604,19 +641,47 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)
         assert result["folds"] == 3 and len(result["fold_accuracies"]) == 3
 
-    def test_train_matches_pipeline_trainer(self, tmp_path):
-        settings = {"case": "netflow", "flows_per_shadow": 200}
+    def test_evaluate_prints_the_run_cv_block(self, tmp_path, capsys):
+        # evaluate and netflow's report share one cross-validation block.
+        out = str(tmp_path)
+        assert main(["generate", "--case", "netflow", "--seed", "3", "--out", out]) == 0
+        data = os.path.join(out, "flows_with_property.csv")
+        capsys.readouterr()
+        assert main(["evaluate", "--data", data, "--label-column", "7", "--folds", "3",
+                     "--seed", "1"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        cfg = PipelineConfig(case="netflow", folds=3, seed=1)
+        cv = metrics.k_fold_cross_validate(load_dataset(data, label_column=7), 3,
+                                           cfg.tree_trainer(), RandomSource(1))
+        assert result == json.loads(json.dumps({"folds": 3, **pipeline.cv_block(cv)}))
+        assert 0 <= result["accuracy"] <= 1
+
+    def test_filter_top_k_defaults_to_the_config_default(self):
+        args = build_parser().parse_args(["filter", "--reference", "r", "--baselines", "b"])
+        assert args.top_k == PipelineConfig.top_k
+
+    @pytest.mark.parametrize("settings", [
+        {"case": "netflow", "flows_per_shadow": 200},
+        {"case": "speech", "n_phonemes": 4, "n_states": 3, "dim": 3, "n_sequences": 3,
+         "n_boosted": 2, "top_k": 2, "train_iters": 2},
+    ], ids=lambda settings: settings["case"])
+    def test_train_matches_pipeline_trainer(self, tmp_path, settings):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(settings))
         out = str(tmp_path)
         assert main(["generate", "--config", str(cfg_path), "--seed", "4", "--out", out]) == 0
-        data = os.path.join(out, "flows_with_property.csv")
+        if settings["case"] == "netflow":
+            data, model = os.path.join(out, "flows_with_property.csv"), "svm_model.json"
+            training_set = load_dataset(data, label_column=7)
+        else:
+            data, model = os.path.join(out, "corpus_with_property.json"), "acoustic_model.json"
+            with open(data, encoding="utf-8") as fh:
+                training_set = {ph: [np.array(s) for s in seqs]
+                                for ph, seqs in json.load(fh).items()}
         assert main(["train", "--config", str(cfg_path), "--out", out, "--data", data]) == 0
         cfg = PipelineConfig.from_dict(settings)
-        save_model(cfg.train_model(load_dataset(data, label_column=7)),
-                   tmp_path / "expected.json")
-        assert filecmp.cmp(tmp_path / "svm_model.json", tmp_path / "expected.json",
-                           shallow=False)
+        save_model(cfg.train_model(training_set), tmp_path / "expected.json")
+        assert filecmp.cmp(tmp_path / model, tmp_path / "expected.json", shallow=False)
 
     @pytest.mark.parametrize("command,flag", [
         (command, flag)

@@ -78,9 +78,9 @@ class TestKernels:
             KernelSpec("polynomial", degree=0)
         with pytest.raises(ContractError):
             KernelSpec("spline")
-        # A loaded payload reaches only this check, not the config's.
+        # A loaded payload and a PipelineConfig both reach this check.
         for degree in (True, 2.5, 3.0, "3"):
-            with pytest.raises(ContractError, match="degree must be a positive integer"):
+            with pytest.raises(ContractError, match="degree: must be a positive integer"):
                 KernelSpec("polynomial", degree=degree)
 
     @pytest.mark.parametrize("kind", svm.KERNEL_KINDS)
