@@ -38,7 +38,6 @@ from .svm import KernelSpec, SvmModel, kkt_audit, smo_train, svm_decision
 from .hmm import (
     AcousticModel,
     GaussianHmm,
-    flat_start,
     forward_loglik,
     train_acoustic_model,
     viterbi,

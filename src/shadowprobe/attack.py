@@ -307,18 +307,23 @@ def matched_displacement(a: np.ndarray, b: np.ndarray) -> float:
     return float(sum(cost[i, col[i]] for i in range(k)) / k)
 
 
+def holdout_size(n: int, holdout_fraction: float, label: str) -> int:
+    """How many of the n models with ``label`` the holdout keeps back."""
+    if n < 2:
+        raise ContractError(f"need at least 2 models with label {label} to hold one out, got {n}")
+    n_hold = max(1, round_half_up(holdout_fraction * n))
+    if n_hold >= n:
+        raise ContractError(f"{n_hold} of {n} models with label {label} would be held out, "
+                            "leaving none to train on")
+    return n_hold
+
+
 def split_by_property(labels, holdout_fraction: float):
     """Per-property deterministic tail holdout; returns (train_idx, hold_idx)."""
     train_idx, hold_idx = [], []
     for want in (P, NOT_P):
         idx = [i for i, l in enumerate(labels) if l == want]
-        if len(idx) < 2:
-            raise ContractError(f"need at least 2 models with label {want} to hold one out, "
-                                f"got {len(idx)}")
-        n_hold = max(1, round_half_up(holdout_fraction * len(idx)))
-        if n_hold >= len(idx):
-            raise ContractError(f"{n_hold} of {len(idx)} models with label {want} would be "
-                                f"held out, leaving none to train on")
+        n_hold = holdout_size(len(idx), holdout_fraction, want)
         train_idx.extend(idx[:-n_hold])
         hold_idx.extend(idx[-n_hold:])
     return sorted(train_idx), sorted(hold_idx)

@@ -3,8 +3,9 @@
 Subcommands: ``generate`` (emit netflow or speech synthetic data),
 ``train`` (fit one target model from a data file), ``attack`` (apply a
 saved meta-classifier to a saved target model), ``filter`` (rank
-phonemes by divergence), ``evaluate`` (cross-validate a labeled CSV),
-and ``run`` (full pipeline for a case). ``run``, ``generate``, ``train``
+phonemes by divergence), ``evaluate`` (cross-validate the decision
+tree on a labeled CSV), and ``run`` (full pipeline for a case, printing
+its case's ``pipeline.HEADLINES``). ``run``, ``generate``, ``train``
 and ``evaluate`` read a PipelineConfig from ``--config`` (a JSON
 object); each takes only the override flags of the config fields it
 reads (``CONFIG_FLAGS``), and a flag overrides the file. The config
@@ -26,7 +27,7 @@ from . import datagen, hmm, metrics, serialize
 from .attack import MetaClassifier, infer_property, kl_divergence_scores, kl_filter
 from .core import (ContractError, ShadowprobeError, StructuralError, load_dataset, read_text,
                    save_dataset)
-from .pipeline import CASES, ConfigError, PipelineConfig, cv_block, run_pipeline
+from .pipeline import CASES, HEADLINES, ConfigError, PipelineConfig, cv_block, run_pipeline
 
 log = logging.getLogger("shadowprobe")
 
@@ -93,17 +94,8 @@ def cmd_run(args) -> int:
         log.error("pipeline failed: %r", e)
         return 1
     print(f"report written to {os.path.join(cfg.out_dir, 'report.json')}")
-    if cfg.case == "speech":
-        print(f"unfiltered row accuracy: {report['unfiltered']['accuracy']:.3f}")
-        print(f"filtered row accuracy:   {report['filtered']['accuracy']:.3f}")
-    elif cfg.case == "netflow":
-        print(f"cross-validated accuracy: {report['cross_validation']['mean_accuracy']:.3f}")
-        print(f"target verdict accuracy:  {report['targets']['verdict_accuracy']:.3f}")
-    elif cfg.case == "dp_bypass":
-        print(f"verdict accuracy without noise: {report['noiseless']['verdict_accuracy']:.3f}")
-        print(f"verdict accuracy with SuLQ:     {report['sulq']['verdict_accuracy']:.3f}")
-    else:
-        print(f"successful seeds: {report['successful_seeds']}/{len(report['runs'])}")
+    for line in HEADLINES[cfg.case]:
+        print(line.format(**report))
     return 0
 
 
@@ -193,7 +185,7 @@ def cmd_filter(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args, default_case="netflow")
     ds = load_dataset(args.data, label_column=args.label_column)
-    cv = metrics.k_fold_cross_validate(ds, cfg.folds, cfg.tree_trainer(), cfg.rng)
+    cv = metrics.k_fold_cross_validate(ds, cfg.folds, cfg.tree_params, cfg.rng)
     print(json.dumps({"folds": cfg.folds, **cv_block(cv)}, indent=2, sort_keys=True))
     return 0
 

@@ -108,10 +108,17 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def property_counts(n: int) -> tuple:
+    """P and NotP counts of n shadows or runs (none if n < 0): the first
+    round_half_up(n / 2) carry P."""
+    n_p = round_half_up(max(n, 0) / 2)
+    return n_p, max(n, 0) - n_p
+
+
 def property_labels(n: int) -> list:
-    """Labels of n shadows or runs: the first round_half_up(n / 2) carry P."""
-    n_p = round_half_up(n / 2)
-    return [P] * n_p + [NOT_P] * (n - n_p)
+    """Labels of n shadows or runs, P first, in their ``property_counts``."""
+    n_p, n_notp = property_counts(n)
+    return [P] * n_p + [NOT_P] * n_notp
 
 
 def shadow_tasks(n_shadows: int, rng: RandomSource):

@@ -104,31 +104,26 @@ class DecisionTree:
 
     @property
     def n_nodes(self) -> int:
-        return _count_nodes(self.root)
+        return sum(1 for _ in self.nodes())
 
     @property
     def n_leaves(self) -> int:
         return sum(1 for _ in self.leaves())
 
-    def leaves(self):
-        """Every leaf of the tree, categorical fallbacks included."""
+    def nodes(self):
+        """Every node of the tree, categorical fallbacks included."""
         pending = [self.root]
         while pending:
             node = pending.pop()
-            if isinstance(node, Leaf):
-                yield node
-            elif isinstance(node, NumericNode):
+            yield node
+            if isinstance(node, NumericNode):
                 pending += [node.low, node.high]
-            else:
+            elif isinstance(node, CategoricalNode):
                 pending += [*node.branches.values(), node.fallback]
 
-
-def _count_nodes(node) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    if isinstance(node, NumericNode):
-        return 1 + _count_nodes(node.low) + _count_nodes(node.high)
-    return 1 + sum(_count_nodes(c) for c in node.branches.values()) + 1
+    def leaves(self):
+        """Every leaf of the tree, categorical fallbacks included."""
+        return (node for node in self.nodes() if isinstance(node, Leaf))
 
 
 def _entropy_rows(counts: np.ndarray, totals) -> np.ndarray:

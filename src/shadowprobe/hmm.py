@@ -9,9 +9,8 @@ Viterbi alignment, hard-EM training and the forward likelihood share
 one trellis that runs several models in lockstep: the sequences of
 every model are padded into one (time, sequence, state) array and
 advanced one time step at a time, so an acoustic model's phoneme HMMs
-train together. The forward likelihood is the same recurrence with
-log-sum-exp in place of max, and a single model or sequence is the
-one-model case of the same code.
+train together. ``viterbi`` and ``forward_loglik`` are the trellis's
+max and log-sum-exp modes on one sequence of one model.
 
 Models follow common phoneme-model practice: one Gaussian per state
 (no mixtures) and a variance floor of 1e-4.
@@ -183,16 +182,6 @@ def _flat_start(groups: list, n_states: int, names=None):
     return trans, means, vars_
 
 
-def flat_start(sequences, n_states: int) -> GaussianHmm:
-    """Initialize every state from the global moments of all frames.
-
-    Transitions start at self-loop 0.6 / advance 0.4 (final state
-    self-loop 1.0); variances are floored.
-    """
-    trans, means, vars_ = _flat_start([[as_sequence(s) for s in sequences]], n_states)
-    return GaussianHmm(trans[0], means[0], vars_[0])
-
-
 def _emissions(means: np.ndarray, vars_: np.ndarray, const: np.ndarray, seq: np.ndarray,
                out: np.ndarray) -> None:
     """Log-densities of every frame of seq under every state, into the
@@ -287,34 +276,9 @@ def _align(trans, means, vars_, batch: _Batch, names=None, sum_paths=False):
     return scores, states[batch.t_of, batch.seq_of]
 
 
-def _stack(models: list):
-    if len({(m.n_states, m.dim) for m in models}) != 1:
-        raise ContractError("lockstep models must share n_states and dim")
-    return (np.stack([m.trans for m in models]), np.stack([m.means for m in models]),
-            np.stack([m.vars for m in models]))
-
-
-def viterbi_batch(models: list, sequence_groups: list) -> list:
-    """Viterbi-align ``sequence_groups[i]`` under ``models[i]`` for every i
-    at once; the models must share n_states and dim.
-
-    Returns, per model, one ``(path, logprob)`` pair per sequence, as
-    :func:`viterbi` would.
-    """
-    if len(models) != len(sequence_groups):
-        raise ContractError("need one sequence group per model")
-    if not models:
-        return []
-    params = _stack(models)
-    groups = [[as_sequence(s) for s in seqs] for seqs in sequence_groups]
-    batch = _Batch(groups, models[0].n_states, models[0].dim)
-    if not len(batch.lengths):
-        return [[] for _ in models]
-    scores, states = _align(*params, batch)
-    paths = np.split(states, np.cumsum(batch.lengths)[:-1])
-    return [[(paths[b].tolist(), float(scores[b]))
-             for b in range(batch.seq_bounds[p], batch.seq_bounds[p + 1])]
-            for p in range(len(models))]
+def _one(model: GaussianHmm):
+    """The model's parameters as a one-model stack, copied for training to update."""
+    return model.trans[None].copy(), model.means[None].copy(), model.vars[None].copy()
 
 
 def viterbi(model: GaussianHmm, seq) -> tuple[list, float]:
@@ -323,13 +287,15 @@ def viterbi(model: GaussianHmm, seq) -> tuple[list, float]:
     Entry is forced at state 0 and the path must end in the final state;
     sequences shorter than n_states cannot reach it.
     """
-    return viterbi_batch([model], [[seq]])[0][0]
+    batch = _Batch([[as_sequence(seq)]], model.n_states, model.dim)
+    scores, states = _align(*_one(model), batch)
+    return states.tolist(), float(scores[0])
 
 
 def forward_loglik(model: GaussianHmm, seq) -> float:
     """Log-probability of the sequence summed over all feasible paths."""
     batch = _Batch([[as_sequence(seq)]], model.n_states, model.dim)
-    return float(_align(*_stack([model]), batch, sum_paths=True)[0][0])
+    return float(_align(*_one(model), batch, sum_paths=True)[0][0])
 
 
 def _reestimate_trans(trans, stays, advances):
@@ -415,7 +381,7 @@ def viterbi_train(model: GaussianHmm, sequences, iters: int) -> GaussianHmm:
     seqs = [as_sequence(s) for s in sequences]
     if not seqs:
         raise ContractError("viterbi_train needs at least one sequence")
-    return _train_lockstep(*_stack([model]), [seqs], iters)[0]
+    return _train_lockstep(*_one(model), [seqs], iters)[0]
 
 
 def train_acoustic_model(corpus: dict, n_states: int, *, iters: int) -> AcousticModel:

@@ -1,4 +1,4 @@
-"""Confusion matrices, precision/recall/accuracy, and k-fold cross-validation.
+"""Confusion matrices, precision/recall/accuracy, and k-fold CV of the decision tree.
 
 Confusion matrices are oriented row = true label, column = predicted
 label, with labels in sorted order. Folds are stratified: within each
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dtree
 from .core import ContractError, Dataset, DomainError, RandomSource
 
 
@@ -100,13 +101,14 @@ class CrossValResult:
     pooled: ConfusionMatrix
 
 
-def k_fold_cross_validate(ds: Dataset, k: int, trainer, rng: RandomSource) -> CrossValResult:
-    """Stratified k-fold cross-validation.
+def k_fold_cross_validate(ds: Dataset, k: int, params: dtree.TreeParams,
+                          rng: RandomSource) -> CrossValResult:
+    """Stratified k-fold cross-validation of the decision tree.
 
-    ``trainer(train_ds, rng) -> predict_fn`` must return a callable
-    mapping a test Dataset to the list of its rows' predicted labels. The
-    reported accuracy is the mean of the per-fold accuracies; the pooled
-    confusion matrix aggregates all test predictions.
+    Fold i grows a tree with ``params`` on the other folds, drawing from
+    ``rng.child(i)``, and classifies its own rows. The reported accuracy
+    is the mean of the per-fold accuracies; the pooled confusion matrix
+    aggregates all test predictions.
     """
     if not ds.fully_labeled:
         raise ContractError("cross-validation requires a fully labeled dataset")
@@ -118,8 +120,8 @@ def k_fold_cross_validate(ds: Dataset, k: int, trainer, rng: RandomSource) -> Cr
     truths, preds = [], []
     for fold_i, test_idx in enumerate(folds):
         train_idx = [i for f in folds if f is not test_idx for i in f]
-        predict_fn = trainer(ds.subset(train_idx), rng.child(fold_i))
-        fold_preds = list(predict_fn(ds.subset(test_idx)))
+        tree = dtree.train_tree(ds.subset(train_idx), params, rng.child(fold_i))
+        fold_preds = dtree.classify(tree, ds.subset(test_idx))
         fold_truths = [labels[i] for i in test_idx]
         correct = sum(p == t for p, t in zip(fold_preds, fold_truths))
         truths += fold_truths

@@ -22,9 +22,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import attack, datagen, dtree, hmm, metrics, serialize, svm
-from .core import (P, ContractError, Dataset, RandomSource, numeric_matrix, property_labels,
-                   shadow_tasks)
+from . import attack, datagen, hmm, metrics, serialize, svm
+from .core import (NOT_P, P, ContractError, RandomSource, numeric_matrix, property_counts,
+                   property_labels, shadow_tasks)
 from .dtree import TreeParams
 from .mlp import backprop_train, forward, init_mlp, total_squared_error
 from .svm import KernelSpec
@@ -43,6 +43,16 @@ CASE_FIELDS = {
     "mlp_demo": "mlp_seeds learning_rate epochs target_low target_high",
 }
 CASES = tuple(CASE_FIELDS)
+# The lines ``run`` prints for each case: format strings over its report.
+HEADLINES = {
+    "speech": ("unfiltered row accuracy: {unfiltered[accuracy]:.3f}",
+               "filtered row accuracy:   {filtered[accuracy]:.3f}"),
+    "netflow": ("cross-validated accuracy: {cross_validation[mean_accuracy]:.3f}",
+                "target verdict accuracy:  {targets[verdict_accuracy]:.3f}"),
+    "dp_bypass": ("verdict accuracy without noise: {noiseless[verdict_accuracy]:.3f}",
+                  "verdict accuracy with SuLQ:     {sulq[verdict_accuracy]:.3f}"),
+    "mlp_demo": ("successful seeds: {successful_seeds}/{config[seeds]}",),
+}
 _COMMON_FIELDS = ("case", "seed", "out_dir", "jobs")
 
 
@@ -167,7 +177,8 @@ class PipelineConfig:
         if count is not None:
             n = getattr(self, count)
             try:
-                attack.split_by_property(property_labels(n), self.holdout_fraction)
+                for label, n_label in zip((P, NOT_P), property_counts(n)):
+                    attack.holdout_size(n_label, self.holdout_fraction, label)
             except ContractError as e:
                 raise ConfigError(f"{count}: {n} models cannot be split at holdout_fraction "
                                   f"{self.holdout_fraction} ({e})") from None
@@ -180,13 +191,6 @@ class PipelineConfig:
         if "case" not in d:
             raise ConfigError("case: required")
         return cls(**d)
-
-    def tree_trainer(self):
-        """k_fold_cross_validate's trainer: a fold's tree, as a classifier."""
-        def train(train_ds: Dataset, fold_rng: RandomSource):
-            tree = dtree.train_tree(train_ds, self.tree_params, fold_rng)
-            return lambda test_ds: dtree.classify(tree, test_ds)
-        return train
 
     def train_model(self, data):
         """One shadow or target model: an SVM from a flow Dataset (netflow)
@@ -308,7 +312,7 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
 
     log.info("netflow: %d-fold cross-validation on %d support-vector rows",
              cfg.folds, md.data.n_rows)
-    cv = metrics.k_fold_cross_validate(md.data, cfg.folds, cfg.tree_trainer(), rng.child(3))
+    cv = metrics.k_fold_cross_validate(md.data, cfg.folds, cfg.tree_params, rng.child(3))
 
     log.info("netflow: evaluating %d held-out target classifiers", cfg.n_targets)
     targets = _map_jobs(cfg, shadow_tasks(cfg.n_targets, rng.child(4)))

@@ -13,7 +13,7 @@ from shadowprobe.datagen import (
     gen_flow_dataset,
     gen_speech_corpus,
 )
-from shadowprobe.hmm import flat_start, train_acoustic_model, viterbi_train
+from shadowprobe.hmm import train_acoustic_model, viterbi_train
 from shadowprobe.pipeline import ConfigError, PipelineConfig
 
 from oracles import speech_corpus_reference
@@ -116,7 +116,7 @@ class TestSpeechCorpus:
         corpus = gen_speech_corpus(spec, False, 1, RandomSource(15))
         for ph, seqs in corpus.items():
             assert len(seqs) == 1
-            model = flat_start(seqs, 3)
+            model = train_acoustic_model({ph: seqs}, 3, iters=0).hmms[ph]
             trained = viterbi_train(model, seqs, 2)
             assert trained.n_states == 3
 

@@ -10,11 +10,9 @@ from shadowprobe.hmm import (
     AcousticModel,
     GaussianHmm,
     check_params,
-    flat_start,
     forward_loglik,
     train_acoustic_model,
     viterbi,
-    viterbi_batch,
     viterbi_train,
 )
 
@@ -37,22 +35,40 @@ def small_model(n=2, dim=2, seed=0):
     return GaussianHmm(lr_trans(n), means, vars_)
 
 
+def flat_start_model(seqs, n_states):
+    """The flat start of one group of sequences: an acoustic model of one
+    phoneme trained for no iterations."""
+    return train_acoustic_model({"x": seqs}, n_states, iters=0).hmms["x"]
+
+
+def lockstep(models, groups):
+    """One lockstep ``_align`` pass of groups[i] under models[i]: each
+    sequence's (states, score), sequence by sequence in batch order."""
+    batch = hmm._Batch(groups, models[0].n_states, models[0].dim)
+    stacked = [np.stack([getattr(m, a) for m in models]) for a in ("trans", "means", "vars")]
+    scores, states = hmm._align(*stacked, batch)
+    paths = np.split(states, np.cumsum(batch.lengths)[:-1])
+    return [(path.tolist(), float(score)) for path, score in zip(paths, scores)]
+
+
 class TestFlatStart:
     def test_single_frame(self):
+        # One frame is shorter than the 3-state path, so no model trains on
+        # it; the flat start alone still takes its moments.
         v = np.array([[1.0, -2.0, 3.0]])
-        m = flat_start([v], 3)
-        assert np.allclose(m.means, np.tile(v, (3, 1)))
-        assert np.allclose(m.vars, VAR_FLOOR)
+        _, means, vars_ = hmm._flat_start([[v]], 3)
+        assert np.allclose(means[0], np.tile(v, (3, 1)))
+        assert np.allclose(vars_[0], VAR_FLOOR)
 
     def test_two_point_moments(self):
-        m = flat_start([np.array([[0.0], [2.0]])], 2)
+        m = flat_start_model([np.array([[0.0], [2.0]])], 2)
         assert np.allclose(m.means, 1.0)
         assert np.allclose(m.vars, 1.0)
 
     def test_random_frames_match_streaming_oracle(self):
         rng = RandomSource(1)
         seqs = [rng.normal(3, 2, size=(25, 4)) for _ in range(4)]
-        m = flat_start(seqs, 5)
+        m = flat_start_model(seqs, 5)
         # Independent streaming-moments pass (Welford).
         count = 0
         mean = np.zeros(4)
@@ -68,18 +84,18 @@ class TestFlatStart:
         assert np.max(np.abs(m.vars - var)) < 1e-10
 
     def test_transition_layout(self):
-        m = flat_start([np.zeros((3, 1))], 3)
+        m = flat_start_model([np.zeros((3, 1))], 3)
         assert np.allclose(np.diag(m.trans)[:-1], 0.6)
         assert m.trans[2, 2] == 1.0
         assert m.trans[0, 2] == 0.0
 
     def test_empty_input(self):
         with pytest.raises(ContractError):
-            flat_start([], 2)
+            flat_start_model([], 2)
 
     def test_mixed_dims_rejected(self):
-        with pytest.raises(ContractError, match="^sequence dim 3 != 2"):
-            flat_start([np.zeros((4, 2)), np.zeros((4, 3))], 2)
+        with pytest.raises(ContractError, match="^phoneme 'x': sequence dim 3 != 2"):
+            flat_start_model([np.zeros((4, 2)), np.zeros((4, 3))], 2)
 
 
 class TestViterbi:
@@ -200,7 +216,7 @@ class TestViterbiTrain:
         # A pure flat start leaves both states identical, which makes the
         # first hard alignment degenerate; break the symmetry slightly the
         # way a segmental initializer would.
-        start = flat_start(seqs, 2)
+        start = flat_start_model(seqs, 2)
         nudged = GaussianHmm(start.trans,
                              start.means + np.array([[-0.5], [0.5]]),
                              start.vars)
@@ -212,7 +228,7 @@ class TestViterbiTrain:
         rng = RandomSource(10)
         gen = small_model(n=3, dim=2, seed=11)
         seqs = generate_from(gen, 20, (3, 6), rng)
-        start = flat_start(seqs, 3)
+        start = flat_start_model(seqs, 3)
         # Raises ArithmeticError internally on any beyond-slack decrease.
         trained = viterbi_train(start, seqs, 6)
         t0 = sum(viterbi(start, s)[1] for s in seqs)
@@ -223,7 +239,7 @@ class TestViterbiTrain:
         rng = RandomSource(12)
         gen = small_model(n=3, dim=2, seed=13)
         seqs = generate_from(gen, 15, (3, 6), rng)
-        trained = viterbi_train(flat_start(seqs, 3), seqs, 5)
+        trained = viterbi_train(flat_start_model(seqs, 3), seqs, 5)
         assert np.allclose(trained.trans.sum(axis=1), 1.0, atol=1e-9)
         band = np.triu(np.tril(np.ones((3, 3)), 1))
         assert np.all(trained.trans[band == 0] == 0.0)
@@ -305,7 +321,7 @@ class TestLockstep:
         corpus = speech_corpus(seed, n_states=n_states)
         am = train_acoustic_model(corpus, n_states=n_states, iters=iters)
         for ph, seqs in corpus.items():
-            start = flat_start(seqs, n_states)
+            start = flat_start_model(seqs, n_states)
             trans, means, vars_, _ = viterbi_train_reference(
                 start.trans, start.means, start.vars, seqs, iters)
             got = am.hmms[ph]
@@ -317,7 +333,7 @@ class TestLockstep:
         rng = RandomSource(20)
         gen = small_model(n=3, dim=2, seed=21)
         seqs = generate_from(gen, 12, (1, 5), rng)
-        start = flat_start(seqs, 3)
+        start = flat_start_model(seqs, 3)
         got = viterbi_train(start, seqs, 5)
         trans, means, vars_, _ = viterbi_train_reference(
             start.trans, start.means, start.vars, seqs, 5)
@@ -336,22 +352,20 @@ class TestLockstep:
         models = [random_lr_model(n, dim, rng) for _ in shape]
         groups = [[rng.normal(0, 2, size=(n + extra, dim)) for extra in extras]
                   for extras in shape]
-        out = viterbi_batch(models, groups)
-        for m, seqs, results in zip(models, groups, out):
-            assert len(results) == len(seqs)
-            for seq, (path, lp) in zip(seqs, results):
-                best_path, best_lp, _, _, _ = hmm_enumerate(m.trans, m.means, m.vars, seq)
-                assert path == best_path
-                assert abs(lp - best_lp) < 1e-9
-                assert (path, lp) == viterbi(m, seq)
+        pairs = [(m, seq) for m, seqs in zip(models, groups) for seq in seqs]
+        for (m, seq), (path, lp) in zip(pairs, lockstep(models, groups), strict=True):
+            best_path, best_lp, _, _, _ = hmm_enumerate(m.trans, m.means, m.vars, seq)
+            assert path == best_path
+            assert abs(lp - best_lp) < 1e-9
+            assert (path, lp) == viterbi(m, seq)
 
     def test_length_equal_to_states_has_one_path(self):
         rng = RandomSource(22)
         models = [random_lr_model(4, 2, rng) for _ in range(2)]
         groups = [[rng.normal(size=(4, 2))], [rng.normal(size=(6, 2)), rng.normal(size=(4, 2))]]
-        out = viterbi_batch(models, groups)
-        assert out[0][0][0] == [0, 1, 2, 3]
-        assert out[1][1][0] == [0, 1, 2, 3]
+        out = lockstep(models, groups)
+        assert out[0][0] == [0, 1, 2, 3]
+        assert out[2][0] == [0, 1, 2, 3]
 
     def test_exact_ties_prefer_self_loop(self):
         # States 0 and 1 are identical with a 0.5/0.5 split, and only the
@@ -361,9 +375,8 @@ class TestLockstep:
         # stays in state 1 and the path advances as early as it can.
         m = GaussianHmm(lr_trans(3, 0.5), np.array([[0.0], [0.0], [10.0]]), np.ones((3, 1)))
         seqs = [np.array([[0.0]] * k + [[10.0]]) for k in (4, 3, 2)]
-        out = viterbi_batch([m, m], [seqs[:2], seqs[2:]])
-        assert [p for p, _ in out[0]] == [[0, 1, 1, 1, 2], [0, 1, 1, 2]]
-        assert out[1][0][0] == [0, 1, 2]
+        out = lockstep([m, m], [seqs[:2], seqs[2:]])
+        assert [p for p, _ in out] == [[0, 1, 1, 1, 2], [0, 1, 1, 2], [0, 1, 2]]
         trans, means, vars_, _ = viterbi_train_reference(m.trans, m.means, m.vars, seqs, 1)
         got = viterbi_train(m, seqs, 1)
         assert np.array_equal(got.trans, trans) and np.array_equal(got.means, means)
@@ -372,26 +385,11 @@ class TestLockstep:
         rng = RandomSource(23)
         models = [random_lr_model(1, 3, rng) for _ in range(2)]
         groups = [[rng.normal(size=(5, 3))], [rng.normal(size=(1, 3)), rng.normal(size=(3, 3))]]
-        out = viterbi_batch(models, groups)
-        for m, seqs, results in zip(models, groups, out):
-            for seq, (path, lp) in zip(seqs, results):
-                assert path == [0] * len(seq)
-                want = sum(log_gauss_diag(f, m.means[0], m.vars[0]) for f in seq)
-                assert abs(lp - want) < 1e-9
-
-    def test_groups_without_sequences(self):
-        m = small_model(n=2)
-        assert viterbi_batch([m, m], [[], []]) == [[], []]
-
-    def test_one_group_without_sequences(self):
-        m = small_model(n=2)
-        seq = np.zeros((3, 2))
-        assert viterbi_batch([m, m], [[], [seq]]) == [[], [viterbi(m, seq)]]
-
-    def test_models_must_share_shape(self):
-        with pytest.raises(ContractError):
-            viterbi_batch([small_model(n=2), small_model(n=3)],
-                          [[np.zeros((4, 2))], [np.zeros((4, 2))]])
+        pairs = [(m, seq) for m, seqs in zip(models, groups) for seq in seqs]
+        for (m, seq), (path, lp) in zip(pairs, lockstep(models, groups), strict=True):
+            assert path == [0] * len(seq)
+            want = sum(log_gauss_diag(f, m.means[0], m.vars[0]) for f in seq)
+            assert abs(lp - want) < 1e-9
 
     def test_infeasible_sequence_names_phoneme(self):
         corpus = speech_corpus(6)
@@ -446,7 +444,7 @@ class TestLockstep:
             train_acoustic_model(corpus, n_states=3, iters=iters)
         seqs = corpus[sorted(corpus)[0]]
         with pytest.raises(ContractError, match="^iters must be an int >= 0, got "):
-            viterbi_train(flat_start(seqs, 3), seqs, iters)
+            viterbi_train(flat_start_model(seqs, 3), seqs, iters)
 
     def test_bad_reestimate_caught_each_iteration(self, monkeypatch):
         original = hmm._reestimate_trans

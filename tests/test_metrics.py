@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shadowprobe import dtree
 from shadowprobe.core import (
     NUMERIC,
     ContractError,
@@ -9,6 +10,7 @@ from shadowprobe.core import (
     RandomSource,
     make_dataset,
 )
+from shadowprobe.dtree import TreeParams
 from shadowprobe.metrics import (
     ConfusionMatrix,
     confusion_matrix,
@@ -117,12 +119,7 @@ class TestFolds:
 
     def test_leave_one_out_structure(self):
         ds = labeled_dataset(6, RandomSource(2))
-        seen = []
-
-        def trainer(train_ds, rng):
-            return lambda test_ds: ["p"] * test_ds.n_rows
-
-        result = k_fold_cross_validate(ds, 6, trainer, RandomSource(3))
+        result = k_fold_cross_validate(ds, 6, TreeParams(min_leaf_size=1), RandomSource(3))
         assert len(result.fold_accuracies) == 6
         assert result.pooled.total == 6
 
@@ -131,29 +128,22 @@ class TestFolds:
                 (3.0, 3.0), (3.0, 3.0)]
         labels = ["p", "p", "q", "q", "p", "p"]
         ds = make_dataset([("a", NUMERIC), ("b", NUMERIC)], rows, labels)
-
-        def trainer(train_ds, rng):
-            table = dict(zip(zip(*train_ds.columns), train_ds.labels))
-            return lambda test_ds: [table[r] for r in zip(*test_ds.columns)]
-
-        result = k_fold_cross_validate(ds, 2, trainer, RandomSource(4))
+        result = k_fold_cross_validate(ds, 2, TreeParams(min_leaf_size=1), RandomSource(4))
         assert result.mean_accuracy == 1.0
 
     def test_k_out_of_range(self):
         ds = labeled_dataset(4, RandomSource(5))
-        trainer = lambda d, r: (lambda test_ds: ["p"] * test_ds.n_rows)
+        params = TreeParams(min_leaf_size=1)
         with pytest.raises(ContractError):
-            k_fold_cross_validate(ds, 1, trainer, RandomSource(6))
+            k_fold_cross_validate(ds, 1, params, RandomSource(6))
         with pytest.raises(ContractError):
-            k_fold_cross_validate(ds, 5, trainer, RandomSource(6))
+            k_fold_cross_validate(ds, 5, params, RandomSource(6))
 
     def test_cv_close_to_holdout_estimate(self):
         # Estimator consistency: 10-fold CV accuracy should sit near a
         # 70/30 holdout estimate, averaged over seeds, on a learnable
         # synthetic problem.
-        from shadowprobe import dtree
         from shadowprobe.core import round_half_up
-        from shadowprobe.dtree import TreeParams
 
         rng = RandomSource(7)
         rows, labels = [], []
@@ -164,18 +154,15 @@ class TestFolds:
             labels.append("p" if noisy > 0 else "q")
         ds = make_dataset([("x", NUMERIC), ("y", NUMERIC)], rows, labels)
 
-        def trainer(train_ds, fold_rng):
-            tree = dtree.train_tree(train_ds, TreeParams(min_leaf_size=5), fold_rng)
-            return lambda test_ds: dtree.classify(tree, test_ds)
-
+        params = TreeParams(min_leaf_size=5)
         cv_scores, ho_scores = [], []
         for seed in range(10):
-            cv = k_fold_cross_validate(ds, 10, trainer, RandomSource(100 + seed))
+            cv = k_fold_cross_validate(ds, 10, params, RandomSource(100 + seed))
             cv_scores.append(cv.mean_accuracy)
             perm = RandomSource(200 + seed).permutation(ds.n_rows)
             n_train = round_half_up(0.7 * ds.n_rows)
             train, test = ds.subset(perm[:n_train]), ds.subset(perm[n_train:])
-            predict = trainer(train, RandomSource(300 + seed))
-            ho = np.mean([p == l for p, l in zip(predict(test), test.labels)])
+            tree = dtree.train_tree(train, params, RandomSource(300 + seed))
+            ho = np.mean([p == l for p, l in zip(dtree.classify(tree, test), test.labels)])
             ho_scores.append(ho)
         assert abs(np.mean(cv_scores) - np.mean(ho_scores)) < 0.05

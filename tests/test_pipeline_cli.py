@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,23 @@ class TestConfig:
         # Two runs of each label are needed to hold one of each out.
         with pytest.raises(ConfigError, match=f"^n_runs: {n_runs} models cannot be split"):
             PipelineConfig(case="dp_bypass", n_runs=n_runs)
+
+    @pytest.mark.parametrize("case,field", [("speech", "shadows"), ("dp_bypass", "n_runs")])
+    @pytest.mark.parametrize("n", [10**9, 2**70])
+    def test_huge_model_count_checked_in_constant_memory(self, case, field, n):
+        # The holdout check used to build all n labels to trial-split them:
+        # 10**9 raised MemoryError and 2**70 OverflowError.
+        PipelineConfig(case=case)  # the first config of a case imports modules
+        tracemalloc.start()
+        try:
+            try:
+                PipelineConfig(case=case, **{field: n})
+            except ConfigError:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_speech_spec_drawn_from_child_zero(self):
         cfg = PipelineConfig(case="speech", seed=9, **SPEECH_SMALL)
@@ -652,9 +670,32 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)
         cfg = PipelineConfig(case="netflow", folds=3, seed=1)
         cv = metrics.k_fold_cross_validate(load_dataset(data, label_column=7), 3,
-                                           cfg.tree_trainer(), RandomSource(1))
+                                           cfg.tree_params, RandomSource(1))
         assert result == json.loads(json.dumps({"folds": 3, **pipeline.cv_block(cv)}))
         assert 0 <= result["accuracy"] <= 1
+
+    @pytest.mark.parametrize("settings,lines", [
+        pytest.param(dict(case="speech", seed=5, **SPEECH_SMALL),
+                     ["unfiltered row accuracy: 0.875", "filtered row accuracy:   1.000"],
+                     id="speech"),
+        pytest.param(dict(case="netflow", seed=5, **NETFLOW_SMALL),
+                     ["cross-validated accuracy: 0.866", "target verdict accuracy:  1.000"],
+                     id="netflow"),
+        pytest.param(dict(case="dp_bypass", seed=5, n_runs=8, pool_size=2000, sample_size=400,
+                          k=2, sigma=80.0),
+                     ["verdict accuracy without noise: 1.000",
+                      "verdict accuracy with SuLQ:     0.500"],
+                     id="dp_bypass"),
+        pytest.param(dict(case="mlp_demo", seed=3, mlp_seeds=3, epochs=2000),
+                     ["successful seeds: 1/3"], id="mlp_demo"),
+    ])
+    def test_run_prints_its_headline(self, tmp_path, capsys, settings, lines):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", str(cfg), "--out", out]) == 0
+        report = os.path.join(out, "report.json")
+        assert capsys.readouterr().out.splitlines() == [f"report written to {report}", *lines]
 
     def test_filter_top_k_defaults_to_the_config_default(self):
         args = build_parser().parse_args(["filter", "--reference", "r", "--baselines", "b"])
