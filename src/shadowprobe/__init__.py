@@ -45,16 +45,10 @@ from .hmm import (
 )
 from .kmeans import KMeansModel, kmeans_train, sulq_kmeans_train
 from .mlp import Mlp, backprop_train, forward, gradients, init_mlp
-from .metrics import (
-    ConfusionMatrix,
-    confusion_matrix,
-    k_fold_cross_validate,
-    precision_recall_accuracy,
-)
+from .metrics import k_fold_cross_validate, scores
 from .attack import (
     FeatureVectorSet,
     MetaClassifier,
-    PropertyVerdict,
     build_meta_training_set,
     extract_features,
     infer_property,

@@ -5,8 +5,10 @@ reduced to a fixed-schema set of feature vectors (its internals); the
 union of those rows, labeled per shadow, trains a decision-tree
 meta-classifier that predicts whether an unseen classifier's training
 set carried the property; ``holdout_attack`` judges held-out shadows.
-Includes the Gaussian KL phoneme filter and the differential-privacy
-bypass experiment on noisy k-means.
+A verdict is its report entry: ``infer_property`` returns it as a
+dict, ``judge`` adds each model's truth and ``verdict_accuracy`` scores
+them. Includes the Gaussian KL phoneme filter and the
+differential-privacy bypass experiment on noisy k-means.
 
 Feature encodings per model family:
 
@@ -73,15 +75,6 @@ class MetaClassifier:
         return self.tree.schema
 
 
-@dataclass(eq=False)
-class PropertyVerdict:
-    label: str  # P or NOT_P
-    votes_p: int
-    votes_notp: int
-    tie: bool
-    per_row: list  # the meta-classifier's vote on each feature row, in row order
-
-
 def extract_features(model) -> FeatureVectorSet:
     """Encode a trained model's internals as a fixed-schema row set."""
     if isinstance(model, SvmModel):
@@ -138,13 +131,14 @@ def train_meta(md: FeatureVectorSet, params: TreeParams, rng: RandomSource) -> M
     return MetaClassifier(tree, md.source_kind, dtree.training_accuracy(tree, md.data))
 
 
-def infer_property(mc: MetaClassifier, target) -> PropertyVerdict:
+def infer_property(mc: MetaClassifier, target) -> tuple:
     """Classify every extracted row of the target; majority vote decides.
 
-    The verdict carries every row's vote in ``per_row``. An exact tie
-    resolves to NotP with the tie flag set. A target that yields no rows
-    (an SVM without support vectors) gives no evidence and is a
-    ContractError, not a tie.
+    Returns ``(verdict, votes)``: the report entry ``{"verdict",
+    "votes_p", "votes_notp", "tie"}`` and every row's vote in row order.
+    An exact tie resolves to NotP with the tie flag set. A target that
+    yields no rows (an SVM without support vectors) gives no evidence
+    and is a ContractError, not a tie.
     """
     fv = extract_features(target)
     if fv.source_kind != mc.source_kind or fv.data.schema != mc.schema:
@@ -156,26 +150,30 @@ def infer_property(mc: MetaClassifier, target) -> PropertyVerdict:
     votes = dtree.classify(mc.tree, fv.data)
     votes_p = votes.count(P)
     votes_notp = len(votes) - votes_p
-    tie = votes_p == votes_notp
-    label = P if votes_p > votes_notp else NOT_P
-    return PropertyVerdict(label, votes_p, votes_notp, tie, votes)
+    verdict = {"verdict": P if votes_p > votes_notp else NOT_P, "votes_p": votes_p,
+               "votes_notp": votes_notp, "tie": votes_p == votes_notp}
+    return verdict, votes
 
 
 def judge(mc: MetaClassifier, models, labels):
     """Verdicts on models whose true property labels are known.
 
     Returns ``(verdicts, truths, votes)``: one report entry per model
-    (truth, verdict, vote counts, tie flag), then the true label and the
-    meta-classifier's vote of every feature row, models in the given order.
+    (truth, then ``infer_property``'s verdict), then the true label and
+    the meta-classifier's vote of every feature row, in model order.
     """
     verdicts, truths, votes = [], [], []
     for model, label in zip(models, labels):
-        v = infer_property(mc, model)
-        verdicts.append({"truth": label, "verdict": v.label,
-                         "votes_p": v.votes_p, "votes_notp": v.votes_notp, "tie": v.tie})
-        truths += [label] * len(v.per_row)
-        votes += v.per_row
+        verdict, model_votes = infer_property(mc, model)
+        verdicts.append({"truth": label, **verdict})
+        truths += [label] * len(model_votes)
+        votes += model_votes
     return verdicts, truths, votes
+
+
+def verdict_accuracy(verdicts) -> float:
+    """The share of ``judge``'s verdicts that match their truth."""
+    return sum(v["verdict"] == v["truth"] for v in verdicts) / len(verdicts)
 
 
 def kl_gaussian(p, q):
@@ -354,7 +352,7 @@ def _attack_on_models(models, labels, holdout_fraction, tree_params, rng):
         "tree_nodes": mc.tree.n_nodes,
         "tree_leaves": mc.tree.n_leaves,
         "row_accuracy": sum(t == v for t, v in zip(truths, votes)) / len(votes),
-        "verdict_accuracy": sum(v["verdict"] == v["truth"] for v in verdicts) / len(verdicts),
+        "verdict_accuracy": verdict_accuracy(verdicts),
     }
 
 

@@ -11,8 +11,10 @@ object); each takes only the override flags of the config fields it
 reads (``CONFIG_FLAGS``), and a flag overrides the file. The config
 itself may set only the fields its case reads
 (``pipeline.CASE_FIELDS``), so ``run --case mlp_demo --sigma 3`` is a
-config error. The SHADOWPROBE_LOG environment variable sets the log
-level.
+config error. ``attack`` and ``evaluate`` print the blocks the library
+returns (``infer_property``'s verdict, ``k_fold_cross_validate``'s
+report block) as they are. The SHADOWPROBE_LOG environment variable
+sets the log level.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import datagen, hmm, metrics, serialize
 from .attack import MetaClassifier, infer_property, kl_divergence_scores, kl_filter
 from .core import (ContractError, ShadowprobeError, StructuralError, load_dataset, read_text,
                    save_dataset)
-from .pipeline import CASES, HEADLINES, ConfigError, PipelineConfig, cv_block, run_pipeline
+from .pipeline import CASES, HEADLINES, ConfigError, PipelineConfig, run_pipeline
 
 log = logging.getLogger("shadowprobe")
 
@@ -164,10 +166,8 @@ def _load_model_of(path, cls):
 def cmd_attack(args) -> int:
     mc = _load_model_of(args.meta, MetaClassifier)
     target = serialize.load_model(args.target)
-    verdict = infer_property(mc, target)
-    result = {"verdict": verdict.label, "votes_p": verdict.votes_p,
-              "votes_notp": verdict.votes_notp, "tie": verdict.tie}
-    print(json.dumps(result, indent=2, sort_keys=True))
+    verdict, _ = infer_property(mc, target)
+    print(json.dumps(verdict, indent=2, sort_keys=True))
     return 0
 
 
@@ -186,7 +186,7 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args, default_case="netflow")
     ds = load_dataset(args.data, label_column=args.label_column)
     cv = metrics.k_fold_cross_validate(ds, cfg.folds, cfg.tree_params, cfg.rng)
-    print(json.dumps({"folds": cfg.folds, **cv_block(cv)}, indent=2, sort_keys=True))
+    print(json.dumps({"folds": cfg.folds, **cv}, indent=2, sort_keys=True))
     return 0
 
 
@@ -241,6 +241,9 @@ def main(argv=None) -> int:
         return 2
     except (ShadowprobeError, OSError) as e:  # an OSError names the file it failed on
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -194,6 +194,8 @@ PHONEME_INVENTORY = (
     "l", "m", "n", "ng", "ow", "oy", "p", "r", "s", "sh",
     "t", "th", "uh", "uw", "v", "w", "y", "z", "zh", "sil",
 )
+# Cells of each (n_phonemes, n_states, dim) array of a speech spec: 8 MiB.
+MAX_SPEC_CELLS = 1 << 20
 
 
 @dataclass(eq=False)
@@ -236,6 +238,9 @@ def default_speech_spec(rng: RandomSource, *, n_phonemes: int, n_states: int, di
     for name, value in (("n_states", n_states), ("dim", dim)):
         if value < 1:
             raise ContractError(f"{name}: must be >= 1 (got {value!r})")
+    if n_phonemes * n_states * dim > MAX_SPEC_CELLS:
+        raise ContractError(f"n_phonemes * n_states * dim: must be <= {MAX_SPEC_CELLS} "
+                            f"(got {n_phonemes} * {n_states} * {dim})")
     if not 0 <= n_boosted <= n_phonemes:
         raise ContractError(f"n_boosted: must be in [0, n_phonemes] (got {n_boosted!r})")
     phonemes = PHONEME_INVENTORY[:n_phonemes]

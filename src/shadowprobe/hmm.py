@@ -214,7 +214,7 @@ class _Batch:
                     raise ContractError(_who(names, p)
                                         + f"sequence dim {seq.shape[1]} != model dim {dim}")
         seqs = [seq for group in groups for seq in group]
-        self.frames = np.concatenate(seqs) if seqs else np.empty((0, dim))
+        self.frames = np.concatenate(seqs)
         per_model = [len(group) for group in groups]
         self.lengths = np.array([seq.shape[0] for seq in seqs], dtype=np.intp)
         self.owner = np.repeat(np.arange(len(groups)), per_model)

@@ -1,14 +1,12 @@
-"""Confusion matrices, precision/recall/accuracy, and k-fold CV of the decision tree.
+"""Report scores of predictions, and k-fold CV of the decision tree.
 
-Confusion matrices are oriented row = true label, column = predicted
-label, with labels in sorted order. Folds are stratified: within each
-class, rows are dealt round-robin with a pointer that carries across
-classes, so overall fold sizes differ by at most one.
+A ``scores`` block orients its confusion matrix row = true label,
+column = predicted label, with labels in sorted order. Folds are
+stratified: within each class, rows are dealt round-robin with a pointer
+that carries across classes, so overall fold sizes differ by at most one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,66 +14,33 @@ from . import dtree
 from .core import ContractError, Dataset, DomainError, RandomSource
 
 
-@dataclass(eq=False)
-class ConfusionMatrix:
-    labels: tuple
-    counts: np.ndarray  # counts[i][j] = instances of true label i predicted as j
-
-    def __post_init__(self):
-        self.labels = tuple(self.labels)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        c = len(self.labels)
-        if self.counts.shape != (c, c):
-            raise ContractError(f"counts must be {c}x{c}, got {self.counts.shape}")
-        if np.any(self.counts < 0):
-            raise ContractError("counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def to_lists(self) -> list:
-        return self.counts.tolist()
-
-
-def confusion_matrix(truths, preds) -> ConfusionMatrix:
-    truths = list(truths)
-    preds = list(preds)
-    if len(truths) != len(preds):
-        raise ContractError(f"{len(truths)} truths vs {len(preds)} predictions")
-    labels = tuple(sorted(set(truths) | set(preds)))
-    index = {l: i for i, l in enumerate(labels)}
-    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for t, p in zip(truths, preds):
-        counts[index[t], index[p]] += 1
-    return ConfusionMatrix(labels, counts)
-
-
-def precision_recall_accuracy(cm: ConfusionMatrix) -> dict:
-    """Per-class precision and recall plus overall accuracy.
+def scores(truths, preds) -> dict:
+    """Report block: labels, confusion matrix, accuracy and per-class scores.
 
     precision_c = TP_c / column-sum_c, defined as 0 with an
     ``empty_column`` flag when the class is never predicted;
     recall_c = TP_c / row-sum_c (0 with ``empty_row`` when the class
     never occurs); accuracy = trace / total.
     """
-    if cm.total == 0:
-        raise DomainError("metrics of an empty confusion matrix are undefined")
-    col = cm.counts.sum(axis=0)
-    row = cm.counts.sum(axis=1)
+    truths, preds = list(truths), list(preds)
+    if len(truths) != len(preds):
+        raise ContractError(f"{len(truths)} truths vs {len(preds)} predictions")
+    if not truths:
+        raise DomainError("scores of no predictions are undefined")
+    labels = sorted(set(truths) | set(preds))
+    index = {l: i for i, l in enumerate(labels)}
+    counts = [[0] * len(labels) for _ in labels]
+    for t, p in zip(truths, preds):
+        counts[index[t]][index[p]] += 1
     per_class = {}
-    for i, label in enumerate(cm.labels):
-        tp = int(cm.counts[i, i])
-        per_class[label] = {
-            "precision": tp / col[i] if col[i] > 0 else 0.0,
-            "recall": tp / row[i] if row[i] > 0 else 0.0,
-            "empty_column": bool(col[i] == 0),
-            "empty_row": bool(row[i] == 0),
-        }
-    return {
-        "accuracy": float(np.trace(cm.counts)) / cm.total,
-        "per_class": per_class,
-    }
+    for i, label in enumerate(labels):
+        tp, col, row = counts[i][i], sum(r[i] for r in counts), sum(counts[i])
+        per_class[label] = {"precision": tp / col if col else 0.0,
+                            "recall": tp / row if row else 0.0,
+                            "empty_column": col == 0, "empty_row": row == 0}
+    return {"labels": labels, "confusion_matrix": counts,
+            "accuracy": sum(counts[i][i] for i in range(len(labels))) / len(truths),
+            "per_class": per_class}
 
 
 def stratified_fold_indices(labels, k: int, rng: RandomSource) -> list:
@@ -94,21 +59,14 @@ def stratified_fold_indices(labels, k: int, rng: RandomSource) -> list:
     return folds
 
 
-@dataclass(eq=False)
-class CrossValResult:
-    fold_accuracies: list
-    mean_accuracy: float
-    pooled: ConfusionMatrix
-
-
 def k_fold_cross_validate(ds: Dataset, k: int, params: dtree.TreeParams,
-                          rng: RandomSource) -> CrossValResult:
+                          rng: RandomSource) -> dict:
     """Stratified k-fold cross-validation of the decision tree.
 
     Fold i grows a tree with ``params`` on the other folds, drawing from
-    ``rng.child(i)``, and classifies its own rows. The reported accuracy
-    is the mean of the per-fold accuracies; the pooled confusion matrix
-    aggregates all test predictions.
+    ``rng.child(i)``, and classifies its own rows. Returns the report
+    block: each fold's accuracy, their mean, and the ``scores`` of all
+    test predictions pooled.
     """
     if not ds.fully_labeled:
         raise ContractError("cross-validation requires a fully labeled dataset")
@@ -127,5 +85,5 @@ def k_fold_cross_validate(ds: Dataset, k: int, params: dtree.TreeParams,
         truths += fold_truths
         preds += fold_preds
         fold_accuracies.append(correct / len(test_idx))
-    pooled = confusion_matrix(truths, preds)
-    return CrossValResult(fold_accuracies, float(np.mean(fold_accuracies)), pooled)
+    return {"fold_accuracies": fold_accuracies,
+            "mean_accuracy": float(np.mean(fold_accuracies)), **scores(truths, preds)}

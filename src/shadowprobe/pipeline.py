@@ -245,23 +245,6 @@ def _map_jobs(cfg: PipelineConfig, tasks) -> list:
         return list(pool.map(cfg.train_new_model, *zip(*tasks)))
 
 
-def _metrics_block(cm: metrics.ConfusionMatrix) -> dict:
-    pra = metrics.precision_recall_accuracy(cm)
-    return {
-        "labels": list(cm.labels),
-        "confusion_matrix": cm.to_lists(),
-        "accuracy": pra["accuracy"],
-        "per_class": pra["per_class"],
-    }
-
-
-def cv_block(cv: metrics.CrossValResult) -> dict:
-    """A cross-validation's report block: each fold's accuracy, their mean,
-    and the pooled confusion matrix with its metrics."""
-    return {"fold_accuracies": cv.fold_accuracies, "mean_accuracy": cv.mean_accuracy,
-            **_metrics_block(cv.pooled)}
-
-
 def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     log.info("speech: training %d shadow acoustic models", cfg.shadows)
     models = _map_jobs(cfg, shadow_tasks(cfg.shadows, rng.child(1)))
@@ -270,9 +253,8 @@ def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     def evaluate(shadow_models, meta_rng):
         md, mc, verdicts, truths, votes = attack.holdout_attack(
             shadow_models, labels, cfg.holdout_fraction, cfg.tree_params, meta_rng)
-        block = _metrics_block(metrics.confusion_matrix(truths, votes))
-        block.update({"tree_nodes": mc.tree.n_nodes, "tree_leaves": mc.tree.n_leaves,
-                      "meta_train_rows": md.data.n_rows})
+        block = {**metrics.scores(truths, votes), "tree_nodes": mc.tree.n_nodes,
+                 "tree_leaves": mc.tree.n_leaves, "meta_train_rows": md.data.n_rows}
         return block, mc, verdicts
 
     unfiltered, mc, verdicts = evaluate(models, rng.child(2))
@@ -328,12 +310,10 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
             {"label": l, "support_vectors": int(m.n_support), "converged": bool(m.converged)}
             for l, m in zip(labels, models)
         ],
-        "cross_validation": cv_block(cv),
+        "cross_validation": cv,
         "meta_tree": {"nodes": mc.tree.n_nodes, "leaves": mc.tree.n_leaves,
                       "train_rows": md.data.n_rows, "train_accuracy": mc.train_accuracy},
-        "targets": {"verdicts": verdicts,
-                    "verdict_accuracy": sum(v["verdict"] == v["truth"] for v in verdicts)
-                                        / len(targets)},
+        "targets": {"verdicts": verdicts, "verdict_accuracy": attack.verdict_accuracy(verdicts)},
         "artifacts": {"meta_classifier": "meta_classifier.json"},
         "_meta_classifier": mc,
     }

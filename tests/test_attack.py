@@ -179,11 +179,9 @@ class TestTrainAndInfer:
         md = build_meta_training_set(shadows)
         mc = train_meta(md, TreeParams(min_leaf_size=1), RandomSource(0))
         target, _ = shadows[0]
-        v = infer_property(mc, target)
-        assert v.label == P
-        assert (v.votes_p, v.votes_notp) == (4, 0)
-        assert not v.tie
-        assert v.per_row == ["P"] * 4
+        verdict, votes = infer_property(mc, target)
+        assert verdict == {"verdict": P, "votes_p": 4, "votes_notp": 0, "tie": False}
+        assert votes == ["P"] * 4
 
     def test_tie_resolves_not_p(self):
         shadows = self.separable_shadows()
@@ -198,9 +196,9 @@ class TestTrainAndInfer:
             sv_alpha=np.ones(4) * 0.5,
             bias=0.0, kernel=KernelSpec("linear"), C=1.0, converged=True,
         )
-        v = infer_property(mc, target)
-        assert v.tie
-        assert v.label == NOT_P
+        verdict, _ = infer_property(mc, target)
+        assert verdict["tie"]
+        assert verdict["verdict"] == NOT_P
 
     def test_no_rows_is_no_verdict(self):
         mc = train_meta(build_meta_training_set(self.separable_shadows()),
@@ -218,9 +216,8 @@ class TestTrainAndInfer:
         labels = ["P", "NotP", "NotP", "P"]
         verdicts, truths, votes = judge(mc, models, labels)
         for model, label, entry in zip(models, labels, verdicts):
-            v = infer_property(mc, model)
-            assert entry == {"truth": label, "verdict": v.label, "votes_p": v.votes_p,
-                             "votes_notp": v.votes_notp, "tie": v.tie}
+            verdict, _ = infer_property(mc, model)
+            assert entry == {"truth": label, **verdict}
         assert len(verdicts) == len(models)
         assert truths == [l for m, l in zip(models, labels) for _ in range(m.n_support)]
         assert votes == [vote for m in models

@@ -12,6 +12,7 @@ from shadowprobe.attack import NOT_P, P, build_meta_training_set, train_meta
 from shadowprobe.cli import build_parser, main
 from shadowprobe.core import RandomSource, load_dataset
 from shadowprobe.dtree import TreeParams
+from shadowprobe.hmm import AcousticModel, GaussianHmm
 from shadowprobe.pipeline import ConfigError, PipelineConfig, run_pipeline
 from shadowprobe.serialize import load_model, save_model, to_payload
 from shadowprobe.svm import KernelSpec, SvmModel
@@ -117,11 +118,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^n_runs: {n_runs} models cannot be split"):
             PipelineConfig(case="dp_bypass", n_runs=n_runs)
 
-    @pytest.mark.parametrize("case,field", [("speech", "shadows"), ("dp_bypass", "n_runs")])
+    @pytest.mark.parametrize("case,field", [("speech", "shadows"), ("dp_bypass", "n_runs"),
+                                            ("speech", "n_states"), ("speech", "dim")])
     @pytest.mark.parametrize("n", [10**9, 2**70])
     def test_huge_model_count_checked_in_constant_memory(self, case, field, n):
-        # The holdout check used to build all n labels to trial-split them:
-        # 10**9 raised MemoryError and 2**70 OverflowError.
+        # The holdout check used to build all n labels to trial-split them,
+        # and the speech spec drew its arrays before any size check: 10**9
+        # raised MemoryError and 2**70 OverflowError or ValueError.
         PipelineConfig(case=case)  # the first config of a case imports modules
         tracemalloc.start()
         try:
@@ -671,7 +674,7 @@ class TestCli:
         cfg = PipelineConfig(case="netflow", folds=3, seed=1)
         cv = metrics.k_fold_cross_validate(load_dataset(data, label_column=7), 3,
                                            cfg.tree_params, RandomSource(1))
-        assert result == json.loads(json.dumps({"folds": 3, **pipeline.cv_block(cv)}))
+        assert result == json.loads(json.dumps({"folds": 3, **cv}))
         assert 0 <= result["accuracy"] <= 1
 
     @pytest.mark.parametrize("settings,lines", [
@@ -696,6 +699,53 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", out]) == 0
         report = os.path.join(out, "report.json")
         assert capsys.readouterr().out.splitlines() == [f"report written to {report}", *lines]
+
+    def test_attack_filter_and_evaluate_print_pinned_blocks(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # Each printed block is the library's report block itself, so this
+        # pins what each command prints, byte for byte. attack prints vote
+        # counts, the filter's models share their variances (the log term
+        # is 0) and the CSV holds dyadic values, so no printed number
+        # depends on the platform's math library.
+        monkeypatch.chdir(tmp_path)
+        save_model(svm_meta_classifier(), "meta.json")
+        save_model(svm_model(9), "target.json")
+        for name, shift in (("reference", 1.0), ("base0", 0.0), ("base1", -1.0)):
+            save_model(AcousticModel({
+                ph: GaussianHmm([[0.5, 0.5], [0.0, 1.0]], np.full((2, 2), s * shift),
+                                np.full((2, 2), 0.5))
+                for ph, s in (("aa", 1.0), ("ae", 2.0), ("ah", 0.5))}), f"{name}.json")
+        (tmp_path / "data.csv").write_text("x,y,label\n" + "".join(
+            f"{i / 16},{7 * i % 18 / 16},{'p' if (i + (i % 5 == 0)) % 2 else 'q'}\n"
+            for i in range(18)))
+        (tmp_path / "cfg.json").write_text(json.dumps({"folds": 3, "min_leaf_size": 2}))
+        runs = [
+            (["attack", "--meta", "meta.json", "--target", "target.json"],
+             {"tie": False, "verdict": "NotP", "votes_notp": 3, "votes_p": 2}),
+            (["filter", "--reference", "reference.json", "--baselines", "base0.json",
+              "base1.json", "--top-k", "2"],
+             {"scores": {"aa": 2.5, "ae": 10.0, "ah": 0.625}, "selected": ["ae", "aa"]}),
+            (["evaluate", "--config", "cfg.json", "--seed", "4", "--data", "data.csv",
+              "--label-column", "2"],
+             {"accuracy": 0.2777777777777778, "confusion_matrix": [[1, 8], [5, 4]],
+              "fold_accuracies": [0.16666666666666666, 0.0, 0.6666666666666666], "folds": 3,
+              "labels": ["p", "q"], "mean_accuracy": 0.27777777777777773,
+              "per_class": {
+                  "p": {"empty_column": False, "empty_row": False,
+                        "precision": 0.16666666666666666, "recall": 0.1111111111111111},
+                  "q": {"empty_column": False, "empty_row": False,
+                        "precision": 0.3333333333333333, "recall": 0.4444444444444444}}}),
+        ]
+        for argv, block in runs:
+            assert main(argv) == 0
+            assert capsys.readouterr().out == json.dumps(block, indent=2, sort_keys=True) + "\n"
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(datagen, "gen_flow_dataset", exhausted)
+        assert main(["generate", "--case", "netflow", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     def test_filter_top_k_defaults_to_the_config_default(self):
         args = build_parser().parse_args(["filter", "--reference", "r", "--baselines", "b"])
