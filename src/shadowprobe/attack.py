@@ -38,7 +38,7 @@ from .core import (
     round_half_up,
     shadow_tasks,
 )
-from . import dtree
+from . import dtree, metrics
 from .dtree import DecisionTree, TreeParams
 from .hmm import AcousticModel
 from .kmeans import KMeansModel, kmeans_train, sulq_kmeans_train
@@ -128,7 +128,8 @@ def build_meta_training_set(shadows) -> FeatureVectorSet:
 
 def train_meta(md: FeatureVectorSet, params: TreeParams, rng: RandomSource) -> MetaClassifier:
     tree = dtree.train_tree(md.data, params, rng)
-    return MetaClassifier(tree, md.source_kind, dtree.training_accuracy(tree, md.data))
+    accuracy = metrics.scores(md.data.labels.tolist(), dtree.classify(tree, md.data))["accuracy"]
+    return MetaClassifier(tree, md.source_kind, accuracy)
 
 
 def infer_property(mc: MetaClassifier, target) -> tuple:
@@ -203,7 +204,8 @@ def kl_divergence_scores(reference: AcousticModel, baselines) -> dict:
 
     For every phoneme the score averages kl_gaussian over all
     (state, dimension) output distributions, reference first, then
-    averages over the baselines.
+    averages over the baselines. A phoneme whose mean divergence is not
+    finite (parameters near the float range) is a DomainError.
     """
     baselines = list(baselines)
     if not baselines:
@@ -222,8 +224,11 @@ def kl_divergence_scores(reference: AcousticModel, baselines) -> dict:
             h = b.hmms[phoneme]
             if h.n_states != r.n_states:
                 raise ContractError(f"state count mismatch for phoneme {phoneme!r}")
-            acc += float(kl_gaussian((r.means, r.vars), (h.means, h.vars)).mean())
+            with np.errstate(over="ignore", invalid="ignore"):
+                acc += float(kl_gaussian((r.means, r.vars), (h.means, h.vars)).mean())
         scores[phoneme] = acc / len(baselines)
+        if not math.isfinite(scores[phoneme]):
+            raise DomainError(f"divergence of phoneme {phoneme!r} is not finite")
     return scores
 
 
@@ -351,7 +356,7 @@ def _attack_on_models(models, labels, holdout_fraction, tree_params, rng):
         "meta_train_accuracy": mc.train_accuracy,
         "tree_nodes": mc.tree.n_nodes,
         "tree_leaves": mc.tree.n_leaves,
-        "row_accuracy": sum(t == v for t, v in zip(truths, votes)) / len(votes),
+        "row_accuracy": metrics.scores(truths, votes)["accuracy"],
         "verdict_accuracy": verdict_accuracy(verdicts),
     }
 

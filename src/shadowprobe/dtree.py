@@ -3,10 +3,11 @@
 This is both a target classifier family and the engine behind the
 meta-classifier. Numeric attributes use binary threshold tests
 (<= t vs > t) with candidate thresholds at midpoints between consecutive
-distinct sorted values. Categorical attributes split with one branch per
-value observed at the node plus a fallback leaf for values unseen during
-training; a categorical attribute is never reused further down the same
-path (numeric attributes may recur with different thresholds).
+distinct sorted values lo < hi, or at lo itself where the midpoint
+rounds to hi or overflows. Categorical attributes split with one branch
+per value observed at the node plus a fallback leaf for values unseen
+during training; a categorical attribute is never reused further down
+the same path (numeric attributes may recur with different thresholds).
 
 Gain ties are broken deterministically: lowest attribute index first,
 then lowest threshold. Leaf-label ties are broken by the caller-supplied
@@ -290,7 +291,11 @@ class _Trainer:
                 if not boundary[a, i]:
                     out.append(None)
                     continue
-                out.append((float(gains[a, i]), float((sv[a, i] + sv[a, i + 1]) / 2.0)))
+                # A midpoint that rounds to hi or overflows (a Python float
+                # does so without a warning) would repeat the split forever.
+                lo, hi = sv[a, i].item(), sv[a, i + 1].item()
+                t = (lo + hi) / 2.0
+                out.append((float(gains[a, i]), t if lo <= t < hi else lo))
         return out
 
     def _categorical_candidate(self, j: int, idx: np.ndarray):
@@ -413,10 +418,3 @@ def classify(tree: DecisionTree, ds: Dataset) -> list:
                 pending.append((child, idx[hit]))
             pending.append((node.fallback, idx[unseen]))
     return out.tolist()
-
-
-def training_accuracy(tree: DecisionTree, ds: Dataset) -> float:
-    if not ds.fully_labeled:
-        raise ContractError("accuracy requires a fully labeled dataset")
-    preds = classify(tree, ds)
-    return sum(p == l for p, l in zip(preds, ds.labels.tolist())) / ds.n_rows

@@ -81,9 +81,8 @@ def k_fold_cross_validate(ds: Dataset, k: int, params: dtree.TreeParams,
         tree = dtree.train_tree(ds.subset(train_idx), params, rng.child(fold_i))
         fold_preds = dtree.classify(tree, ds.subset(test_idx))
         fold_truths = [labels[i] for i in test_idx]
-        correct = sum(p == t for p, t in zip(fold_preds, fold_truths))
         truths += fold_truths
         preds += fold_preds
-        fold_accuracies.append(correct / len(test_idx))
+        fold_accuracies.append(scores(fold_truths, fold_preds)["accuracy"])
     return {"fold_accuracies": fold_accuracies,
             "mean_accuracy": float(np.mean(fold_accuracies)), **scores(truths, preds)}

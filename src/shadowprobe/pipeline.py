@@ -232,16 +232,18 @@ def _map_jobs(cfg: PipelineConfig, tasks) -> list:
 
     Each task generates its training set, trains on it and keeps only the
     model, so at most one training set per worker is alive. With
-    ``cfg.jobs`` > 1 the tasks run across that many processes; a worker
-    receives the config (with its spec) and a seeded source, never a
-    training set.
+    ``cfg.jobs`` > 1 the tasks run across that many processes, but no
+    more than there are tasks, since a pool forks all its workers at
+    once; a worker receives the config (with its spec) and a seeded
+    source, never a training set.
     """
     if cfg.jobs <= 1:
         return [cfg.train_new_model(*task) for task in tasks]
     # Imported here so that a one-process run never loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    tasks = list(tasks)
+    with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
         return list(pool.map(cfg.train_new_model, *zip(*tasks)))
 
 

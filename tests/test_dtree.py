@@ -25,7 +25,6 @@ from shadowprobe.dtree import (
     entropy,
     info_gain,
     train_tree,
-    training_accuracy,
 )
 
 from oracles import entropy_bits_exact, greedy_tree_exact, info_gain_exact, train_tree_reference
@@ -131,7 +130,7 @@ class TestTrainTree:
         )
         tree = train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(0))
         assert_matches_reference(ds, TreeParams(min_leaf_size=1), 0)
-        assert training_accuracy(tree, ds) == 1.0
+        assert classify(tree, ds) == ds.labels.tolist()
         assert not isinstance(tree.root, Leaf)
         for child in tree.root.branches.values():
             assert isinstance(child, Leaf)
@@ -214,10 +213,18 @@ class TestTrainTree:
         ds = make_dataset([("x", NUMERIC)], [(1.0,), (2.0,)])
         with pytest.raises(ContractError):
             train_tree(ds, TreeParams(min_leaf_size=2), RandomSource(0))
-        tree = train_tree(make_dataset([("x", NUMERIC)], [(1.0,)], ["a"]),
-                          TreeParams(min_leaf_size=2), RandomSource(0))
-        with pytest.raises(ContractError):
-            training_accuracy(tree, ds)
+
+    @pytest.mark.parametrize("lo,hi", [(1.0000000000000002, 1.0000000000000004),
+                                       (1e308, 1.5e308), (-1.5e308, -1e308)])
+    def test_threshold_between_extreme_neighbours(self, lo, hi):
+        # The midpoint rounded up to hi (adjacent doubles) or overflowed to
+        # +-inf, so hi's rows went low and the split repeated until
+        # RecursionError.
+        ds = make_dataset([("x", NUMERIC)], [(lo,), (lo,), (hi,), (hi,)], ["a", "a", "b", "b"])
+        tree = train_tree(ds, TreeParams(min_leaf_size=1), RandomSource(0))
+        assert tree.n_nodes == 3
+        assert tree.root.threshold == lo
+        assert classify(tree, ds) == ["a", "a", "b", "b"]
 
 
 class TestMemoryBound:

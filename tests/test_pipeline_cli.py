@@ -1,7 +1,10 @@
+import concurrent.futures
+import copy
 import filecmp
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from scipy.optimize import linear_sum_assignment
 from shadowprobe import attack, datagen, metrics, pipeline, svm
 from shadowprobe.attack import NOT_P, P, build_meta_training_set, train_meta
 from shadowprobe.cli import build_parser, main
-from shadowprobe.core import RandomSource, load_dataset
+from shadowprobe.core import RandomSource, load_dataset, shadow_tasks
 from shadowprobe.dtree import TreeParams
 from shadowprobe.hmm import AcousticModel, GaussianHmm
 from shadowprobe.pipeline import ConfigError, PipelineConfig, run_pipeline
@@ -251,6 +254,30 @@ class TestPipelines:
                 outs.append(out)
             for f in sorted(os.listdir(outs[0])):
                 assert filecmp.cmp(outs[0] / f, outs[1] / f, shallow=False), (case, f)
+
+    def test_pool_never_larger_than_the_task_list(self, monkeypatch):
+        # The pool was sized by jobs alone, and a fork pool starts all its
+        # workers on the first submit: jobs=10**6 asked for 10**6 processes.
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = PipelineConfig(case="netflow", seed=3, jobs=10**6, flows_per_shadow=20)
+        models = pipeline._map_jobs(cfg, shadow_tasks(3, RandomSource(3)))
+        assert workers == [3]
+        assert len(models) == 3 and all(isinstance(m, SvmModel) for m in models)
 
     @pytest.mark.parametrize("case,small", [("speech", SPEECH_SMALL),
                                             ("netflow", NETFLOW_SMALL)])
@@ -807,3 +834,75 @@ class TestCli:
         assert main(["evaluate", "--data", str(data), "--label-column", "2",
                      "--folds", "3", "--seed", "1"]) == 1
         assert "row 8, column 1" in capsys.readouterr().err
+
+
+# Hostile values for every config field and model payload cell: each must
+# be rejected with one error or accepted, never end in a traceback.
+HOSTILE = [None, True, 0, -1, 0.5, float("nan"), float("inf"), float("-inf"), 1e308, 1e-320,
+           10**9, 2**70, "x", [], {}]
+
+
+def acoustic_model(shift):
+    trans = np.array([[0.6, 0.4, 0.0], [0.0, 0.6, 0.4], [0.0, 0.0, 1.0]])
+    return AcousticModel({ph: GaussianHmm(trans, np.full((3, 3), shift + i), np.ones((3, 3)))
+                          for i, ph in enumerate(("aa", "bb"))})
+
+
+class TestBoundaryValues:
+    @pytest.mark.parametrize("case", pipeline.CASES)
+    def test_config_field_is_rejected_or_accepted(self, case):
+        PipelineConfig(case=case)  # the first config of a case imports modules
+        escapes = []
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for field in (*pipeline.CASE_FIELDS[case].split(), "seed", "jobs"):
+                    for value in HOSTILE:
+                        try:
+                            PipelineConfig.from_dict({"case": case, field: value})
+                        except ConfigError:
+                            pass
+                        except Exception as e:
+                            escapes.append((field, value, repr(e)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not escapes, escapes
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("part", ["header", "trans", "means", "vars"])
+    def test_acoustic_payload_cell_exits_0_or_1(self, tmp_path, capsys, part):
+        # A mean or variance of 1e308 passed the model checks, then filter
+        # printed numpy overflow warnings, and for a mean Infinity, which
+        # is not JSON.
+        reference, baseline = tmp_path / "reference.json", tmp_path / "baseline.json"
+        save_model(acoustic_model(0.0), reference)
+        save_model(acoustic_model(1.0), baseline)
+        payload = json.loads(reference.read_text())
+        if part == "header":
+            paths = [("format_version",), ("kind",)]
+        else:
+            paths = [("phonemes", "aa", part, i, j) for i in range(3) for j in range(3)]
+        failures = []
+        for path in paths:
+            for value in HOSTILE:
+                edited = copy.deepcopy(payload)
+                node = edited
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                reference.write_text(json.dumps(edited))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        status = main(["filter", "--reference", str(reference),
+                                       "--baselines", str(baseline), "--top-k", "1"])
+                    except Exception as e:
+                        status = repr(e)
+                out, err = capsys.readouterr()
+                clean = ((status == 0 and not err and "NaN" not in out and "Infinity" not in out)
+                         or (status == 1 and err.startswith("error: ") and err.count("\n") == 1))
+                if not clean:
+                    failures.append((path, value, status, err))
+        assert not failures, failures
