@@ -3,6 +3,9 @@
 A Dataset is columnar: one read-only array per attribute (float64 or
 ``str`` objects) plus an optional label array, validated whole at
 construction, so it is immutable and safe for concurrent read-only use.
+A Dataset keeps, without copying, each column or label array that is
+already a read-only ndarray of its dtype and whose bases are read-only
+too; it copies any other input.
 Every stochastic operation in the package takes an explicit
 :class:`RandomSource`; nothing touches numpy's global RNG.
 """
@@ -136,11 +139,25 @@ def shadow_tasks(n_shadows: int, rng: RandomSource):
     return ((label == P, rng.child(i)) for i, label in enumerate(property_labels(n_shadows)))
 
 
+def _adoptable(values, dtype) -> bool:
+    """Whether ``values`` is a read-only ndarray of ``dtype`` whose bases
+    are all read-only too, so a Dataset may keep it without a copy."""
+    if not (isinstance(values, np.ndarray) and values.dtype == dtype):
+        return False
+    while isinstance(values, np.ndarray):
+        if values.flags.writeable:
+            return False
+        values = values.base
+    return values is None
+
+
 def _column(name: str, kind: str, values) -> np.ndarray:
     """One attribute's values as a read-only array, validated whole."""
     if kind not in KINDS:
         raise ContractError(f"unknown attribute kind {kind!r} for {name!r}")
-    col = np.array(values, dtype=object if kind == CATEGORICAL else None)
+    col = values
+    if not _adoptable(col, object if kind == CATEGORICAL else np.float64):
+        col = np.array(values, dtype=object if kind == CATEGORICAL else None)
     if col.ndim != 1:
         raise ContractError(f"attribute {name!r}: values must form one column")
     if kind == NUMERIC:
@@ -167,7 +184,10 @@ class Dataset:
     read-only array per attribute: finite float64 for a numeric
     attribute, an object array of ``str`` for a categorical one.
     ``labels`` is a read-only object array with one label per row, or
-    None for unlabeled data.
+    None for unlabeled data. A column given as a read-only float64
+    (numeric) or object (categorical) ndarray, or labels given as a
+    read-only object ndarray, whose bases are all read-only is kept as
+    is; every other input is copied. ``subset`` gathers each column once.
     """
 
     schema: tuple
@@ -188,7 +208,8 @@ class Dataset:
                                     f"{schema[0][0]!r} has {n_rows}")
         labels = self.labels
         if labels is not None:
-            labels = np.array(labels, dtype=object)
+            if not _adoptable(labels, object):
+                labels = np.array(labels, dtype=object)
             if labels.shape != (n_rows,):
                 raise ContractError(f"{labels.size} labels for {n_rows} rows")
             if np.equal(labels, None).any():
@@ -216,8 +237,11 @@ class Dataset:
         rows = np.asarray(rows)
         if rows.dtype != bool:
             rows = rows.astype(np.intp)
-        labels = None if self.labels is None else self.labels[rows]
-        return Dataset(self.schema, [c[rows] for c in self.columns], labels)
+        picked = [None if a is None else a[rows] for a in (*self.columns, self.labels)]
+        for a in picked:
+            if a is not None:
+                a.flags.writeable = False
+        return Dataset(self.schema, picked[:-1], picked[-1])
 
 
 def make_dataset(schema, values_rows, labels=None) -> Dataset:

@@ -17,6 +17,8 @@ field maximum), and ``tos`` (/ 255). IP addresses are never generated.
 Each traffic class is a weighted mixture of log-normal modes; the
 hidden property replaces a configured fraction of WEB flows with
 "search-engine-like" modes that have a distinct byte/duration profile.
+A pool is drawn into one (7, n) column block, mode by mode, shuffled in
+place and handed read-only to its Dataset, which keeps it uncopied.
 
 Speech sequences are sampled directly from per-phoneme per-state
 generator Gaussians walked left to right; the hidden property shifts
@@ -123,24 +125,20 @@ def default_flow_spec(signature_fraction: float = 1.0) -> FlowSpec:
     return FlowSpec(web, dns, signature, signature_fraction)
 
 
-def _draw_mode(mode: FlowMode, n: int, rng: RandomSource) -> np.ndarray:
-    src = rng.generator.integers(1024, 65536, size=n) / 65536.0
+def _draw_mode(mode: FlowMode, n: int, rng: RandomSource, out: np.ndarray) -> None:
+    """Draw n flows of one mode into the (7, n) block ``out``, a column per row."""
+    out[0] = rng.generator.integers(1024, 65536, size=n) / 65536.0
     ports = np.array([p for p, _ in mode.dst_ports], dtype=np.float64)
     probs = np.array([pr for _, pr in mode.dst_ports])
-    dst = rng.generator.choice(ports, size=n, p=probs) / 1024.0
+    out[1] = rng.generator.choice(ports, size=n, p=probs) / 1024.0
+    out[2] = mode.protocol / 255.0
     dur = np.clip(10.0 ** rng.normal(*mode.log10_duration, size=n), *_DURATION_RANGE)
+    out[3] = np.log10(1.0 + dur) / _LOG_DUR_MAX
     pkt = np.clip(np.round(10.0 ** rng.normal(*mode.log10_packets, size=n)), *_PACKETS_RANGE)
+    out[4] = np.log10(1.0 + pkt) / _LOG_PKT_MAX
     byt = np.clip(np.round(10.0 ** rng.normal(*mode.log10_bytes, size=n)), *_BYTES_RANGE)
-    cols = np.column_stack([
-        src,
-        dst,
-        np.full(n, mode.protocol / 255.0),
-        np.log10(1.0 + dur) / _LOG_DUR_MAX,
-        np.log10(1.0 + pkt) / _LOG_PKT_MAX,
-        np.log10(1.0 + byt) / _LOG_BYT_MAX,
-        np.full(n, mode.tos / 255.0),
-    ])
-    return cols
+    out[5] = np.log10(1.0 + byt) / _LOG_BYT_MAX
+    out[6] = mode.tos / 255.0
 
 
 def _mixture_counts(modes: tuple, n: int) -> list:
@@ -153,9 +151,13 @@ def _mixture_counts(modes: tuple, n: int) -> list:
     return counts
 
 
-def _draw_mixture(modes: tuple, n: int, rng: RandomSource) -> np.ndarray:
-    blocks = [_draw_mode(m, c, rng) for m, c in zip(modes, _mixture_counts(modes, n)) if c]
-    return np.concatenate(blocks, axis=0)
+def _draw_mixture(modes: tuple, rng: RandomSource, out: np.ndarray) -> None:
+    """Fill the (7, n) block ``out`` mode by mode, in spec order."""
+    start = 0
+    for m, c in zip(modes, _mixture_counts(modes, out.shape[1])):
+        if c:
+            _draw_mode(m, c, rng, out[:, start:start + c])
+        start += c
 
 
 def gen_flow_dataset(spec: FlowSpec, with_property: bool, n: int,
@@ -171,20 +173,18 @@ def gen_flow_dataset(spec: FlowSpec, with_property: bool, n: int,
     n_web = n // 2
     n_dns = n - n_web
     n_sig = round_half_up(spec.signature_fraction * n_web) if with_property else 0
-    blocks = [_draw_mixture(spec.dns, n_dns, rng)]
-    labels = [DNS] * n_dns
-    if n_web - n_sig:
-        blocks.append(_draw_mixture(spec.web, n_web - n_sig, rng))
-        labels += [WEB] * (n_web - n_sig)
-    if n_sig:
-        blocks.append(_draw_mixture(spec.web_signature, n_sig, rng))
-        labels += [WEB] * n_sig
-    values = np.concatenate(blocks, axis=0)
+    values = np.empty((len(FLOW_COLUMNS), n))
+    bounds = (0, n_dns, n - n_sig, n)
+    for modes, lo, hi in zip((spec.dns, spec.web, spec.web_signature), bounds, bounds[1:]):
+        _draw_mixture(modes, rng, values[:, lo:hi])
     perm = rng.permutation(n)
-    values = values[perm]
-    labels = [labels[i] for i in perm]
+    for col in values:
+        col[:] = col[perm]
+    labels = np.array([DNS, WEB], dtype=object)[(perm >= n_dns).view(np.uint8)]
+    values.flags.writeable = False
+    labels.flags.writeable = False
     schema = [(c, NUMERIC) for c in FLOW_COLUMNS]
-    return Dataset(schema, values.T, labels)
+    return Dataset(schema, values, labels)
 
 
 # 39 ARPAbet-style phones plus silence.

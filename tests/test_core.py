@@ -184,6 +184,38 @@ class TestValidation:
         with pytest.raises(ValueError):
             ds.labels[0] = "q"
 
+    def test_read_only_arrays_are_adopted(self):
+        column = np.array([1.0, 2.0])
+        labels = np.array(["p", "q"], dtype=object)
+        column.flags.writeable = labels.flags.writeable = False
+        ds = Dataset((("a", NUMERIC),), (column,), labels)
+        assert np.shares_memory(ds.columns[0], column)
+        assert np.shares_memory(ds.labels, labels)
+
+    def test_read_only_view_of_writeable_array_is_copied(self):
+        values = np.array([1.0, 2.0])
+        view = values[:]
+        view.flags.writeable = False
+        ds = Dataset((("a", NUMERIC),), (view,))
+        values[0] = 9.0
+        assert ds.columns[0].tolist() == [1.0, 2.0]
+
+    def test_read_only_unicode_column_becomes_object(self):
+        column = np.array(["x", "y"])
+        column.flags.writeable = False
+        ds = Dataset((("c", CATEGORICAL),), (column,))
+        assert ds.columns[0].dtype == object
+        assert ds.columns[0].tolist() == ["x", "y"]
+
+    def test_adopted_arrays_are_still_checked(self):
+        column = np.array([1.0, np.inf])
+        block = np.ones((2, 2))
+        column.flags.writeable = block.flags.writeable = False
+        with pytest.raises(ContractError, match="row 1: non-finite value inf"):
+            Dataset((("a", NUMERIC),), (column,))
+        with pytest.raises(ContractError, match="one column"):
+            Dataset((("a", NUMERIC),), (block,))
+
     def test_unknown_kind_and_missing_label_rejected(self):
         with pytest.raises(ContractError):
             Dataset((("a", "ordinal"),), ([1.0],))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,17 @@ class TestFlowDataset:
     def test_minimum_size(self):
         with pytest.raises(ContractError):
             gen_flow_dataset(default_flow_spec(), False, 1, RandomSource(7))
+
+    def test_pool_peak_memory_under_two_blocks(self):
+        # The (7, n) block of values alone takes 7 * n * 8 bytes.
+        gen_flow_dataset(default_flow_spec(), True, 100, RandomSource(1))
+        tracemalloc.start()
+        try:
+            gen_flow_dataset(default_flow_spec(), True, 24000, RandomSource(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 24000 * 7 * 8
 
     def test_partial_signature_fraction(self):
         spec = default_flow_spec(signature_fraction=0.5)

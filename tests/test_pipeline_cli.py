@@ -13,7 +13,7 @@ from scipy.optimize import linear_sum_assignment
 from shadowprobe import attack, datagen, metrics, pipeline, svm
 from shadowprobe.attack import NOT_P, P, build_meta_training_set, train_meta
 from shadowprobe.cli import build_parser, main
-from shadowprobe.core import RandomSource, load_dataset, shadow_tasks
+from shadowprobe.core import RandomSource, load_dataset, save_dataset, shadow_tasks
 from shadowprobe.dtree import TreeParams
 from shadowprobe.hmm import AcousticModel, GaussianHmm
 from shadowprobe.pipeline import ConfigError, PipelineConfig, run_pipeline
@@ -848,6 +848,49 @@ def acoustic_model(shift):
                           for i, ph in enumerate(("aa", "bb"))})
 
 
+def field_paths(node, path=()):
+    """The path of every dict value and list element in a JSON value, each
+    list cut to its first three elements, parents before children."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node[:3])
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+def hostile_payloads(payload, paths):
+    """(path, value, payload copy) for each path set to each HOSTILE value."""
+    for path in paths:
+        for value in HOSTILE:
+            edited = copy.deepcopy(payload)
+            node = edited
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            yield path, value, edited
+
+
+def unclean_exit(capsys, argv):
+    """None when ``main(argv)`` exits 0 with finite JSON numbers (if any)
+    and nothing on stderr, or exits 1 with one ``error:`` line and no
+    warning; otherwise what went wrong."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            status = main(argv)
+        except Exception as e:
+            status = repr(e)
+    out, err = capsys.readouterr()
+    if ((status == 0 and not err and "NaN" not in out and "Infinity" not in out)
+            or (status == 1 and err.startswith("error: ") and err.count("\n") == 1)):
+        return None
+    return status, err
+
+
 class TestBoundaryValues:
     @pytest.mark.parametrize("case", pipeline.CASES)
     def test_config_field_is_rejected_or_accepted(self, case):
@@ -885,24 +928,60 @@ class TestBoundaryValues:
         else:
             paths = [("phonemes", "aa", part, i, j) for i in range(3) for j in range(3)]
         failures = []
-        for path in paths:
-            for value in HOSTILE:
-                edited = copy.deepcopy(payload)
-                node = edited
-                for key in path[:-1]:
-                    node = node[key]
-                node[path[-1]] = value
-                reference.write_text(json.dumps(edited))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    try:
-                        status = main(["filter", "--reference", str(reference),
-                                       "--baselines", str(baseline), "--top-k", "1"])
-                    except Exception as e:
-                        status = repr(e)
-                out, err = capsys.readouterr()
-                clean = ((status == 0 and not err and "NaN" not in out and "Infinity" not in out)
-                         or (status == 1 and err.startswith("error: ") and err.count("\n") == 1))
-                if not clean:
-                    failures.append((path, value, status, err))
+        for path, value, edited in hostile_payloads(payload, paths):
+            reference.write_text(json.dumps(edited))
+            failure = unclean_exit(capsys, ["filter", "--reference", str(reference),
+                                            "--baselines", str(baseline), "--top-k", "1"])
+            if failure:
+                failures.append((path, value, failure))
+        assert not failures, failures
+
+    @pytest.mark.parametrize("edit", ["meta", "target"])
+    def test_svm_attack_payload_field_exits_0_or_1(self, tmp_path, capsys, edit):
+        cfg = PipelineConfig(case="netflow", flows_per_shadow=40)
+        labels = [P, NOT_P, P, NOT_P, P]
+        models = [cfg.train_new_model(label == P, RandomSource(s))
+                  for s, label in enumerate(labels)]
+        shadows = list(zip(models[:4], labels[:4]))
+        meta, target = tmp_path / "meta.json", tmp_path / "target.json"
+        # A depth bound keeps the tree, and so the number of paths, small.
+        save_model(train_meta(build_meta_training_set(shadows),
+                              TreeParams(cfg.min_leaf_size, max_depth=2), RandomSource(0)), meta)
+        save_model(models[4], target)
+        argv = ["attack", "--meta", str(meta), "--target", str(target)]
+        assert unclean_exit(capsys, argv) is None
+        edited_file = meta if edit == "meta" else target
+        payload = json.loads(edited_file.read_text())
+        failures = []
+        for path, value, edited in hostile_payloads(payload, list(field_paths(payload))):
+            edited_file.write_text(json.dumps(edited))
+            failure = unclean_exit(capsys, argv)
+            if failure:
+                failures.append((path, value, failure))
+        assert not failures, failures
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_csv_cell_exits_0_or_1(self, tmp_path, capsys, monkeypatch, command):
+        # A src_port_frac of 1e9 leaves SMO unconverged until its 10^7
+        # iteration cap, about two minutes; a lower cap reaches the same
+        # exit paths in a fraction of a second.
+        monkeypatch.setattr(svm, "_MIN_ITERS", 10_000)
+        data, folds = tmp_path / "flows.csv", tmp_path / "folds.json"
+        save_dataset(datagen.gen_flow_dataset(datagen.default_flow_spec(), True, 30,
+                                              RandomSource(1)), data)
+        folds.write_text('{"folds": 3}')
+        argv = {"train": ["train", "--out", str(tmp_path / "out"), "--data", str(data)],
+                "evaluate": ["evaluate", "--config", str(folds), "--seed", "1",
+                             "--label-column", "7", "--data", str(data)]}[command]
+        lines = data.read_text().splitlines()
+        failures = []
+        for row in (0, 1):
+            for col in range(len(datagen.FLOW_COLUMNS) + 1):
+                for value in [*map(str, HOSTILE), ""]:
+                    cells = [line.split(",") for line in lines]
+                    cells[row][col] = value
+                    data.write_text("\n".join(",".join(c) for c in cells) + "\n")
+                    failure = unclean_exit(capsys, argv)
+                    if failure:
+                        failures.append((row, col, value, failure))
         assert not failures, failures
