@@ -10,12 +10,13 @@ dict, ``judge`` adds each model's truth and ``verdict_accuracy`` scores
 them. Includes the Gaussian KL phoneme filter and the
 differential-privacy bypass experiment on noisy k-means.
 
-Feature encodings per model family:
+Feature encodings per model family; no two share a row schema, so the
+schema names the family:
 
 * SVM: one row per support vector, ``(y, x1..xd)``, all numeric.
-* Acoustic model: one row per (phoneme, state): the phoneme name
-  followed by the state's mean vector then its variance vector.
-* K-means: one row per centroid.
+* Acoustic model: one row per (phoneme, state): the categorical phoneme
+  name followed by the state's mean vector then its variance vector.
+* K-means: one row per centroid, ``(x1..xd)``.
 """
 
 from __future__ import annotations
@@ -48,17 +49,10 @@ _KMEANS_MAX_ITERS = 100  # Lloyd iteration budget of every dp_bypass k-means run
 
 
 @dataclass(eq=False)
-class FeatureVectorSet:
-    data: Dataset  # a meta-training set labels its rows P or NotP
-    source_kind: str
-
-
-@dataclass(eq=False)
 class MetaClassifier:
     """A tree whose every leaf, fallbacks included, votes P or NotP."""
 
     tree: DecisionTree
-    source_kind: str
     train_accuracy: float
 
     def __post_init__(self):
@@ -70,16 +64,12 @@ class MetaClassifier:
                 raise ContractError(f"meta-classifier leaf_label must be {P!r} or {NOT_P!r}, "
                                     f"got {leaf.label!r}")
 
-    @property
-    def schema(self) -> tuple:
-        return self.tree.schema
 
-
-def extract_features(model) -> FeatureVectorSet:
-    """Encode a trained model's internals as a fixed-schema row set."""
+def extract_features(model) -> Dataset:
+    """Encode a trained model's internals as a row set whose schema names its family."""
     if isinstance(model, SvmModel):
         schema = [("y", NUMERIC)] + [(f"x{i + 1}", NUMERIC) for i in range(model.dim)]
-        return FeatureVectorSet(Dataset(schema, [model.sv_y, *model.sv_x.T]), "svm")
+        return Dataset(schema, [model.sv_y, *model.sv_x.T])
     if isinstance(model, AcousticModel):
         dim = model.dim
         schema = [("phoneme", CATEGORICAL)]
@@ -89,47 +79,47 @@ def extract_features(model) -> FeatureVectorSet:
         phonemes = [ph for ph, h in zip(model.phonemes, hmms) for _ in range(h.n_states)]
         means = np.concatenate([h.means for h in hmms])
         variances = np.concatenate([h.vars for h in hmms])
-        return FeatureVectorSet(Dataset(schema, [phonemes, *means.T, *variances.T]), "hmm")
+        return Dataset(schema, [phonemes, *means.T, *variances.T])
     if isinstance(model, KMeansModel):
         schema = [(f"x{i + 1}", NUMERIC) for i in range(model.dim)]
-        return FeatureVectorSet(Dataset(schema, model.centroids.T), "kmeans")
+        return Dataset(schema, model.centroids.T)
     raise ContractError(f"cannot extract features from {type(model).__name__}")
 
 
-def build_meta_training_set(shadows) -> FeatureVectorSet:
+def build_meta_training_set(shadows) -> Dataset:
     """Label every extracted row with its shadow's property label.
 
-    Each label must be P or NOT_P. All shadows must be the same model
-    kind and both labels must be present, otherwise meta-training would
-    be degenerate.
+    Each label must be P or NOT_P. All shadows must give rows of one
+    schema and both labels must be present, otherwise meta-training
+    would be degenerate.
     """
     if not shadows:
         raise ContractError("no shadow classifiers given")
     parts, labels = [], []
-    kind = None
     schema = None
     seen = set()
     for model, label in shadows:
         if label not in (P, NOT_P):
             raise ContractError(f"property label must be {P!r} or {NOT_P!r}, got {label!r}")
-        fv = extract_features(model)
-        if kind is None:
-            kind, schema = fv.source_kind, fv.data.schema
-        elif fv.source_kind != kind or fv.data.schema != schema:
-            raise ContractError(f"mixed shadow model kinds: {kind} vs {fv.source_kind}")
+        rows = extract_features(model)
+        if schema is None:
+            schema, first = rows.schema, type(model).__name__
+        elif rows.schema != schema:
+            raise ContractError(f"mixed shadow schemas: {first} ({len(schema)} attributes) vs "
+                                f"{type(model).__name__} ({len(rows.schema)} attributes)")
         seen.add(label)
-        parts.append(fv.data.columns)
-        labels += [label] * fv.data.n_rows
+        parts.append(rows.columns)
+        labels += [label] * rows.n_rows
     if seen != {P, NOT_P}:
         raise ContractError(f"meta-training needs both property labels, got {sorted(seen)}")
     columns = [np.concatenate(col) for col in zip(*parts)]
-    return FeatureVectorSet(Dataset(schema, columns, labels), kind)
+    return Dataset(schema, columns, labels)
 
 
-def train_meta(md: FeatureVectorSet, params: TreeParams, rng: RandomSource) -> MetaClassifier:
-    tree = dtree.train_tree(md.data, params, rng)
-    accuracy = metrics.scores(md.data.labels.tolist(), dtree.classify(tree, md.data))["accuracy"]
-    return MetaClassifier(tree, md.source_kind, accuracy)
+def train_meta(md: Dataset, params: TreeParams, rng: RandomSource) -> MetaClassifier:
+    tree = dtree.train_tree(md, params, rng)
+    accuracy = metrics.scores(md.labels.tolist(), dtree.classify(tree, md))["accuracy"]
+    return MetaClassifier(tree, accuracy)
 
 
 def infer_property(mc: MetaClassifier, target) -> tuple:
@@ -141,14 +131,14 @@ def infer_property(mc: MetaClassifier, target) -> tuple:
     yields no rows (an SVM without support vectors) gives no evidence
     and is a ContractError, not a tie.
     """
-    fv = extract_features(target)
-    if fv.source_kind != mc.source_kind or fv.data.schema != mc.schema:
-        raise ContractError(
-            f"target kind {fv.source_kind!r} does not match meta-classifier kind {mc.source_kind!r}"
-        )
-    if fv.data.n_rows == 0:
-        raise ContractError(f"target {fv.source_kind} model yields no feature rows to vote on")
-    votes = dtree.classify(mc.tree, fv.data)
+    rows = extract_features(target)
+    if rows.schema != mc.tree.schema:
+        raise ContractError(f"target {type(target).__name__} ({len(rows.schema)} attributes) "
+                            f"does not match the meta-classifier's "
+                            f"{len(mc.tree.schema)}-attribute schema")
+    if rows.n_rows == 0:
+        raise ContractError(f"target {type(target).__name__} yields no feature rows to vote on")
+    votes = dtree.classify(mc.tree, rows)
     votes_p = votes.count(P)
     votes_notp = len(votes) - votes_p
     verdict = {"verdict": P if votes_p > votes_notp else NOT_P, "votes_p": votes_p,
@@ -352,7 +342,7 @@ def _attack_on_models(models, labels, holdout_fraction, tree_params, rng):
     return {
         "n_train_models": len(models) - len(verdicts),
         "n_holdout_models": len(verdicts),
-        "meta_train_rows": md.data.n_rows,
+        "meta_train_rows": md.n_rows,
         "meta_train_accuracy": mc.train_accuracy,
         "tree_nodes": mc.tree.n_nodes,
         "tree_leaves": mc.tree.n_leaves,

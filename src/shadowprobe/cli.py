@@ -27,8 +27,7 @@ import sys
 
 from . import datagen, hmm, metrics, serialize
 from .attack import MetaClassifier, infer_property, kl_divergence_scores, kl_filter
-from .core import (ContractError, ShadowprobeError, StructuralError, load_dataset, read_text,
-                   save_dataset)
+from .core import ContractError, ShadowprobeError, StructuralError, load_dataset, save_dataset
 from .pipeline import CASES, HEADLINES, ConfigError, PipelineConfig, run_pipeline
 
 log = logging.getLogger("shadowprobe")
@@ -67,11 +66,9 @@ def _load_config(args, default_case=None) -> PipelineConfig:
     cfg = {}
     if args.config:
         try:
-            cfg = json.loads(read_text(args.config))
+            cfg = serialize.load_json(args.config)
         except (OSError, StructuralError) as e:
             raise ConfigError(f"cannot read config file: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file is not valid JSON ({e})") from e
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
     for field in args.config_fields:

@@ -256,7 +256,7 @@ def run_speech_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
         md, mc, verdicts, truths, votes = attack.holdout_attack(
             shadow_models, labels, cfg.holdout_fraction, cfg.tree_params, meta_rng)
         block = {**metrics.scores(truths, votes), "tree_nodes": mc.tree.n_nodes,
-                 "tree_leaves": mc.tree.n_leaves, "meta_train_rows": md.data.n_rows}
+                 "tree_leaves": mc.tree.n_leaves, "meta_train_rows": md.n_rows}
         return block, mc, verdicts
 
     unfiltered, mc, verdicts = evaluate(models, rng.child(2))
@@ -295,8 +295,8 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
     mc = attack.train_meta(md, cfg.tree_params, rng.child(2))
 
     log.info("netflow: %d-fold cross-validation on %d support-vector rows",
-             cfg.folds, md.data.n_rows)
-    cv = metrics.k_fold_cross_validate(md.data, cfg.folds, cfg.tree_params, rng.child(3))
+             cfg.folds, md.n_rows)
+    cv = metrics.k_fold_cross_validate(md, cfg.folds, cfg.tree_params, rng.child(3))
 
     log.info("netflow: evaluating %d held-out target classifiers", cfg.n_targets)
     targets = _map_jobs(cfg, shadow_tasks(cfg.n_targets, rng.child(4)))
@@ -314,7 +314,7 @@ def run_netflow_case(cfg: PipelineConfig, rng: RandomSource) -> dict:
         ],
         "cross_validation": cv,
         "meta_tree": {"nodes": mc.tree.n_nodes, "leaves": mc.tree.n_leaves,
-                      "train_rows": md.data.n_rows, "train_accuracy": mc.train_accuracy},
+                      "train_rows": md.n_rows, "train_accuracy": mc.train_accuracy},
         "targets": {"verdicts": verdicts, "verdict_accuracy": attack.verdict_accuracy(verdicts)},
         "artifacts": {"meta_classifier": "meta_classifier.json"},
         "_meta_classifier": mc,

@@ -2,6 +2,7 @@
 
 Every payload carries ``format_version: 1`` and a ``kind`` discriminator:
 ``svm`` and ``acoustic`` (written by ``train``) or ``meta`` (by ``run``).
+A ``meta`` payload stores its schema once, in its tree.
 Floats are written with repr-style shortest round-trip encoding, so
 loading a saved model reproduces its parameters exactly.
 """
@@ -103,8 +104,6 @@ def to_payload(model) -> dict:
     elif isinstance(model, MetaClassifier):
         params = model.tree.params
         body = {
-            "source_kind": model.source_kind,
-            "schema": [[n, k] for n, k in model.schema],
             "train_accuracy": model.train_accuracy,
             "tree": {"params": {"min_leaf_size": params.min_leaf_size,
                                 "max_depth": params.max_depth},
@@ -166,9 +165,7 @@ def _decode(kind, payload: dict):
         params = TreeParams(d["params"]["min_leaf_size"], d["params"]["max_depth"])
         schema = tuple((n, k) for n, k in d["schema"])
         tree = DecisionTree(_node_from_payload(d["root"], schema), schema, params)
-        if tuple((n, k) for n, k in payload["schema"]) != tree.schema:
-            raise StructuralError("meta payload schema differs from its tree's schema")
-        return MetaClassifier(tree, payload["source_kind"], payload["train_accuracy"])
+        return MetaClassifier(tree, payload["train_accuracy"])
     raise FormatError(f"unknown model kind {kind!r}")
 
 
@@ -179,11 +176,14 @@ def save_model(model, path) -> None:
 
 
 def load_json(path):
-    """The JSON value in a UTF-8 file; bad JSON is a StructuralError."""
+    """The JSON value in a UTF-8 file; bad JSON, or JSON nested too deep
+    to decode, is a StructuralError."""
     try:
         return json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise StructuralError(f"{path}: not valid JSON ({e})") from e
+    except RecursionError as e:
+        raise StructuralError(f"{path}: JSON nested too deeply ({e})") from e
 
 
 def load_model(path):

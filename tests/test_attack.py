@@ -78,29 +78,27 @@ def acoustic_with(phonemes, n_states, dim, seed=0, mean_shift=None):
 class TestExtractFeatures:
     def test_svm_rows_and_schema(self):
         fv = extract_features(svm_with(7, 5))
-        assert fv.source_kind == "svm"
-        assert fv.data.n_rows == 7
-        assert len(fv.data.schema) == 6
-        assert all(k == NUMERIC for _, k in fv.data.schema)
-        assert fv.data.columns[0][0] in (-1.0, 1.0)
+        assert fv.schema[0] == ("y", NUMERIC)
+        assert fv.n_rows == 7
+        assert len(fv.schema) == 6
+        assert all(k == NUMERIC for _, k in fv.schema)
+        assert fv.columns[0][0] in (-1.0, 1.0)
 
     def test_acoustic_rows_and_schema(self):
         am = acoustic_with(["aa", "bb", "cc"], 5, 25)
         fv = extract_features(am)
-        assert fv.source_kind == "hmm"
-        assert fv.data.n_rows == 15  # 3 phonemes x 5 states
-        assert len(fv.data.schema) == 51  # phoneme + 25 means + 25 vars
-        assert fv.data.schema[0][1] == CATEGORICAL
-        assert fv.data.columns[0].tolist() == ["aa"] * 5 + ["bb"] * 5 + ["cc"] * 5
-        assert fv.data.columns[1][5] == am.hmms["bb"].means[0, 0]
-        assert fv.data.columns[26][14] == am.hmms["cc"].vars[4, 0]
+        assert fv.schema[0] == ("phoneme", CATEGORICAL)
+        assert fv.n_rows == 15  # 3 phonemes x 5 states
+        assert len(fv.schema) == 51  # phoneme + 25 means + 25 vars
+        assert fv.columns[0].tolist() == ["aa"] * 5 + ["bb"] * 5 + ["cc"] * 5
+        assert fv.columns[1][5] == am.hmms["bb"].means[0, 0]
+        assert fv.columns[26][14] == am.hmms["cc"].vars[4, 0]
 
     def test_kmeans_rows(self):
         m = KMeansModel(np.arange(24, dtype=float).reshape(4, 6), True, 1, [0.0])
         fv = extract_features(m)
-        assert fv.source_kind == "kmeans"
-        assert fv.data.n_rows == 4
-        assert len(fv.data.schema) == 6
+        assert fv.schema == tuple((f"x{i + 1}", NUMERIC) for i in range(6))
+        assert fv.n_rows == 4
 
     def test_unsupported_kind(self):
         # No case attacks an MLP, so its weights have no feature encoding.
@@ -113,31 +111,32 @@ class TestBuildMetaTrainingSet:
     def test_row_counts_and_labels(self):
         shadows = [(svm_with(3, 4, seed=1), P), (svm_with(4, 4, seed=2), NOT_P)]
         md = build_meta_training_set(shadows)
-        assert md.data.n_rows == 7
-        assert md.data.labels.tolist() == ["P"] * 3 + ["NotP"] * 4
-        assert md.source_kind == "svm"
+        assert md.n_rows == 7
+        assert md.labels.tolist() == ["P"] * 3 + ["NotP"] * 4
+        assert md.schema == (("y", NUMERIC),) + tuple((f"x{i + 1}", NUMERIC) for i in range(4))
 
     def test_balance_many_shadows(self):
         shadows = [(svm_with(2, 3, seed=i), P if i < 35 else NOT_P) for i in range(70)]
         md = build_meta_training_set(shadows)
-        labels = md.data.labels.tolist()
+        labels = md.labels.tolist()
         assert labels.count("P") == labels.count("NotP") == 70
 
     def test_algorithm_fidelity_row_sum(self):
         shadows = [(svm_with(2 + i, 3, seed=i), P if i % 2 else NOT_P) for i in range(6)]
         md = build_meta_training_set(shadows)
-        assert md.data.n_rows == sum(extract_features(m).data.n_rows for m, _ in shadows)
+        assert md.n_rows == sum(extract_features(m).n_rows for m, _ in shadows)
         # Every row's label equals its source shadow's label, in order.
         i = 0
         for m, pl in shadows:
-            for _ in range(extract_features(m).data.n_rows):
-                assert md.data.labels[i] == pl
+            for _ in range(extract_features(m).n_rows):
+                assert md.labels[i] == pl
                 i += 1
 
     def test_mixed_kinds_rejected(self):
         shadows = [(svm_with(3, 4), P),
                    (KMeansModel(np.zeros((2, 4)), True, 1, [0.0]), NOT_P)]
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError,
+                           match=r"SvmModel \(5 attributes\) vs KMeansModel \(4 attributes\)"):
             build_meta_training_set(shadows)
 
     def test_single_label_rejected(self):
@@ -221,7 +220,7 @@ class TestTrainAndInfer:
         assert len(verdicts) == len(models)
         assert truths == [l for m, l in zip(models, labels) for _ in range(m.n_support)]
         assert votes == [vote for m in models
-                         for vote in dtree.classify(mc.tree, extract_features(m).data)]
+                         for vote in dtree.classify(mc.tree, extract_features(m))]
 
     def test_holdout_attack_judges_split_tail(self):
         models = [svm_with(2 + i, 2, seed=i) for i in range(8)]
@@ -231,8 +230,8 @@ class TestTrainAndInfer:
         train_idx, hold_idx = split_by_property(labels, 0.5)
         want = build_meta_training_set(
             [(models[i], P if labels[i] == "P" else NOT_P) for i in train_idx])
-        assert md.data.labels.tolist() == want.data.labels.tolist()
-        assert [c.tolist() for c in md.data.columns] == [c.tolist() for c in want.data.columns]
+        assert md.labels.tolist() == want.labels.tolist()
+        assert [c.tolist() for c in md.columns] == [c.tolist() for c in want.columns]
         want_mc = train_meta(want, params, RandomSource(3))
         assert tuple(judged) == judge(want_mc, [models[i] for i in hold_idx],
                                       [labels[i] for i in hold_idx])
@@ -240,7 +239,8 @@ class TestTrainAndInfer:
     def test_kind_mismatch_rejected(self):
         md = build_meta_training_set(self.separable_shadows())
         mc = train_meta(md, TreeParams(min_leaf_size=1), RandomSource(0))
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=r"^target KMeansModel \(2 attributes\) does "
+                           "not match the meta-classifier's 3-attribute schema$"):
             infer_property(mc, KMeansModel(np.zeros((2, 2)), True, 1, [0.0]))
 
     def test_label_shuffle_gives_chance_accuracy(self):
@@ -342,10 +342,10 @@ class TestKlFilter:
         shadows = [(acoustic_with(phonemes, 3, 4, seed=i), P if i % 2 else NOT_P)
                    for i in range(6)]
         selected = ["ee", "bb"]  # in kl_filter's rank order, not by name
-        full = build_meta_training_set(shadows).data
+        full = build_meta_training_set(shadows)
         masked = full.subset(np.isin(full.columns[0], selected))
         restricted = build_meta_training_set(
-            [(AcousticModel({ph: m.hmms[ph] for ph in selected}), pl) for m, pl in shadows]).data
+            [(AcousticModel({ph: m.hmms[ph] for ph in selected}), pl) for m, pl in shadows])
         assert restricted.schema == masked.schema
         assert restricted.labels.tolist() == masked.labels.tolist()
         assert [c.tolist() for c in restricted.columns] == [c.tolist() for c in masked.columns]

@@ -13,7 +13,8 @@ from scipy.optimize import linear_sum_assignment
 from shadowprobe import attack, datagen, metrics, pipeline, svm
 from shadowprobe.attack import NOT_P, P, build_meta_training_set, train_meta
 from shadowprobe.cli import build_parser, main
-from shadowprobe.core import RandomSource, load_dataset, save_dataset, shadow_tasks
+from shadowprobe.core import (CATEGORICAL, RandomSource, load_dataset, save_dataset,
+                              shadow_tasks)
 from shadowprobe.dtree import TreeParams
 from shadowprobe.hmm import AcousticModel, GaussianHmm
 from shadowprobe.pipeline import ConfigError, PipelineConfig, run_pipeline
@@ -23,6 +24,7 @@ from shadowprobe.svm import KernelSpec, SvmModel
 SPEECH_SMALL = dict(shadows=8, n_phonemes=8, dim=6, n_states=3, n_sequences=4,
                     n_boosted=3, baseline_models=3, train_iters=3, top_k=3)
 NETFLOW_SMALL = dict(shadows=6, flows_per_shadow=200, folds=3, n_targets=4)
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
 
 
 def svm_model(seed, n=5):
@@ -165,7 +167,7 @@ class TestPipelines:
         assert "variance_floor" in report["config"]
         assert report["config"]["verdict_rule"] == "majority_vote"
         mc = load_model(tmp_path / "meta_classifier.json")
-        assert mc.source_kind == "hmm"
+        assert mc.tree.schema[0] == ("phoneme", CATEGORICAL)
 
     def test_netflow_report_contents(self, tmp_path):
         cfg = PipelineConfig(case="netflow", seed=6, out_dir=str(tmp_path), **NETFLOW_SMALL)
@@ -466,19 +468,28 @@ class TestCli:
         assert (tmp_path / "out" / "svm_model.json").is_file()
         assert "Warning" not in capsys.readouterr().err
 
-    def test_config_not_json_exit_2(self, tmp_path):
+    def test_config_not_json_exit_2(self, tmp_path, capsys):
+        # JSON nested too deep to decode used to escape as a RecursionError.
         cfg = tmp_path / "bad.json"
-        cfg.write_text('{"case": "speech",')
-        assert main(["run", "--config", str(cfg)]) == 2
+        for text in ['{"case": "speech",', NESTED_JSON]:
+            cfg.write_text(text)
+            assert main(["run", "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     @staticmethod
     def unreadable(tmp_path, how):
-        """A path that is missing, a directory, or a file that is not UTF-8."""
+        """A path that is missing, a directory, a file that is not UTF-8, or
+        JSON nested too deep to decode."""
         if how == "missing":
             return tmp_path / "missing.json"
         if how == "directory":
             (tmp_path / "somedir").mkdir()
             return tmp_path / "somedir"
+        if how == "nested":
+            path = tmp_path / "nested.json"
+            path.write_text(NESTED_JSON)
+            return path
         path = tmp_path / "latin1.json"
         path.write_bytes('{"case": "speech", "out_dir": "caf\xe9"}'.encode("latin-1"))
         return path
@@ -495,8 +506,11 @@ class TestCli:
         assert str(path) in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("how", ["missing", "directory", "not_utf8"])
-    @pytest.mark.parametrize("command", ["attack", "evaluate", "train"])
+    # evaluate reads CSV, so only the JSON readers get the nested file.
+    @pytest.mark.parametrize("command,how", [
+        (command, how) for command in ["attack", "evaluate", "train"]
+        for how in ["missing", "directory", "not_utf8"]
+    ] + [("attack", "nested"), ("train", "nested")])
     def test_unreadable_input_file_exit_1(self, tmp_path, capsys, how, command):
         path = str(self.unreadable(tmp_path, how))
         argv = {

@@ -83,8 +83,8 @@ class TestRoundTrips:
         mc = train_meta(build_meta_training_set(shadows), TreeParams(min_leaf_size=2),
                         RandomSource(5))
         back = roundtrip(mc, tmp_path)
-        assert back.source_kind == "svm"
-        assert back.schema == mc.schema
+        assert back.tree.schema == mc.tree.schema
+        assert back.tree.schema[0] == ("y", NUMERIC)
         assert back.train_accuracy == mc.train_accuracy
         assert back.tree.n_nodes == mc.tree.n_nodes
 
@@ -238,29 +238,37 @@ class TestTreeSchema:
     ])
     @pytest.mark.parametrize("kind", ["meta"])  # the one payload kind that holds a tree
     def test_rejected(self, kind, edit, match):
-        payload = to_payload(MetaClassifier(mixed_tree(P, NOT_P), "hmm", 1.0))
+        payload = to_payload(MetaClassifier(mixed_tree(P, NOT_P), 1.0))
         assert payload["kind"] == kind
         edit(payload["tree"])
         with pytest.raises(StructuralError, match=match):
             from_payload(payload)
 
     def test_valid_tree_roundtrips(self):
-        mc = MetaClassifier(mixed_tree(P, NOT_P), "hmm", 1.0)
+        mc = MetaClassifier(mixed_tree(P, NOT_P), 1.0)
         back = from_payload(to_payload(mc))
-        ds = make_dataset(mc.schema, [(0.5, "b"), (2.0, "b"), (2.0, "c"), (2.0, "z")])
+        ds = make_dataset(mc.tree.schema, [(0.5, "b"), (2.0, "b"), (2.0, "c"), (2.0, "z")])
         assert classify(back.tree, ds) == classify(mc.tree, ds) == [P, NOT_P, P, NOT_P]
 
-    def test_meta_schema_must_match_tree(self):
-        payload = to_payload(MetaClassifier(mixed_tree(P, NOT_P), "hmm", 1.0))
-        payload["schema"] = [["x", NUMERIC], ["d", CATEGORICAL]]
-        with pytest.raises(StructuralError, match="schema differs"):
-            from_payload(payload)
+    def test_retired_meta_keys_are_ignored(self):
+        # A meta payload written before the tree's schema became the one
+        # record of the model family also held source_kind and a copy of
+        # that schema; the loader reads neither.
+        mc = MetaClassifier(mixed_tree(P, NOT_P), 1.0)
+        payload = to_payload(mc)
+        assert "source_kind" not in payload and "schema" not in payload
+        payload["source_kind"] = "hmm"
+        payload["schema"] = payload["tree"]["schema"]
+        back = from_payload(payload)
+        assert back.tree.schema == mc.tree.schema
+        ds = make_dataset(mc.tree.schema, [(0.5, "b"), (2.0, "b"), (2.0, "c"), (2.0, "z")])
+        assert classify(back.tree, ds) == classify(mc.tree, ds)
 
     def test_meta_fallback_must_vote_p_or_notp(self):
         tree = mixed_tree(P, NOT_P)
         tree.root.high.fallback = Leaf("maybe", 0)
         with pytest.raises(ContractError, match="leaf_label must be 'P' or 'NotP', got 'maybe'"):
-            MetaClassifier(tree, "hmm", 1.0)
+            MetaClassifier(tree, 1.0)
 
 
 def sample_payloads():
