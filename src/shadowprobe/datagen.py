@@ -203,8 +203,7 @@ class SpeechSpec:
     """Per-phoneme per-state generator Gaussians plus the accent knob.
 
     ``mean_shift_sigmas[p]`` moves phoneme p's state means by that many
-    state sigmas when the property holds. ``boosted`` names the phonemes
-    intended to carry the strongest shift (ground truth for filter checks).
+    state sigmas when the property holds.
     """
 
     phonemes: tuple
@@ -214,7 +213,6 @@ class SpeechSpec:
     sigmas: np.ndarray         # (phonemes, states, dim), standard deviations
     mean_shift_sigmas: np.ndarray  # (phonemes,)
     frames_per_state: tuple = (4, 9)
-    boosted: tuple = ()
 
     def __post_init__(self):
         p, s, d = len(self.phonemes), self.n_states, self.dim
@@ -256,7 +254,6 @@ def default_speech_spec(rng: RandomSource, *, n_phonemes: int, n_states: int, di
         sigmas=sigmas,
         mean_shift_sigmas=shift,
         frames_per_state=tuple(frames_per_state),
-        boosted=phonemes[:n_boosted],
     )
 
 

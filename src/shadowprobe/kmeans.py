@@ -1,33 +1,33 @@
 """Lloyd's k-means and a SuLQ-style differentially private variant.
 
-The private variant perturbs every training-set access made by the
-update step: per-cluster per-dimension sums and per-cluster counts each
-receive Gaussian noise N(0, sigma) (sigma is the standard deviation),
-and noisy counts are floored at 1. The sums run over the points as
+The private variant (SuLQ) adds Gaussian noise of standard deviation
+sigma to each update-step sum (per cluster and dimension) and count (per
+cluster), and floors noisy counts at 1. The sums run over the points as
 given: clamping each run's points to its own sample's min/max would
 change none of them. Initial centroids are k distinct points, so k may
 not exceed the number of distinct points. Assignment ties go to the
 lowest centroid index. An emptied centroid is reseeded to the point
 farthest from its nearest centroid, pass after pass until no cluster is
 empty, so k never shrinks. Points must be finite, and so must every
-centroid and objective value a fit computes: one that overflows is a
-ContractError naming the iteration. k and max_iters are ints >= 1.
+centroid and within-cluster objective: one that overflows is a
+ContractError naming the iteration. Plain Lloyd computes the objective
+every iteration and checks that it never rises; SuLQ reads nothing from
+it, so it computes it only where the bound n*d*(max|x| + max|c|)^2
+cannot rule out overflow. k and max_iters are ints >= 1.
 
-Each iteration works on the points' (d, n) columns. The nearest
-centroid of every point is the index ``argmin`` would give over the
-squared distances summed in dimension order (``_distances_sq``).
-``_assign`` finds it from one matrix product: where a point's runner-up
-estimate exceeds its best by more than a rounding-error bound, the
-bound proves the estimate's pick equal to that index; every other point
-(ties, near-ties, overflow) goes through the exact pass, so no pick
-depends on the BLAS kernel or its thread count. The cluster sums are
-one weighted bincount per column.
+Each iteration works on the points' (d, n) columns. ``_assign`` picks
+each point's nearest centroid from one matrix product and sends every
+point its rounding-error bound cannot certify (ties, near-ties,
+overflow) through the exact dimension-order pass (``_distances_sq``),
+so no pick depends on the BLAS kernel or its thread count. The cluster
+sums are one weighted bincount per column.
 ``tests/oracles.py::kmeans_reference`` checks whole fits bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +37,11 @@ from .core import ContractError, RandomSource
 
 @dataclass(eq=False)
 class KMeansModel:
+    """A fit's centroids; its objective is checked, not kept."""
+
     centroids: np.ndarray
     converged: bool
     iterations_run: int
-    objective_trace: list
 
     @property
     def dim(self) -> int:
@@ -208,14 +209,16 @@ def _reseed_empty(cols, centroids, assignment, counts):
     return centroids, assignment, counts
 
 
-def _lloyd(points, k, max_iters, rng, noise=None):
+def _lloyd(points, k, max_iters, rng, sigma=None):
     for name, value in (("k", k), ("max_iters", max_iters)):
         if type(value) is not int or value < 1:
             raise ContractError(f"{name} must be an int >= 1, got {value!r}")
     points = _as_points(points)
     centroids = _init_centroids(points, k, rng)
     cols = np.ascontiguousarray(points.T)
-    trace = []
+    # Below this max|c|, no objective can exceed DBL_MAX / 2.
+    safe = math.sqrt(sys.float_info.max / (2 * cols.size)) - np.abs(cols).max()
+    prev = math.inf
     assignment = None
     converged = False
     iterations = 0
@@ -227,35 +230,37 @@ def _lloyd(points, k, max_iters, rng, noise=None):
             counts = np.bincount(new_assignment, minlength=k)
             centroids, new_assignment, counts = _reseed_empty(cols, centroids, new_assignment,
                                                               counts)
-            obj = within_cluster_ss(points, centroids, new_assignment)
-            if not math.isfinite(obj):
-                raise ContractError(f"within-cluster objective is not finite at iteration {it}: "
-                                    f"{obj}")
-            if noise is None and trace and obj > trace[-1] + 1e-8 * max(1.0, trace[-1]):
-                raise ArithmeticError(f"within-cluster objective increased: {trace[-1]} -> {obj}")
-            trace.append(obj)
+            if sigma is None or not np.abs(centroids).max() < safe:
+                obj = within_cluster_ss(points, centroids, new_assignment)
+                if not math.isfinite(obj):
+                    raise ContractError(f"within-cluster objective is not finite at iteration "
+                                        f"{it}: {obj}")
+                if sigma is None and obj > prev + 1e-8 * max(1.0, prev):
+                    raise ArithmeticError(f"within-cluster objective increased: {prev} -> {obj}")
+                prev = obj
             if assignment is not None and np.array_equal(new_assignment, assignment):
                 converged = True
                 break
             assignment = new_assignment
             iterations += 1
-            if noise is None:
-                centroids = _cluster_sums(cols, assignment, k) / counts[:, None]
-            else:
-                centroids = noise(cols, assignment, counts)
+            centroids = _cluster_sums(cols, assignment, k)
+            if sigma is not None:
+                centroids += rng.normal(0.0, sigma, size=centroids.shape)
+                counts = np.maximum(counts + rng.normal(0.0, sigma, size=k), 1.0)
+            centroids /= counts[:, None]
             if not np.isfinite(centroids).all():
                 c = int(np.flatnonzero(~np.isfinite(centroids).all(axis=1))[0])
                 raise ContractError(f"centroid {c} is not finite after iteration {it}: "
                                     f"{centroids[c].tolist()}")
-    return KMeansModel(centroids, converged, iterations, trace)
+    return KMeansModel(centroids, converged, iterations)
 
 
 def kmeans_train(points, k: int, max_iters: int, rng: RandomSource) -> KMeansModel:
     """Plain Lloyd iterations until assignments stabilize or max_iters.
 
     Initial centroids are k distinct points sampled uniformly without
-    replacement. The within-cluster sum of squared distances is recorded
-    per iteration and checked to be non-increasing.
+    replacement. Every iteration checks that the within-cluster sum of
+    squared distances is finite and not above the last, the only one kept.
     """
     return _lloyd(points, k, max_iters, rng)
 
@@ -265,12 +270,4 @@ def sulq_kmeans_train(points, k: int, max_iters: int, sigma: float,
     """Lloyd iterations with N(0, sigma) noise on every update-step sum and count."""
     if isinstance(sigma, bool) or not 0.0 < sigma < np.inf:
         raise ContractError(f"sigma must be positive and finite, got {sigma!r}")
-
-    def noisy_update(cols, assignment, counts):
-        k_, d = len(counts), len(cols)
-        sums = _cluster_sums(cols, assignment, k_)
-        sums += rng.normal(0.0, sigma, size=(k_, d))
-        noisy_counts = np.maximum(counts + rng.normal(0.0, sigma, size=k_), 1.0)
-        return sums / noisy_counts[:, None]
-
-    return _lloyd(points, k, max_iters, rng, noise=noisy_update)
+    return _lloyd(points, k, max_iters, rng, sigma)

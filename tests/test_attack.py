@@ -95,7 +95,7 @@ class TestExtractFeatures:
         assert fv.columns[26][14] == am.hmms["cc"].vars[4, 0]
 
     def test_kmeans_rows(self):
-        m = KMeansModel(np.arange(24, dtype=float).reshape(4, 6), True, 1, [0.0])
+        m = KMeansModel(np.arange(24, dtype=float).reshape(4, 6), True, 1)
         fv = extract_features(m)
         assert fv.schema == tuple((f"x{i + 1}", NUMERIC) for i in range(6))
         assert fv.n_rows == 4
@@ -134,7 +134,7 @@ class TestBuildMetaTrainingSet:
 
     def test_mixed_kinds_rejected(self):
         shadows = [(svm_with(3, 4), P),
-                   (KMeansModel(np.zeros((2, 4)), True, 1, [0.0]), NOT_P)]
+                   (KMeansModel(np.zeros((2, 4)), True, 1), NOT_P)]
         with pytest.raises(ContractError,
                            match=r"SvmModel \(5 attributes\) vs KMeansModel \(4 attributes\)"):
             build_meta_training_set(shadows)
@@ -241,7 +241,7 @@ class TestTrainAndInfer:
         mc = train_meta(md, TreeParams(min_leaf_size=1), RandomSource(0))
         with pytest.raises(ContractError, match=r"^target KMeansModel \(2 attributes\) does "
                            "not match the meta-classifier's 3-attribute schema$"):
-            infer_property(mc, KMeansModel(np.zeros((2, 2)), True, 1, [0.0]))
+            infer_property(mc, KMeansModel(np.zeros((2, 2)), True, 1))
 
     def test_label_shuffle_gives_chance_accuracy(self):
         # Permutation null: with labels detached from the feature

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shadowprobe import kmeans
 from shadowprobe.core import ContractError, RandomSource
@@ -15,12 +15,26 @@ def two_blobs(n_per=50, seed=1, centers=((0.0, 0.0), (5.0, 5.0)), spread=0.3):
     return np.vstack(blocks)
 
 
+def recording_objectives(train, *args):
+    """``train(*args)`` and the objectives the fit computed, in order."""
+    objectives = []
+    within_cluster_ss = kmeans.within_cluster_ss
+
+    def record(points, centroids, assignment):
+        objectives.append(within_cluster_ss(points, centroids, assignment))
+        return objectives[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kmeans, "within_cluster_ss", record)
+        return train(*args), objectives
+
+
 class TestKMeansTrain:
     def test_k_equals_n(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
-        m = kmeans_train(pts, 4, 100, rng=RandomSource(2))
+        m, objectives = recording_objectives(kmeans_train, pts, 4, 100, RandomSource(2))
         assert m.centroids.shape[0] == 4
-        assert m.objective_trace[-1] == 0.0
+        assert objectives[-1] == 0.0
 
     def test_k_one_is_global_mean(self):
         pts = two_blobs()
@@ -34,14 +48,16 @@ class TestKMeansTrain:
         best = kmeans_best_partition(pts, 2)
         found = []
         for seed in range(10):
-            m = kmeans_train(pts, 2, 100, rng=RandomSource(100 + seed))
-            found.append(m.objective_trace[-1])
+            _, objectives = recording_objectives(kmeans_train, pts, 2, 100,
+                                                 RandomSource(100 + seed))
+            found.append(objectives[-1])
         assert min(found) <= best + 1e-9
 
-    def test_objective_trace_non_increasing(self):
+    def test_objective_non_increasing(self):
         pts = two_blobs(seed=5)
-        m = kmeans_train(pts, 3, 100, rng=RandomSource(6))
-        for a, b in zip(m.objective_trace, m.objective_trace[1:]):
+        m, objectives = recording_objectives(kmeans_train, pts, 3, 100, RandomSource(6))
+        assert len(objectives) == m.iterations_run + m.converged > 1
+        for a, b in zip(objectives, objectives[1:]):
             assert b <= a + 1e-8 * max(1.0, a)
 
     def test_convergence_flags(self):
@@ -136,9 +152,8 @@ class TestEmptyClusterHandling:
         # farthest point takes centroid 1's only member, so a second pass
         # must reseed centroid 1 before the update divides by its count.
         points = np.array([[-1, -1], [4, 1], [0, -2], [-1, 0], [3, 1]], dtype=np.float64)
-        m = kmeans_train(points, 3, 50, RandomSource(66701))
+        m = fit_matches_reference(points, 3, 50, 66701)
         assert np.all(np.isfinite(m.centroids))
-        assert_matches_reference(m, points, 3, 50, 66701)
 
     @pytest.mark.parametrize("train", [
         lambda pts: kmeans_train(pts, 2, 10, RandomSource(0)),
@@ -154,7 +169,7 @@ class TestEmptyClusterHandling:
         lambda pts, k: sulq_kmeans_train(pts, k, 20, 1.0, RandomSource(0)),
     ], ids=["plain", "sulq"])
     @pytest.mark.parametrize("points,k,match", [
-        # Used to return converged=True with objective_trace [inf, inf].
+        # Used to return converged=True after two infinite objectives.
         ([[1e308, 0], [1.5e308, 1], [-1e308, 2], [-1.7e308, 3]], 2,
          r"objective is not finite at iteration 1: inf"),
         ([[1e308, 0], [1e308, 1], [1e308, 2], [1e308, 3]], 1,
@@ -170,13 +185,22 @@ class TestEmptyClusterHandling:
         assert within_cluster_ss(pts, cents, np.array([0, 0])) == 2.0
 
 
-def assert_matches_reference(model, points, k, max_iters, seed, sigma=None):
+def fit_matches_reference(points, k, max_iters, seed, sigma=None):
+    """Fit as the reference does and compare bit for bit: plain Lloyd must
+    compute the reference's objectives, SuLQ at this scale none."""
+    if sigma is None:
+        model, objectives = recording_objectives(kmeans_train, points, k, max_iters,
+                                                 RandomSource(seed))
+    else:
+        model, objectives = recording_objectives(sulq_kmeans_train, points, k, max_iters,
+                                                 sigma, RandomSource(seed))
     c, converged, iterations, trace = kmeans_reference(points, k, max_iters,
                                                        RandomSource(seed), sigma=sigma)
     assert model.centroids.tobytes() == c.tobytes()
-    assert model.objective_trace == trace
+    assert objectives == (trace if sigma is None else [])
     assert model.iterations_run == iterations
     assert model.converged == converged
+    return model
 
 
 class TestMatchesReference:
@@ -197,10 +221,8 @@ class TestMatchesReference:
             with pytest.raises(ContractError, match="exceeds the number of distinct points"):
                 sulq_kmeans_train(points, k, 20, 2.0, RandomSource(seed))
             return
-        m = kmeans_train(points, k, 50, RandomSource(seed))
-        assert_matches_reference(m, points, k, 50, seed)
-        m = sulq_kmeans_train(points, k, 20, 2.0, RandomSource(seed))
-        assert_matches_reference(m, points, k, 20, seed, sigma=2.0)
+        fit_matches_reference(points, k, 50, seed)
+        fit_matches_reference(points, k, 20, seed, sigma=2.0)
 
     def test_k_above_distinct_points_rejected(self):
         # Five rounded points, two of them equal: initialization used to
@@ -211,6 +233,36 @@ class TestMatchesReference:
             kmeans_train(points, 5, 50, RandomSource(2))
         with pytest.raises(ContractError, match=r"k=5 exceeds the number of distinct points \(4\)"):
             sulq_kmeans_train(points, 5, 20, 2.0, RandomSource(2))
+
+    # Points from 2^500 to 2^top: a noisy count floored at 1 scales a
+    # cluster sum up to n-fold, so the objective can overflow in a late
+    # iteration while every centroid stays finite. SuLQ computes the
+    # objective only where it cannot rule that out, and must still stop at
+    # the first iteration whose reference objective is not finite.
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(2, 5),
+           k=st.integers(1, 4), top=st.integers(500, 512), log_sigma=st.integers(0, 512))
+    @example(seed=2255, n=22, d=2, k=2, top=509, log_sigma=43)  # iteration 14
+    @example(seed=1331, n=13, d=4, k=1, top=500, log_sigma=512)  # iteration 2
+    def test_sulq_overflow_at_reference_iteration(self, seed, n, d, k, top, log_sigma):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(0, 1, size=(n, d)) * np.ldexp(1.0, rng.integers(500, top + 1,
+                                                                            size=(n, 1)))
+        if k > len(np.unique(points, axis=0)):
+            return
+        sigma = float(np.ldexp(1.0, log_sigma))
+        with np.errstate(over="ignore", invalid="ignore"):
+            c, converged, iterations, trace = kmeans_reference(points, k, 20, RandomSource(seed),
+                                                               sigma=sigma)
+        overflow = np.flatnonzero(~np.isfinite(trace))
+        if overflow.size:
+            with pytest.raises(ContractError, match=rf"objective is not finite at iteration "
+                                                    rf"{overflow[0] + 1}: inf$"):
+                sulq_kmeans_train(points, k, 20, sigma, RandomSource(seed))
+        else:
+            m = sulq_kmeans_train(points, k, 20, sigma, RandomSource(seed))
+            assert m.centroids.tobytes() == c.tobytes()
+            assert (m.iterations_run, m.converged) == (iterations, converged)
 
     def test_empty_cluster_reseed(self, monkeypatch):
         emptied = []
@@ -225,8 +277,7 @@ class TestMatchesReference:
         pts = np.hstack([pts, pts[:, :1] * 0.5, pts[:, 1:] - 2.0, pts[:, :1] ** 2,
                          pts[:, :1] * pts[:, 1:], np.abs(pts[:, 1:] - 1.0)])
         for d in range(2, 8):
-            m = sulq_kmeans_train(pts[:, :d], 4, 40, 50.0, rng=RandomSource(19))
-            assert_matches_reference(m, pts[:, :d], 4, 40, 19, sigma=50.0)
+            fit_matches_reference(pts[:, :d], 4, 40, 19, sigma=50.0)
         assert sum(emptied) > 0
 
 

@@ -146,7 +146,7 @@ class TestConfig:
         cfg = PipelineConfig(case="speech", seed=9, **SPEECH_SMALL)
         want = datagen.default_speech_spec(RandomSource(9).child(0), n_phonemes=8, n_states=3,
                                            dim=6, n_boosted=3, base_shift=0.5)
-        assert cfg.spec.boosted == want.boosted
+        assert np.array_equal(cfg.spec.mean_shift_sigmas, want.mean_shift_sigmas)
         assert np.array_equal(cfg.spec.means, want.means)
         assert np.array_equal(cfg.spec.sigmas, want.sigmas)
 
@@ -950,9 +950,14 @@ class TestBoundaryValues:
                 failures.append((path, value, failure))
         assert not failures, failures
 
-    @pytest.mark.parametrize("edit", ["meta", "target"])
-    def test_svm_attack_payload_field_exits_0_or_1(self, tmp_path, capsys, edit):
-        cfg = PipelineConfig(case="netflow", flows_per_shadow=40)
+    @pytest.mark.parametrize("settings,edit", [
+        ({"case": "netflow", "flows_per_shadow": 40}, "meta"),
+        ({"case": "netflow", "flows_per_shadow": 40}, "target"),
+        *[({"case": "speech", "n_phonemes": 4, "n_states": 3, "dim": 3, "n_sequences": 3,
+            "n_boosted": 2, "top_k": 2, "train_iters": 2}, edit) for edit in ("meta", "target")],
+    ], ids=["meta", "target", "speech-meta", "speech-target"])
+    def test_svm_attack_payload_field_exits_0_or_1(self, tmp_path, capsys, settings, edit):
+        cfg = PipelineConfig.from_dict(settings)
         labels = [P, NOT_P, P, NOT_P, P]
         models = [cfg.train_new_model(label == P, RandomSource(s))
                   for s, label in enumerate(labels)]

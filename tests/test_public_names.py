@@ -1,11 +1,14 @@
-"""Every public top-level function or class of the package has a user.
+"""Every public top-level function or class of the package has a user,
+and so does every annotated field and public method of a public class.
 
 A name passes if code in ``src/`` or ``perfbench/`` refers to it (an
 ``ast.Name`` or ``ast.Attribute`` outside its own definition), if
 ``perfbench/tracer.py`` traces it, or if ``tests/test_acceptance.py``
-imports it. A name that only unit tests reach is dead code. All three
-sources are read with ``ast``, so nothing here imports the package or
-keeps its own list of exemptions.
+imports it. A class member passes if an ``ast.Attribute`` in ``src/``,
+``perfbench/`` or ``tests/test_acceptance.py`` names it, or if
+``perfbench/tracer.py`` traces it. A name that only unit tests reach is
+dead code. All sources are read with ``ast``, so nothing here imports the
+package or keeps its own list of exemptions.
 """
 
 import ast
@@ -26,6 +29,34 @@ def public_definitions():
             for node in parse(path).body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and not node.name.startswith("_")}
+
+
+def public_members():
+    """(module, "Class.member") of each annotated field and public method
+    of each public top-level class."""
+    return {(path.stem, f"{cls.name}.{name}")
+            for path in sorted(PACKAGE.glob("*.py"))
+            for cls in parse(path).body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for name in member_names(cls)}
+
+
+def member_names(cls):
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")):
+            yield node.name
+
+
+def attribute_names():
+    """Names that an Attribute node in src/, perfbench/ or
+    tests/test_acceptance.py refers to."""
+    paths = [*PACKAGE.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
+             ROOT / "tests" / "test_acceptance.py"]
+    return {node.attr for path in sorted(paths) for node in ast.walk(parse(path))
+            if isinstance(node, ast.Attribute)}
 
 
 def referenced_names():
@@ -76,3 +107,14 @@ def test_every_public_name_has_a_user():
     assert not unused, (f"public names that no code in src/ or perfbench/ uses, that "
                         f"perfbench/tracer.py does not trace and that "
                         f"tests/test_acceptance.py does not import: {unused}")
+
+
+def test_every_public_member_has_a_user():
+    members, traced = public_members(), traced_names()
+    assert members
+    used = attribute_names()
+    unused = sorted(f"{module}.{member}" for module, member in members
+                    if member.rpartition(".")[2] not in used and (module, member) not in traced)
+    assert not unused, (f"public class fields and methods that no attribute access in src/, "
+                        f"perfbench/ or tests/test_acceptance.py names and that "
+                        f"perfbench/tracer.py does not trace: {unused}")
